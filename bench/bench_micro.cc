@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <deque>
 
 #include "obs/export.h"
 #include "tota/engine.h"
@@ -15,25 +16,22 @@
 namespace tota {
 namespace {
 
+/// A platform that counts what it sends and never fires a timer.
 class NullPlatform final : public Platform {
  public:
   void broadcast(wire::Bytes payload) override {
     bytes_out += payload.size();
   }
   [[nodiscard]] SimTime now() const override { return time; }
-  TimerId schedule(SimTime, std::function<void()> action) override {
-    pending.push_back(std::move(action));
+  TimerId schedule(SimTime, std::function<void()>) override {
     return next_timer_++;
   }
   void cancel(TimerId) override {}
   [[nodiscard]] Vec2 position() const override { return {}; }
   [[nodiscard]] Rng& rng() override { return rng_; }
-  [[nodiscard]] wire::FrameCodec* frame_codec() override { return codec; }
 
   std::size_t bytes_out = 0;
   SimTime time;
-  std::vector<std::function<void()>> pending;
-  wire::FrameCodec* codec = nullptr;
 
  private:
   Rng rng_{1};
@@ -301,143 +299,47 @@ void BM_EventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EventDispatch)->Arg(8)->Arg(128);
 
+/// Per-replica receive cost at a steady store size, measured the way
+/// perfbench's engine.rx_steady64_ns / rx_steady1k_ns are: a pool of
+/// 2×resident TUPLE frames with distinct uids is replayed in a cycle, the
+/// oldest resident uid is erased before each insert so the store holds
+/// exactly `resident` tuples, and only Engine::on_datagram is timed.
 void BM_EngineReceive(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
   tuples::register_standard_tuples();
+  const auto resident = static_cast<std::size_t>(state.range(0));
+  std::vector<wire::Bytes> frames;
+  for (std::size_t j = 0; j < 2 * resident; ++j) {
+    auto t = sample_tuple();
+    t.set_uid(TupleUid{NodeId{7}, j + 1});
+    t.set_hop(0);
+    frames.push_back(
+        wire::Frame::tuple([&t](wire::Writer& w) { t.encode(w); }));
+  }
   NullPlatform platform;
   TupleSpace space;
   EventBus bus;
   Engine engine(NodeId{1}, platform, space, bus);
-
-  std::uint64_t seq = 100;
-  for (auto _ : state) {
-    // Unique uid per iteration so each frame runs the full store path.
-    state.PauseTiming();
-    auto t = sample_tuple();
-    t.set_uid(TupleUid{NodeId{7}, seq++});
-    const auto f =
-        wire::Frame::tuple([&t](wire::Writer& w) { t.encode(w); });
-    state.ResumeTiming();
-    engine.on_datagram(NodeId{3}, f);
-  }
+  std::deque<TupleUid> fifo;
+  std::size_t next = 0;
+  const auto deliver = [&] {
+    const TupleUid uid{NodeId{7}, next + 1};
+    const auto& frame = frames[next];
+    next = (next + 1) % frames.size();
+    if (space.size() >= resident && !fifo.empty()) {
+      space.erase(fifo.front());
+      fifo.pop_front();
+    }
+    const auto start = Clock::now();
+    engine.on_datagram(NodeId{3}, frame);
+    const std::chrono::duration<double> spent = Clock::now() - start;
+    if (space.find(uid) != nullptr) fifo.push_back(uid);
+    return spent.count();
+  };
+  for (std::size_t i = 0; i < frames.size(); ++i) deliver();  // warm-up
+  for (auto _ : state) state.SetIterationTime(deliver());
 }
-BENCHMARK(BM_EngineReceive);
-
-/// One simulated broadcast fanned out to a dense one-hop neighbourhood
-/// through the decode-once cache, vs each receiver parsing for itself.
-void BM_DecodeOnceFanout(benchmark::State& state) {
-  tuples::register_standard_tuples();
-  const auto receivers = static_cast<std::size_t>(state.range(0));
-  const bool shared_codec = state.range(1) != 0;
-
-  obs::Hub hub;
-  wire::FrameCodec codec(hub.metrics);
-  std::vector<std::unique_ptr<NullPlatform>> platforms;
-  std::vector<std::unique_ptr<TupleSpace>> spaces;
-  std::vector<std::unique_ptr<EventBus>> buses;
-  std::vector<std::unique_ptr<Engine>> engines;
-  for (std::size_t i = 0; i < receivers; ++i) {
-    platforms.push_back(std::make_unique<NullPlatform>());
-    if (shared_codec) platforms.back()->codec = &codec;
-    spaces.push_back(std::make_unique<TupleSpace>());
-    buses.push_back(std::make_unique<EventBus>());
-    engines.push_back(std::make_unique<Engine>(
-        NodeId{i + 1}, *platforms.back(), *spaces.back(), *buses.back(),
-        MaintenanceOptions{}, &hub));
-  }
-
-  std::uint64_t seq = 1;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto t = sample_tuple();
-    t.set_uid(TupleUid{NodeId{999}, seq++});
-    const auto frame = std::make_shared<const wire::Bytes>(
-        wire::Frame::tuple([&t](wire::Writer& w) { t.encode(w); }));
-    state.ResumeTiming();
-    for (auto& engine : engines) engine->on_datagram(NodeId{999}, frame);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(receivers));
-}
-BENCHMARK(BM_DecodeOnceFanout)
-    ->ArgsProduct({{4, 16}, {0, 1}})
-    ->ArgNames({"receivers", "shared"});
-
-/// The "codec columns" of BENCH_micro.json (docs/OBSERVABILITY.md):
-/// steady-state tuple encode/decode cost and the decode-once hit rate of
-/// a dense neighbourhood, as gauges on the default hub so the JSON
-/// export picks them up next to the wire.frame.* counters.
-void record_codec_columns(obs::Hub& hub) {
-  using Clock = std::chrono::steady_clock;
-  tuples::register_standard_tuples();
-  const auto tuple = sample_tuple();
-  constexpr int kReps = 50000;
-
-  auto start = Clock::now();
-  for (int i = 0; i < kReps; ++i) {
-    wire::Writer w;
-    tuple.encode(w);
-    benchmark::DoNotOptimize(w.bytes().data());
-  }
-  const double encode_ns =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               start)
-              .count()) /
-      kReps;
-
-  wire::Writer w;
-  tuple.encode(w);
-  const auto bytes = w.take();
-  start = Clock::now();
-  for (int i = 0; i < kReps; ++i) {
-    wire::Reader r(bytes);
-    auto t = Tuple::decode(r);
-    benchmark::DoNotOptimize(t.get());
-  }
-  const double decode_ns =
-      static_cast<double>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               start)
-              .count()) /
-      kReps;
-
-  // Dense neighbourhood: 16 receivers per broadcast on one shared codec.
-  // Counters land on the default hub, so BENCH_micro.json carries both
-  // the raw wire.frame.decode_hit/miss and the derived rate.
-  constexpr std::size_t kReceivers = 16;
-  constexpr std::uint64_t kFrames = 256;
-  wire::FrameCodec codec(hub.metrics);
-  std::vector<std::unique_ptr<NullPlatform>> platforms;
-  std::vector<std::unique_ptr<TupleSpace>> spaces;
-  std::vector<std::unique_ptr<EventBus>> buses;
-  std::vector<std::unique_ptr<Engine>> engines;
-  for (std::size_t i = 0; i < kReceivers; ++i) {
-    platforms.push_back(std::make_unique<NullPlatform>());
-    platforms.back()->codec = &codec;
-    spaces.push_back(std::make_unique<TupleSpace>());
-    buses.push_back(std::make_unique<EventBus>());
-    engines.push_back(std::make_unique<Engine>(
-        NodeId{i + 1}, *platforms.back(), *spaces.back(), *buses.back(),
-        MaintenanceOptions{}, &hub));
-  }
-  for (std::uint64_t seq = 1; seq <= kFrames; ++seq) {
-    auto t = sample_tuple();
-    t.set_uid(TupleUid{NodeId{999}, seq});
-    const auto frame = std::make_shared<const wire::Bytes>(
-        wire::Frame::tuple([&t](wire::Writer& w2) { t.encode(w2); }));
-    for (auto& engine : engines) engine->on_datagram(NodeId{999}, frame);
-  }
-  const auto hits = hub.metrics.get("wire.frame.decode_hit");
-  const auto misses = hub.metrics.get("wire.frame.decode_miss");
-  const double rate =
-      hits + misses == 0
-          ? 0.0
-          : static_cast<double>(hits) / static_cast<double>(hits + misses);
-
-  hub.metrics.gauge("bench.codec.tuple_encode_ns").set(encode_ns);
-  hub.metrics.gauge("bench.codec.tuple_decode_ns").set(decode_ns);
-  hub.metrics.gauge("bench.codec.frame_cache_hit_rate").set(rate);
-}
+BENCHMARK(BM_EngineReceive)->Arg(64)->Arg(1024)->UseManualTime();
 
 }  // namespace
 }  // namespace tota
@@ -450,7 +352,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  tota::record_codec_columns(tota::obs::default_hub());
   const std::string path =
       tota::obs::write_bench_json("micro", tota::obs::default_hub());
   std::printf("[obs] wrote %s\n", path.c_str());

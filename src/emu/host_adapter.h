@@ -18,10 +18,6 @@ class HostAdapter final : public sim::Host {
                    std::span<const std::uint8_t> payload) override {
     mw_.on_datagram(from, payload);
   }
-  void on_datagram(NodeId from,
-                   std::shared_ptr<const wire::Bytes> payload) override {
-    mw_.on_datagram(from, std::move(payload));
-  }
   void on_neighbor_up(NodeId neighbor) override {
     mw_.on_neighbor_up(neighbor);
   }

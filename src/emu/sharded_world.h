@@ -33,7 +33,7 @@ namespace tota::emu {
 
 /// Binds a Middleware to its owner shard: timers and broadcasts go to
 /// the shard's EventQueue, randomness comes from a per-node fork of the
-/// shard's Rng stream, decoded frames share the shard's codec.
+/// shard's Rng stream.
 class ShardPlatform final : public Platform {
  public:
   ShardPlatform(sim::ShardedSim& sim, NodeId id)
@@ -52,9 +52,6 @@ class ShardPlatform final : public Platform {
   void cancel(TimerId id) override { sim_.cancel(id_, id); }
   [[nodiscard]] Vec2 position() const override { return sim_.position(id_); }
   [[nodiscard]] Rng& rng() override { return rng_; }
-  [[nodiscard]] wire::FrameCodec* frame_codec() override {
-    return &sim_.frame_codec(id_);
-  }
 
  private:
   sim::ShardedSim& sim_;

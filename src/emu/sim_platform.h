@@ -45,13 +45,6 @@ class SimPlatform final : public Platform {
 
   [[nodiscard]] Rng& rng() override { return rng_; }
 
-  /// All nodes on one simulated medium share the network's decode-once
-  /// cache; real/emulated UDP platforms keep the base nullptr (each
-  /// process sees its own private buffer, so there is nothing to share).
-  [[nodiscard]] wire::FrameCodec* frame_codec() override {
-    return &net_.frame_codec();
-  }
-
  private:
   sim::Network& net_;
   NodeId id_;

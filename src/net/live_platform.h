@@ -9,9 +9,6 @@
 // unmodified on either — that is the point of the Platform seam.
 //
 // Differences from the simulator, all deliberate:
-//   * frame_codec() stays nullptr: each process owns its private receive
-//     buffer, so there is no cross-receiver decode-once cache to share;
-//     the engine takes its span fallback path.
 //   * Sender attribution comes from the datagram envelope
 //     (net/datagram.h), not from the radio model.
 //   * A broadcast medium echoes one's own frames; the session drops
@@ -105,8 +102,6 @@ class LivePlatform final : public tota::Platform {
   void cancel(TimerId id) override { loop_.cancel(id); }
   [[nodiscard]] Vec2 position() const override { return options_.position; }
   [[nodiscard]] Rng& rng() override { return rng_; }
-  // frame_codec(): inherited nullptr — buffers are not shared across
-  // processes, so there is nothing to decode once.
 
   // --- introspection ------------------------------------------------------
 

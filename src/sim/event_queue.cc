@@ -1,17 +1,38 @@
 #include "sim/event_queue.h"
 
-#include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace tota::sim {
+
+namespace {
+
+std::uint32_t slot_of(EventId id) { return static_cast<std::uint32_t>(id); }
+std::uint32_t generation_of(EventId id) {
+  return static_cast<std::uint32_t>(id >> 32);
+}
+
+}  // namespace
 
 EventId EventQueue::schedule_at(SimTime when, Action action) {
   if (when < now_) {
     throw std::invalid_argument("cannot schedule event in the past");
   }
-  const EventId id = next_id_++;
+  std::uint32_t index = 0;
+  if (!free_.empty()) {
+    index = free_.back();
+    free_.pop_back();
+  } else {
+    if (slots_.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("EventQueue: too many pending events");
+    }
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& slot = slots_[index];
+  slot.action = std::move(action);
+  const EventId id = (EventId{slot.generation} << 32) | index;
   queue_.push(Entry{when, next_seq_++, id});
-  actions_.emplace(id, std::move(action));
   ++live_count_;
   return id;
 }
@@ -20,19 +41,33 @@ EventId EventQueue::schedule_after(SimTime delay, Action action) {
   return schedule_at(now_ + delay, std::move(action));
 }
 
+bool EventQueue::live(EventId id) const {
+  const std::uint32_t index = slot_of(id);
+  const std::uint32_t generation = generation_of(id);
+  return generation != 0 && index < slots_.size() &&
+         slots_[index].generation == generation;
+}
+
+EventQueue::Action EventQueue::release(EventId id) {
+  Slot& slot = slots_[slot_of(id)];
+  Action action = std::move(slot.action);
+  slot.action = nullptr;
+  --live_count_;
+  // Wrapping to 0 retires the slot: reusing it would repeat an id.
+  if (++slot.generation != 0) free_.push_back(slot_of(id));
+  return action;
+}
+
 void EventQueue::cancel(EventId id) {
-  if (actions_.erase(id) > 0) --live_count_;
+  if (live(id)) release(id);
 }
 
 bool EventQueue::step() {
   while (!queue_.empty()) {
     const Entry top = queue_.top();
     queue_.pop();
-    auto it = actions_.find(top.id);
-    if (it == actions_.end()) continue;  // cancelled
-    Action action = std::move(it->second);
-    actions_.erase(it);
-    --live_count_;
+    if (!live(top.id)) continue;  // cancelled
+    Action action = release(top.id);
     now_ = top.when;
     action();
     return true;
@@ -42,9 +77,7 @@ bool EventQueue::step() {
 
 std::optional<SimTime> EventQueue::next_event_time() {
   while (!queue_.empty()) {
-    if (actions_.find(queue_.top().id) != actions_.end()) {
-      return queue_.top().when;
-    }
+    if (live(queue_.top().id)) return queue_.top().when;
     queue_.pop();  // cancelled — drop the stale entry
   }
   return std::nullopt;
@@ -53,7 +86,7 @@ std::optional<SimTime> EventQueue::next_event_time() {
 void EventQueue::run_until(SimTime deadline) {
   while (!queue_.empty()) {
     // Skip cancelled entries without advancing time.
-    if (actions_.find(queue_.top().id) == actions_.end()) {
+    if (!live(queue_.top().id)) {
       queue_.pop();
       continue;
     }

@@ -50,8 +50,7 @@ Network::Network(NetworkParams params, obs::Hub* hub)
       link_up_(hub_.metrics.counter("link.up")),
       link_down_(hub_.metrics.counter("link.down")),
       mtu_drop_(hub_.metrics.counter("net.mtu_drop")),
-      duty_drop_(hub_.metrics.counter("net.duty_drop")),
-      frame_codec_(hub_.metrics) {
+      duty_drop_(hub_.metrics.counter("net.duty_drop")) {
   if (params_.batch.enabled) {
     batch_tx_ = &hub_.metrics.counter("net.batch.tx");
     batch_chunks_ = &hub_.metrics.counter("net.batch.chunks");
@@ -196,8 +195,8 @@ void Network::broadcast(NodeId from, wire::Bytes payload) {
     if (fault_ != nullptr) {
       // Adversity layer between the radio model and the receiver: the
       // injector may drop/hold/damage this delivery.  Damaged or
-      // reordered copies get their own buffer (no decode-once sharing —
-      // each surviving receiver parses what *it* received).
+      // reordered copies get their own buffer: each surviving receiver
+      // parses what *it* received.
       fault_->process(
           std::span(*shared),
           [this, from, to, delay](const wire::Bytes& bytes) {
@@ -221,7 +220,8 @@ void Network::deliver_after(SimTime delay, NodeId from, NodeId to,
                              return;
                            }
                            radio_rx_.inc();
-                           it->second.host->on_datagram(from, payload);
+                           it->second.host->on_datagram(from,
+                                                        std::span(*payload));
                          });
 }
 

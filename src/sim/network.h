@@ -25,7 +25,6 @@
 #include "sim/radio.h"
 #include "sim/topology.h"
 #include "wire/buffer.h"
-#include "wire/frame.h"
 
 namespace tota::sim {
 
@@ -148,10 +147,6 @@ class Network {
   }
   /// The full observability hub (metrics + tracer).
   [[nodiscard]] obs::Hub& hub() { return hub_; }
-  /// The shared decode-once cache for this medium: broadcast() hands every
-  /// receiver the same wire::Bytes object, and stacks attached to this
-  /// network key decoded-frame prototypes on that buffer identity.
-  [[nodiscard]] wire::FrameCodec& frame_codec() { return frame_codec_; }
   [[nodiscard]] Rng& rng() { return rng_; }
   [[nodiscard]] const NetworkParams& params() const { return params_; }
   [[nodiscard]] std::vector<NodeId> nodes() const { return topology_.nodes(); }
@@ -223,7 +218,6 @@ class Network {
   obs::Counter* batch_flush_ = nullptr;
   obs::Counter* batch_oversize_ = nullptr;
   obs::Counter* frame_bad_ = nullptr;
-  wire::FrameCodec frame_codec_;
   /// Chunks awaiting the per-sender batch flush (batching mode only).
   std::unordered_map<NodeId, std::vector<net::EncodedChunk>> batch_pending_;
   /// Per-node hardware profiles; absent = full-power default.  Kept out

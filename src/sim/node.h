@@ -24,11 +24,9 @@ class Host {
   virtual void on_datagram(NodeId from,
                            std::span<const std::uint8_t> payload) = 0;
 
-  /// Same upcall, but handing over the broadcast's shared buffer.  One
-  /// transmission reaches many receivers as the *same* wire::Bytes object;
-  /// stacks that cache decoded frames by buffer identity (wire::FrameCodec)
-  /// override this to decode once per transmission instead of once per
-  /// receiver.  Default: forwards to the span overload.
+  /// Compatibility shim: the simulators only call the span overload.
+  /// Kept while the benchmark's sim::Host decorator (perfbench) still
+  /// overrides it; remove once that decorator stops doing so.
   virtual void on_datagram(NodeId from,
                            std::shared_ptr<const wire::Bytes> payload) {
     if (payload != nullptr) on_datagram(from, std::span(*payload));

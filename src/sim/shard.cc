@@ -9,7 +9,6 @@ ShardedSim::Shard::Shard(std::uint32_t index, std::uint32_t total,
                          std::uint64_t seed)
     : index(index),
       rng(Rng::stream(seed, index)),
-      codec(hub.metrics),
       outbox(total),
       radio_tx(hub.metrics.counter("radio.tx")),
       radio_tx_bytes(hub.metrics.counter("radio.tx_bytes")),
@@ -199,12 +198,10 @@ void ShardedSim::broadcast(NodeId from, wire::Bytes payload) {
   Shard& s = *shards_[st.owner];
   s.radio_tx.inc();
   s.radio_tx_bytes.inc(static_cast<std::int64_t>(payload.size()));
+  // One immutable buffer per transmission, shared by every receiver in
+  // every shard (the reference count is atomic); each receiver decodes
+  // its own span of it.
   auto shared = std::make_shared<const wire::Bytes>(std::move(payload));
-  // One buffer per destination shard: same-shard receivers share
-  // `shared` (decode-once in this shard's codec); each foreign shard
-  // gets one private copy shared by that shard's receivers, so the
-  // decode-once property survives the crossing.
-  std::vector<std::shared_ptr<const wire::Bytes>> per_dst;
   // Device heterogeneity (net/device_profile.h): pure time/size checks,
   // no Rng draws, so profile-free worlds keep the exact per-shard
   // streams the committed baselines pin.
@@ -234,23 +231,19 @@ void ShardedSim::broadcast(NodeId from, wire::Bytes payload) {
     const std::uint32_t dst = state(to).owner;
     if (dst == st.owner) {
       s.events.schedule_after(
-          delay, [this, from, to, shared] { deliver(from, to, shared); });
+          delay, [this, from, to, shared] { deliver(from, to, *shared); });
     } else {
-      if (per_dst.empty()) per_dst.resize(shards_.size());
-      auto& buf = per_dst[dst];
-      if (buf == nullptr) buf = std::make_shared<const wire::Bytes>(*shared);
-      s.outbox[dst].push_back(Mail{s.events.now() + delay, from, to, buf});
+      s.outbox[dst].push_back(Mail{s.events.now() + delay, from, to, shared});
       s.mail_out.inc();
     }
   }
 }
 
-void ShardedSim::deliver(NodeId from, NodeId to,
-                         std::shared_ptr<const wire::Bytes> payload) {
+void ShardedSim::deliver(NodeId from, NodeId to, const wire::Bytes& payload) {
   auto& st = state(to);
   if (st.host == nullptr) return;
   shards_[st.owner]->radio_rx.inc();
-  st.host->on_datagram(from, std::move(payload));
+  st.host->on_datagram(from, std::span(payload));
 }
 
 void ShardedSim::ingest_mail() {
@@ -259,8 +252,8 @@ void ShardedSim::ingest_mail() {
     for (auto& src : shards_) {
       auto& box = src->outbox[dst];
       for (auto& m : box) {
-        queue.schedule_at(m.when, [this, m = std::move(m)]() mutable {
-          deliver(m.from, m.to, std::move(m.payload));
+        queue.schedule_at(m.when, [this, m = std::move(m)] {
+          deliver(m.from, m.to, *m.payload);
         });
       }
       box.clear();
@@ -282,10 +275,6 @@ SimTime ShardedSim::node_now(NodeId id) const {
 }
 
 Rng& ShardedSim::shard_rng(NodeId id) { return shard_of_node(id).rng; }
-
-wire::FrameCodec& ShardedSim::frame_codec(NodeId id) {
-  return shard_of_node(id).codec;
-}
 
 obs::Hub& ShardedSim::shard_hub(NodeId id) { return shard_of_node(id).hub; }
 

@@ -5,10 +5,10 @@
 // world *spatially*: the bounding box of all node positions is cut into
 // `shards` contiguous vertical strips, each strip owns its nodes and runs
 // them on its own thread with its own EventQueue, its own Rng stream
-// (Rng::stream(seed, shard)), its own obs::Hub, and its own decode-once
-// FrameCodec.  Radio interaction is local — a broadcast reaches only
-// nodes within range — so a frame can cross a shard boundary no earlier
-// than the radio's minimum one-hop latency.  That bound is the
+// (Rng::stream(seed, shard)) and its own obs::Hub.  Radio interaction is
+// local — a broadcast reaches only nodes within range — so a frame can
+// cross a shard boundary no earlier than the radio's minimum one-hop
+// latency.  That bound is the
 // *conservative lookahead*: shards advance in lock-stepped epochs no
 // longer than the lookahead, exchanging boundary-crossing deliveries
 // ("mail") at the barrier between epochs, and no shard can ever receive
@@ -49,7 +49,6 @@
 #include "sim/radio.h"
 #include "sim/topology.h"
 #include "wire/buffer.h"
-#include "wire/frame.h"
 
 namespace tota::sim {
 
@@ -124,8 +123,6 @@ class ShardedSim {
   /// The owning shard's Rng stream (per-node Rngs fork from this during
   /// the build phase).
   [[nodiscard]] Rng& shard_rng(NodeId id);
-  /// The owning shard's decode-once cache.
-  [[nodiscard]] wire::FrameCodec& frame_codec(NodeId id);
   /// The owning shard's metrics/trace hub (what a node's Middleware
   /// should record into).
   [[nodiscard]] obs::Hub& shard_hub(NodeId id);
@@ -172,8 +169,7 @@ class ShardedSim {
     std::uint32_t index;
     EventQueue events;
     Rng rng;
-    obs::Hub hub;  // must precede codec (codec registers counters in it)
-    wire::FrameCodec codec;
+    obs::Hub hub;
     /// outbox[d]: mail for shard d generated during the current epoch.
     std::vector<std::vector<Mail>> outbox;
     obs::Counter& radio_tx;
@@ -201,8 +197,7 @@ class ShardedSim {
     return *shards_[state(id).owner];
   }
 
-  void deliver(NodeId from, NodeId to,
-               std::shared_ptr<const wire::Bytes> payload);
+  void deliver(NodeId from, NodeId to, const wire::Bytes& payload);
   /// Drains every outbox into the destination queues in fixed
   /// (destination, source) shard order.  Quiescent points only.
   void ingest_mail();

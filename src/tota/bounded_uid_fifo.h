@@ -8,9 +8,9 @@
 // duplicates actually arrive for — resident.
 //
 // Entries can also be erased externally (a repair completing removes its
-// uid from the tracker).  The insertion-order deque is not compacted on
+// uid from the tracker).  The insertion-order log is not compacted on
 // such erases; instead each entry carries the sequence number of its
-// insertion, and the eviction walk skips deque slots whose sequence no
+// insertion, and the eviction walk skips log slots whose sequence no
 // longer matches the live entry — a stale slot (erased, or erased and
 // later re-inserted) neither counts toward the eviction quota nor can
 // evict the newer entry that reused its uid.  (The pre-extraction code
@@ -20,9 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/ids.h"
 
@@ -54,7 +54,7 @@ class BoundedUidFifo {
     return it == entries_.end() ? nullptr : &it->second.value;
   }
 
-  /// External removal (e.g. a repair completed).  The order deque keeps a
+  /// External removal (e.g. a repair completed).  The order log keeps a
   /// stale slot; eviction skips it.  Returns true when the uid was live.
   bool erase(const TupleUid& uid) { return entries_.erase(uid) > 0; }
 
@@ -64,25 +64,29 @@ class BoundedUidFifo {
  private:
   struct Slot {
     Value value;
-    std::uint64_t seq;  // insertion sequence; pairs with the order deque
+    std::uint64_t seq;  // insertion sequence; pairs with the order log
   };
 
   void maybe_evict() {
     if (entries_.size() <= capacity_) return;
     std::size_t quota = entries_.size() / 2;
-    while (quota > 0 && !order_.empty()) {
-      const auto& [uid, seq] = order_.front();
+    std::size_t walked = 0;
+    while (quota > 0 && walked < order_.size()) {
+      const auto& [uid, seq] = order_[walked++];
       const auto it = entries_.find(uid);
       if (it != entries_.end() && it->second.seq == seq) {
         entries_.erase(it);
         --quota;  // only a live eviction spends quota
       }
-      order_.pop_front();
     }
+    order_.erase(order_.begin(),
+                 order_.begin() + static_cast<std::ptrdiff_t>(walked));
   }
 
   std::unordered_map<TupleUid, Slot> entries_;
-  std::deque<std::pair<TupleUid, std::uint64_t>> order_;
+  // Insertion order, oldest first.  A vector, not a deque: an empty one
+  // allocates nothing, and every engine owns two that mostly stay empty.
+  std::vector<std::pair<TupleUid, std::uint64_t>> order_;
   std::size_t capacity_;
   std::uint64_t next_seq_ = 0;
 };

@@ -5,7 +5,7 @@
 // re-propagate them, and keep the distributed structures coherent when
 // the topology changes.  The engine composes four extracted units:
 //
-//   wire::Frame / FrameCodec  (wire/frame.h)        envelope + decode-once
+//   wire::Frame               (wire/frame.h)        frame envelope
 //   TupleSpace                (tuple_space.h)       indexed replica store
 //                                                   (type/parent/propagated
 //                                                   indexes, uid order)
@@ -97,16 +97,10 @@ class Engine final : public SpaceOps {
 
   // --- platform-facing upcalls ------------------------------------------
 
-  /// Span-only receive path: parses the frame (and, for TUPLE frames,
-  /// the tuple body) itself.  This is the fallback for transports that
-  /// cannot share one buffer across receivers.
+  /// The receive path: parses the frame envelope and, for TUPLE frames,
+  /// the tuple body — exactly once per delivered frame.  Malformed input
+  /// counts a decode failure and changes nothing.
   void on_datagram(NodeId from, std::span<const std::uint8_t> payload);
-
-  /// Shared-buffer receive path (broadcast medium): when the platform
-  /// exposes a FrameCodec, the tuple body of `payload` is decoded into
-  /// an immutable prototype once per transmission and this engine gets a
-  /// clone — every further receiver of the same buffer is a cache hit.
-  void on_datagram(NodeId from, std::shared_ptr<const wire::Bytes> payload);
 
   void on_neighbor_up(NodeId neighbor);
   void on_neighbor_down(NodeId neighbor);

@@ -1,5 +1,5 @@
-// The receive/decode path: frame envelope parsing, the decode-once
-// prototype cache, and robustness against malformed frames.  The
+// The receive/decode path: frame envelope parsing, one tuple-body decode
+// per delivered frame, and robustness against malformed frames.  The
 // propagation pipeline itself lives in engine.cc.
 #include "tota/engine.h"
 
@@ -59,38 +59,6 @@ void Engine::on_datagram(NodeId from, std::span<const std::uint8_t> payload) {
     std::unique_ptr<Tuple> tuple;
     if (frame.kind == wire::FrameKind::kTuple) {
       tuple = parse_tuple_body(frame.tuple_body);
-    }
-    dispatch(from, frame, std::move(tuple));
-  } catch (const wire::DecodeError&) {
-    note_decode_failure();
-  } catch (const wire::UnknownTypeError&) {
-    note_decode_failure();
-  }
-}
-
-void Engine::on_datagram(NodeId from,
-                         std::shared_ptr<const wire::Bytes> payload) {
-  wire::FrameCodec* codec = platform_.frame_codec();
-  if (codec == nullptr || payload == nullptr) {
-    // Span-only fallback: no shared cache on this medium.
-    if (payload != nullptr) on_datagram(from, std::span(*payload));
-    return;
-  }
-  try {
-    const wire::Frame frame = wire::Frame::decode(*payload);
-    std::unique_ptr<Tuple> tuple;
-    if (frame.kind == wire::FrameKind::kTuple) {
-      // Decode-once: the first receiver of this transmission parses the
-      // body into an immutable prototype and caches it under the shared
-      // buffer's identity; every other receiver clones the prototype.
-      auto prototype =
-          std::static_pointer_cast<const Tuple>(codec->lookup(payload));
-      if (prototype == nullptr) {
-        prototype = std::shared_ptr<const Tuple>(
-            parse_tuple_body(frame.tuple_body));
-        codec->remember(payload, prototype);
-      }
-      tuple = prototype->clone();
     }
     dispatch(from, frame, std::move(tuple));
   } catch (const wire::DecodeError&) {

@@ -101,11 +101,6 @@ void Middleware::on_datagram(NodeId from,
   engine_.on_datagram(from, payload);
 }
 
-void Middleware::on_datagram(NodeId from,
-                             std::shared_ptr<const wire::Bytes> payload) {
-  engine_.on_datagram(from, std::move(payload));
-}
-
 void Middleware::on_neighbor_up(NodeId neighbor) {
   engine_.on_neighbor_up(neighbor);
   const PresenceTuple presence(neighbor, /*up=*/true);

@@ -76,10 +76,6 @@ class Middleware {
   // --- link-layer upcalls ---------------------------------------------------
 
   void on_datagram(NodeId from, std::span<const std::uint8_t> payload);
-  /// Shared-buffer variant: link layers that deliver one broadcast buffer
-  /// to many co-simulated receivers use this so the engine can decode the
-  /// frame once per transmission (see Engine::on_datagram).
-  void on_datagram(NodeId from, std::shared_ptr<const wire::Bytes> payload);
   void on_neighbor_up(NodeId neighbor);
   void on_neighbor_down(NodeId neighbor);
 

@@ -1,23 +1,42 @@
 #include "tota/neighbor_table.h"
 
+#include <algorithm>
+
 namespace tota {
 
+bool NeighborValueTable::erase(std::vector<Holding>& row, NodeId n) {
+  const auto it = std::find_if(row.begin(), row.end(), [n](const Holding& h) {
+    return h.neighbor == n;
+  });
+  if (it == row.end()) return false;
+  *it = row.back();
+  row.pop_back();
+  return true;
+}
+
 void NeighborValueTable::note(const TupleUid& uid, NodeId n, int hop) {
-  values_[uid][n] = hop;
+  auto& row = values_[uid];
+  for (auto& h : row) {
+    if (h.neighbor == n) {
+      h.hop = hop;
+      return;
+    }
+  }
+  row.push_back(Holding{n, hop});
 }
 
 void NeighborValueTable::forget(const TupleUid& uid, NodeId n,
                                 bool retain_row) {
   const auto it = values_.find(uid);
   if (it == values_.end()) return;
-  it->second.erase(n);
+  erase(it->second, n);
   if (it->second.empty() && !retain_row) values_.erase(it);
 }
 
 std::vector<TupleUid> NeighborValueTable::forget_neighbor(NodeId n) {
   std::vector<TupleUid> affected;
-  for (auto& [uid, values] : values_) {
-    if (values.erase(n) > 0) affected.push_back(uid);
+  for (auto& [uid, row] : values_) {
+    if (erase(row, n)) affected.push_back(uid);
   }
   return affected;
 }
@@ -25,10 +44,9 @@ std::vector<TupleUid> NeighborValueTable::forget_neighbor(NodeId n) {
 bool NeighborValueTable::supports(const TupleUid& uid, int hop) const {
   const auto it = values_.find(uid);
   if (it == values_.end()) return false;
-  for (const auto& [n, value] : it->second) {
-    if (value < hop) return true;  // a shorter support chain next door
-  }
-  return false;
+  // A shorter support chain next door.
+  return std::any_of(it->second.begin(), it->second.end(),
+                     [hop](const Holding& h) { return h.hop < hop; });
 }
 
 }  // namespace tota

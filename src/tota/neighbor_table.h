@@ -14,7 +14,6 @@
 // broadcast/RNG draw order of a whole simulation) reproduces run-to-run.
 #pragma once
 
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -43,7 +42,17 @@ class NeighborValueTable {
   [[nodiscard]] std::size_t rows() const { return values_.size(); }
 
  private:
-  std::unordered_map<TupleUid, std::map<NodeId, int>> values_;
+  /// What one neighbour holds.  A row has one entry per neighbour that
+  /// carries the tuple — a handful — so a flat vector beats a node-based
+  /// map; entry order within a row never shows in any result.
+  struct Holding {
+    NodeId neighbor;
+    int hop;
+  };
+  /// Removes `n`'s entry from `row`; false when it had none.
+  static bool erase(std::vector<Holding>& row, NodeId n);
+
+  std::unordered_map<TupleUid, std::vector<Holding>> values_;
 };
 
 }  // namespace tota

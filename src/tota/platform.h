@@ -49,11 +49,9 @@ class Platform {
     broadcast(std::move(payload));
   }
 
-  /// The decode-once frame cache shared by every receiver on this
-  /// medium (see wire/frame.h), or nullptr when the transport cannot
-  /// share buffers across receivers — the engine then falls back to
-  /// parsing every frame itself.  The codec, when present, must outlive
-  /// the platform's engines.
+  /// Compatibility shim: always nullptr, and nothing in the middleware
+  /// calls it.  Kept while the benchmark's Platform decorator (perfbench)
+  /// still overrides it; remove once that decorator stops doing so.
   [[nodiscard]] virtual wire::FrameCodec* frame_codec() { return nullptr; }
 
   /// Current local time.

@@ -72,36 +72,4 @@ Bytes Frame::probe(const TupleUid& uid,
   return w.take();
 }
 
-FrameCodec::FrameCodec(obs::MetricsRegistry& metrics, std::size_t capacity)
-    : capacity_(capacity),
-      hit_(metrics.counter("wire.frame.decode_hit")),
-      miss_(metrics.counter("wire.frame.decode_miss")) {}
-
-FrameCodec::Prototype FrameCodec::lookup(
-    const std::shared_ptr<const Bytes>& buffer) {
-  const auto it = cache_.find(buffer.get());
-  if (it == cache_.end()) {
-    miss_.inc();
-    return nullptr;
-  }
-  hit_.inc();
-  return it->second.prototype;
-}
-
-void FrameCodec::remember(std::shared_ptr<const Bytes> buffer,
-                          Prototype prototype) {
-  const Bytes* key = buffer.get();
-  if (key == nullptr || prototype == nullptr) return;
-  auto& slot = cache_[key];
-  const bool fresh = slot.buffer == nullptr;
-  slot = Entry{std::move(buffer), std::move(prototype)};
-  // Queue the key once: a re-remember of a cached buffer must not leave a
-  // second order entry whose eviction would count against a live one.
-  if (fresh) order_.push_back(key);
-  while (cache_.size() > capacity_ && !order_.empty()) {
-    cache_.erase(order_.front());
-    order_.pop_front();
-  }
-}
-
 }  // namespace tota::wire

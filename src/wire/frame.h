@@ -12,28 +12,15 @@
 // Frame owns all envelope encoding and decoding; nothing outside this
 // file writes or interprets a FrameKind byte.  The tuple *body* stays
 // opaque here (the wire layer cannot know tota::Tuple): a decoded TUPLE
-// frame exposes the body as a span into the source buffer and the
-// receiving engine parses it — once per broadcast when it can reach the
-// FrameCodec below, once per receiver on the span-only fallback path.
-//
-// FrameCodec is the decode-once cache of the broadcast medium.  The
-// simulator delivers one shared immutable buffer to every receiver of a
-// broadcast; the first receiver decodes the tuple body into an immutable
-// prototype and remembers it keyed by buffer identity, and every later
-// receiver of the same frame gets the prototype back (a cache *hit*) and
-// clones it instead of re-parsing.  Hits and misses are counted as
-// wire.frame.decode_hit / wire.frame.decode_miss.
+// frame exposes the body as a span into the source buffer, and each
+// receiving engine parses its own span exactly once.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <span>
-#include <unordered_map>
 
 #include "common/ids.h"
-#include "obs/metrics.h"
 #include "wire/buffer.h"
 
 namespace tota::wire {
@@ -72,51 +59,6 @@ struct Frame {
   /// the longer frame; uid-only probes are byte-identical to before.
   static Bytes probe(const TupleUid& uid,
                      std::span<const std::uint8_t> pattern_body = {});
-};
-
-/// Decode-once cache over shared broadcast buffers.
-///
-/// Keyed by buffer *identity* (the pointer), not content: the simulator
-/// hands every receiver of one broadcast the same shared_ptr, so pointer
-/// equality is exactly "same transmission".  The cache holds a strong
-/// reference to each remembered buffer, which pins the address for the
-/// entry's lifetime — no ABA hazard.  Entries are evicted FIFO once
-/// `capacity` is exceeded; an evicted frame simply decodes again.
-///
-/// Prototypes are type-erased (shared_ptr<const void>) because the wire
-/// layer cannot name tota::Tuple; the engine casts back to the concrete
-/// prototype type it stored.  Single-threaded, like the simulator.
-class FrameCodec {
- public:
-  using Prototype = std::shared_ptr<const void>;
-
-  /// Registers wire.frame.decode_hit / wire.frame.decode_miss in
-  /// `metrics` (which must outlive the codec).
-  explicit FrameCodec(obs::MetricsRegistry& metrics,
-                      std::size_t capacity = 128);
-
-  /// The prototype remembered for `buffer`, or nullptr.  Counts one
-  /// decode_hit or decode_miss — call exactly once per delivered frame.
-  [[nodiscard]] Prototype lookup(const std::shared_ptr<const Bytes>& buffer);
-
-  /// Remembers `prototype` as the decoded form of `buffer` (after a
-  /// lookup() miss and a successful parse; failed parses are not cached).
-  void remember(std::shared_ptr<const Bytes> buffer, Prototype prototype);
-
-  [[nodiscard]] std::size_t size() const { return cache_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    std::shared_ptr<const Bytes> buffer;  // pins the key's address
-    Prototype prototype;
-  };
-
-  std::unordered_map<const Bytes*, Entry> cache_;
-  std::deque<const Bytes*> order_;  // insertion order, for FIFO eviction
-  std::size_t capacity_;
-  obs::Counter& hit_;
-  obs::Counter& miss_;
 };
 
 }  // namespace tota::wire

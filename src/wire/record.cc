@@ -1,5 +1,6 @@
 #include "wire/record.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace tota::wire {
@@ -50,6 +51,10 @@ Record Record::decode(Reader& r) {
   // than allocating unboundedly from hostile length prefixes.
   if (n > 4096) throw DecodeError("record field count too large");
   Record rec;
+  // Every field takes at least two bytes (name length, value tag), so
+  // this never reserves more fields than the rest of the frame can hold.
+  rec.fields_.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, r.remaining() / 2)));
   for (std::uint64_t i = 0; i < n; ++i) {
     std::string name = r.string();
     rec.fields_.push_back({std::move(name), Value::decode(r)});

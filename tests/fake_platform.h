@@ -36,10 +36,6 @@ class FakePlatform final : public Platform {
 
   [[nodiscard]] Rng& rng() override { return rng_; }
 
-  /// Tests exercising the decode-once path point this at a FrameCodec;
-  /// left null, the engine uses its per-receiver span fallback.
-  [[nodiscard]] wire::FrameCodec* frame_codec() override { return codec; }
-
   /// Runs (and clears) every pending scheduled action in the order it
   /// was scheduled.  Actions cancelled before their turn — including by
   /// earlier actions of the same batch — are skipped.
@@ -71,7 +67,6 @@ class FakePlatform final : public Platform {
   std::vector<ScheduledAction> scheduled;
   SimTime time;
   Vec2 pos;
-  wire::FrameCodec* codec = nullptr;
 
  private:
   Rng rng_{12345};

@@ -441,6 +441,25 @@ TEST_F(EngineTest, TruncatedControlFramesCountedAndHarmless) {
       EXPECT_EQ(engine_.decode_failures(), before + 1) << "len=" << len;
     }
   }
+  // A TUPLE frame whose content record claims 4096 fields in a 6-byte
+  // body fails whole and at every cut, storing nothing.
+  const TupleUid hostile_uid{NodeId{9}, 2};
+  const wire::Bytes hostile = wire::Frame::tuple([&](wire::Writer& w) {
+    w.string(remote.type_tag());
+    w.uvarint(hostile_uid.origin().value());
+    w.uvarint(hostile_uid.sequence());
+    w.svarint(0);
+    AccessPolicy().encode(w);
+    w.uvarint(4096);
+    w.string("a");
+    wire::Value(7).encode(w);
+  });
+  for (std::size_t len = 1; len <= hostile.size(); ++len) {
+    const auto before = engine_.decode_failures();
+    engine_.on_datagram(NodeId{5}, std::span(hostile.data(), len));
+    EXPECT_EQ(engine_.decode_failures(), before + 1) << "len=" << len;
+  }
+  EXPECT_EQ(space_.find(hostile_uid), nullptr);
   // The replica is still stored, still justified by neighbour 5 (a real
   // RETRACT would have cascaded), and nothing was transmitted.
   EXPECT_NE(space_.find(remote.uid()), nullptr);

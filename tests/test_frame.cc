@@ -1,10 +1,9 @@
-// Unit tests for the frame envelope (wire::Frame) and the decode-once
-// cache (wire::FrameCodec), plus an integration test driving two engines
-// off one shared broadcast buffer.
+// Unit tests for the frame envelope (wire::Frame), plus integration tests
+// driving two engines off one broadcast buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <span>
 
 #include "fake_platform.h"
 #include "obs/metrics.h"
@@ -103,84 +102,12 @@ TEST(FrameTest, ProbeCarriesOptionalPatternBody) {
                          decoded.probe_pattern.begin()));
 }
 
-// --- FrameCodec ------------------------------------------------------------
+// --- one decode per receiver ----------------------------------------------
 
-class FrameCodecTest : public ::testing::Test {
- protected:
-  static std::shared_ptr<const Bytes> buffer(std::uint8_t fill) {
-    return std::make_shared<const Bytes>(Bytes{fill, fill});
-  }
-
-  obs::MetricsRegistry metrics_;
-  FrameCodec codec_{metrics_, /*capacity=*/4};
-};
-
-TEST_F(FrameCodecTest, MissThenHit) {
-  const auto buf = buffer(1);
-  EXPECT_EQ(codec_.lookup(buf), nullptr);
-  EXPECT_EQ(metrics_.get("wire.frame.decode_miss"), 1);
-
-  auto proto = std::make_shared<const int>(42);
-  codec_.remember(buf, proto);
-  EXPECT_EQ(codec_.lookup(buf), proto);
-  EXPECT_EQ(metrics_.get("wire.frame.decode_hit"), 1);
-  EXPECT_EQ(metrics_.get("wire.frame.decode_miss"), 1);
-}
-
-TEST_F(FrameCodecTest, IdentityNotContentKeyed) {
-  // Two distinct buffers with equal bytes are distinct transmissions.
-  const auto a = buffer(1);
-  const auto b = buffer(1);
-  codec_.remember(a, std::make_shared<const int>(1));
-  EXPECT_EQ(codec_.lookup(b), nullptr);
-}
-
-TEST_F(FrameCodecTest, EvictsOldestBeyondCapacity) {
-  std::vector<std::shared_ptr<const Bytes>> bufs;
-  for (std::uint8_t i = 0; i < 5; ++i) {
-    bufs.push_back(buffer(i));
-    codec_.remember(bufs.back(), std::make_shared<const int>(i));
-  }
-  EXPECT_EQ(codec_.size(), codec_.capacity());
-  EXPECT_EQ(codec_.lookup(bufs[0]), nullptr);  // oldest evicted
-  EXPECT_NE(codec_.lookup(bufs[4]), nullptr);  // newest resident
-}
-
-TEST_F(FrameCodecTest, ReRememberDoesNotDoubleCountEviction) {
-  // Remembering the same buffer twice must not leave a stale slot in the
-  // FIFO that later evicts a live entry early (the bounded-FIFO bug
-  // class; see BoundedUidFifo).
-  const auto pinned = buffer(0);
-  codec_.remember(pinned, std::make_shared<const int>(0));
-  codec_.remember(pinned, std::make_shared<const int>(1));  // overwrite
-
-  // Fill to capacity: pinned + 3 more = 4 = capacity, no eviction yet.
-  std::vector<std::shared_ptr<const Bytes>> bufs;
-  for (std::uint8_t i = 1; i <= 3; ++i) {
-    bufs.push_back(buffer(i));
-    codec_.remember(bufs.back(), std::make_shared<const int>(i));
-  }
-  ASSERT_EQ(codec_.size(), 4u);
-  // One past capacity evicts exactly the oldest (pinned), not two.
-  bufs.push_back(buffer(4));
-  codec_.remember(bufs.back(), std::make_shared<const int>(4));
-  EXPECT_EQ(codec_.size(), 4u);
-  EXPECT_EQ(codec_.lookup(pinned), nullptr);
-  EXPECT_NE(codec_.lookup(bufs[0]), nullptr);  // survived
-}
-
-// --- decode-once across engines --------------------------------------------
-
-TEST(DecodeOnceTest, SharedBufferDecodedOncePerTransmission) {
+TEST(DecodeOnceTest, OneBufferTwoEnginesGivesIndependentReplicas) {
   tota::tuples::register_standard_tuples();
   obs::Hub hub;
-  FrameCodec codec(hub.metrics);
-
-  // Two receivers on the same platform-level codec, as on one simulated
-  // medium.
   tota::testing::FakePlatform p1, p2;
-  p1.codec = &codec;
-  p2.codec = &codec;
   tota::TupleSpace s1, s2;
   tota::EventBus b1, b2;
   tota::Engine e1(NodeId{1}, p1, s1, b1, {}, &hub);
@@ -189,64 +116,48 @@ TEST(DecodeOnceTest, SharedBufferDecodedOncePerTransmission) {
   tota::tuples::GradientTuple remote("field");
   remote.set_uid(TupleUid{NodeId{9}, 1});
   remote.content().set("source", NodeId{9}).set("hopcount", 0);
-  const auto shared = std::make_shared<const Bytes>(
-      Frame::tuple([&remote](Writer& w) { remote.encode(w); }));
+  const Bytes buffer =
+      Frame::tuple([&remote](Writer& w) { remote.encode(w); });
 
-  e1.on_datagram(NodeId{9}, shared);
-  e2.on_datagram(NodeId{9}, shared);
+  // One transmission, two receivers: each decodes its own span of the
+  // same buffer, as both simulators deliver a broadcast.
+  e1.on_datagram(NodeId{9}, std::span(buffer));
+  e2.on_datagram(NodeId{9}, std::span(buffer));
 
-  EXPECT_EQ(hub.metrics.get("wire.frame.decode_miss"), 1);
-  EXPECT_EQ(hub.metrics.get("wire.frame.decode_hit"), 1);
-  // Both engines stored independent copies at hop 1.
   for (tota::TupleSpace* space : {&s1, &s2}) {
     const auto* entry = space->find(remote.uid());
     ASSERT_NE(entry, nullptr);
     EXPECT_EQ(entry->tuple->hop(), 1);
     EXPECT_EQ(entry->tuple->content().at("hopcount").as_int(), 1);
   }
-  // The clones are distinct objects, not shared mutable state.
+  // The replicas are distinct objects, not shared mutable state.
   EXPECT_NE(s1.find(remote.uid())->tuple.get(),
             s2.find(remote.uid())->tuple.get());
+  EXPECT_EQ(hub.metrics.get("engine.decode_fail"), 0);
 }
 
-TEST(DecodeOnceTest, MalformedSharedBufferCountsPerReceiverAndIsNotCached) {
+TEST(DecodeOnceTest, MalformedTupleBodyCountsOneFailurePerReceiver) {
   tota::tuples::register_standard_tuples();
   obs::Hub hub;
-  FrameCodec codec(hub.metrics);
-  tota::testing::FakePlatform p1;
-  p1.codec = &codec;
-  tota::TupleSpace s1;
-  tota::EventBus b1;
+  tota::testing::FakePlatform p1, p2;
+  tota::TupleSpace s1, s2;
+  tota::EventBus b1, b2;
   tota::Engine e1(NodeId{1}, p1, s1, b1, {}, &hub);
+  tota::Engine e2(NodeId{2}, p2, s2, b2, {}, &hub);
 
   // TUPLE envelope around a truncated body: the envelope parses, the
-  // body does not.  The failed parse must not poison the cache.
-  auto bad = std::make_shared<const Bytes>(Bytes{0x01, 0x05, 'h', 'i'});
-  e1.on_datagram(NodeId{9}, bad);
-  e1.on_datagram(NodeId{9}, bad);
-  EXPECT_EQ(e1.decode_failures(), 2u);
-  EXPECT_EQ(codec.size(), 0u);
-  EXPECT_EQ(s1.find(TupleUid{NodeId{9}, 1}), nullptr);
-}
+  // body does not.
+  const Bytes bad{0x01, 0x05, 'h', 'i'};
+  e1.on_datagram(NodeId{9}, std::span(bad));
+  e2.on_datagram(NodeId{9}, std::span(bad));
 
-TEST(DecodeOnceTest, NoCodecFallsBackToSpanPath) {
-  tota::tuples::register_standard_tuples();
-  obs::Hub hub;
-  tota::testing::FakePlatform p1;  // codec left null
-  tota::TupleSpace s1;
-  tota::EventBus b1;
-  tota::Engine e1(NodeId{1}, p1, s1, b1, {}, &hub);
-
-  tota::tuples::GradientTuple remote("field");
-  remote.set_uid(TupleUid{NodeId{9}, 1});
-  remote.content().set("source", NodeId{9}).set("hopcount", 0);
-  const auto shared = std::make_shared<const Bytes>(
-      Frame::tuple([&remote](Writer& w) { remote.encode(w); }));
-  e1.on_datagram(NodeId{9}, shared);
-
-  EXPECT_NE(s1.find(remote.uid()), nullptr);
-  EXPECT_EQ(hub.metrics.get("wire.frame.decode_hit"), 0);
-  EXPECT_EQ(hub.metrics.get("wire.frame.decode_miss"), 0);
+  EXPECT_EQ(e1.decode_failures(), 1u);
+  EXPECT_EQ(e2.decode_failures(), 1u);
+  EXPECT_EQ(hub.metrics.get("engine.decode_fail"), 2);
+  EXPECT_EQ(s1.size(), 0u);
+  EXPECT_EQ(s2.size(), 0u);
+  EXPECT_TRUE(p1.broadcasts.empty());
+  EXPECT_TRUE(p2.broadcasts.empty());
 }
 
 }  // namespace

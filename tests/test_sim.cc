@@ -1,7 +1,9 @@
 // Unit tests for the network simulator substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -88,6 +90,97 @@ TEST(EventQueueTest, SchedulingInPastThrows) {
   q.schedule_at(SimTime{10}, [] {});
   q.run_until(SimTime{20});
   EXPECT_THROW(q.schedule_at(SimTime{5}, [] {}), std::invalid_argument);
+}
+
+TEST(EventQueueTest, StaleIdCannotCancelTheSlotsNextEvent) {
+  EventQueue q;
+  bool first = false;
+  bool second = false;
+  const EventId stale = q.schedule_at(SimTime{10}, [&] { first = true; });
+  q.cancel(stale);
+  // The freed slot is reused by the next event, under a new generation.
+  const EventId fresh = q.schedule_at(SimTime{20}, [&] { second = true; });
+  EXPECT_EQ(q.slot_count(), 1u);
+  EXPECT_NE(fresh, stale);
+  q.cancel(stale);  // stale handle: must leave the new tenant alone
+  EXPECT_EQ(q.pending(), 1u);
+  q.run_until(SimTime{100});
+  EXPECT_FALSE(first);
+  EXPECT_TRUE(second);
+}
+
+TEST(EventQueueTest, IdsAreNeverZeroAndNeverRepeat) {
+  EventQueue q;
+  std::unordered_set<EventId> seen;
+  for (int round = 0; round < 100; ++round) {
+    std::vector<EventId> batch;
+    for (int i = 0; i < 10; ++i) {
+      batch.push_back(q.schedule_after(SimTime{i}, [] {}));
+    }
+    // Cancel half, fire the rest: every slot is freed and reused.
+    for (std::size_t i = 0; i < batch.size(); i += 2) q.cancel(batch[i]);
+    q.run_until(q.now() + SimTime{100});
+    for (const EventId id : batch) {
+      EXPECT_NE(id, 0u);  // Platform::kInvalidTimer
+      EXPECT_TRUE(seen.insert(id).second) << "id " << id << " repeated";
+    }
+  }
+  EXPECT_LE(q.slot_count(), 10u);
+}
+
+TEST(EventQueueTest, PendingAndEmptyStayExact) {
+  EventQueue q;
+  EXPECT_TRUE(q.empty());
+  int fired = 0;
+  const EventId a = q.schedule_at(SimTime{10}, [&] { ++fired; });
+  const EventId b = q.schedule_at(SimTime{20}, [&] { ++fired; });
+  q.schedule_at(SimTime{30}, [&] { ++fired; });
+  EXPECT_EQ(q.pending(), 3u);
+  q.cancel(b);
+  EXPECT_EQ(q.pending(), 2u);
+  q.cancel(b);  // double cancel counts once
+  EXPECT_EQ(q.pending(), 2u);
+  ASSERT_TRUE(q.step());  // fires a
+  q.schedule_at(SimTime{40}, [&] { ++fired; });  // may reuse a's slot
+  EXPECT_EQ(q.pending(), 2u);
+  q.cancel(a);  // already fired: does nothing
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_FALSE(q.empty());
+  q.run_until(SimTime{100});
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.step());
+}
+
+TEST(EventQueueTest, SlotTableNeverOutgrowsPeakLiveEvents) {
+  EventQueue q;
+  Rng rng(4242);
+  std::vector<EventId> live;
+  std::size_t peak = 0;
+  std::size_t fired = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    const auto op = rng.below(10);
+    if (op < 6) {
+      live.push_back(q.schedule_after(SimTime{1 + static_cast<std::int64_t>(
+                                                      rng.below(1000))},
+                                      [&fired] { ++fired; }));
+    } else if (op < 9 && !live.empty()) {
+      const auto k = rng.below(live.size());
+      q.cancel(live[k]);
+      live[k] = live.back();
+      live.pop_back();
+    } else {
+      q.step();
+    }
+    // Ids of fired events linger in `live`; cancelling them is a no-op,
+    // so pending() is the exact count of the rest.
+    peak = std::max(peak, q.pending());
+    ASSERT_LE(q.slot_count(), peak) << "after op " << i;
+  }
+  q.run_until(q.now() + SimTime{10'000});
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(fired, 0u);
 }
 
 TEST(TopologyTest, NeighborsWithinRange) {

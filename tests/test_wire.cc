@@ -2,12 +2,35 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <limits>
+#include <new>
 
 #include "wire/buffer.h"
 #include "wire/record.h"
 #include "wire/registry.h"
 #include "wire/value.h"
+
+namespace {
+
+// The largest single heap request made while g_track_requests is set, so
+// a test can bound what a decoder reserves before it fails.
+bool g_track_requests = false;
+std::size_t g_largest_request = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_track_requests) g_largest_request = std::max(g_largest_request, size);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with the
+// operator new at a call site (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tota::wire {
 namespace {
@@ -250,6 +273,33 @@ TEST(RecordTest, AbsurdFieldCountRejected) {
   w.uvarint(1'000'000);
   Reader r(w.bytes());
   EXPECT_THROW(Record::decode(r), DecodeError);
+}
+
+TEST(RecordTest, HostileFieldCountReservesOnlyWhatTheBodyCanHold) {
+  // 4096 fields claimed (the decoder's cap) in a 6-byte body: the count,
+  // one field ("a" = 7), then nothing.
+  Writer w;
+  w.uvarint(4096);
+  w.string("a");
+  Value(7).encode(w);
+  const Bytes body = w.take();
+  ASSERT_EQ(body.size(), 6u);
+  // Each field takes at least two bytes, so the 4 bytes after the count
+  // hold at most 2 fields — that is all the decoder may reserve.
+  const std::size_t bound = (body.size() - 2) / 2 * sizeof(Record::Field);
+  Reader r(body);
+  g_largest_request = 0;
+  g_track_requests = true;
+  bool threw = false;
+  try {
+    (void)Record::decode(r);
+  } catch (const DecodeError&) {
+    threw = true;
+  }
+  g_track_requests = false;
+  EXPECT_TRUE(threw);
+  EXPECT_GT(g_largest_request, 0u);
+  EXPECT_LE(g_largest_request, bound);
 }
 
 TEST(RecordTest, StrMentionsFields) {
