@@ -1,4 +1,4 @@
-// The propagation pipeline (steps 1–7 in engine.h) and the send path.
+// The propagation pipeline (steps 0–7 in engine.h) and the send path.
 // Receive/decode lives in engine_rx.cc; topology-change repair in
 // engine_maintenance.cc.
 #include "tota/engine.h"
@@ -74,11 +74,21 @@ TupleUid Engine::inject(std::unique_ptr<Tuple> tuple) {
   tuple->set_hop(0);
   metrics_.inject.inc();
   trace(obs::Stage::kInject, uid, 0);
-  process(std::move(tuple), self_);
+  const TupleSpace::Entry* existing = space_.find(uid);
+  if (!is_duplicate(existing, 0)) process(std::move(tuple), self_, existing);
   return uid;
 }
 
-void Engine::process(std::unique_ptr<Tuple> tuple, NodeId from) {
+bool Engine::is_duplicate(const TupleSpace::Entry* existing, int hop) {
+  if (existing == nullptr || existing->tuple->superseded_by(hop)) {
+    return false;
+  }
+  metrics_.drop_duplicate.inc();
+  return true;  // duplicate or worse copy; the stored structure stands
+}
+
+void Engine::process(std::unique_ptr<Tuple> tuple, NodeId from,
+                     const TupleSpace::Entry* existing) {
   const Context ctx = make_context(from, tuple->hop());
   if (!tuple->decide_enter(ctx)) {  // step 1
     metrics_.drop_enter.inc();
@@ -87,15 +97,9 @@ void Engine::process(std::unique_ptr<Tuple> tuple, NodeId from) {
   tuple->change_content(ctx);  // step 2
 
   const TupleUid uid = tuple->uid();
-  const TupleSpace::Entry* existing = space_.find(uid);
   const bool local = from == self_;
 
-  // Step 3: duplicate resolution.
-  if (existing != nullptr && !tuple->supersedes(*existing->tuple)) {
-    metrics_.drop_duplicate.inc();
-    return;  // duplicate or worse copy; the stored structure stands
-  }
-
+  // Step 3: repeat filters.
   if (!local && tuple->maintained() &&
       hold_down_.blocks(uid, tuple->hop(), platform_.now())) {
     // Recently retracted at a value this copy does not beat: wait out the

@@ -15,19 +15,29 @@
 //                                                   repair tracker
 //
 // and is implemented across three translation units: engine.cc (the
-// propagation pipeline), engine_rx.cc (frame receive/decode), and
+// propagation pipeline), engine_rx.cc (header-first frame receive), and
 // engine_maintenance.cc (topology-change repair).
 //
 // Propagation pipeline for a copy arriving from `from` with travelled
 // hop-count h (h = 0 for local injection):
+//   0. duplicate resolution         uid already stored and the replica
+//                                   not superseded_by(h)? → drop
 //   1. decide_enter(ctx)?           no → drop
 //   2. change_content(ctx)          per-hop content mutation
-//   3. duplicate resolution         (uid already stored? superseded?
-//                                    pass-through already seen?)
+//   3. repeat filters               (held down? pass-through already
+//                                    seen?)
 //   4. decide_store(ctx)?           yes → replica into local space
 //   5. apply_effects(ctx)           effectful tuples edit the node
 //   6. publish kTupleArrived        subscriptions fire
 //   7. decide_propagate(ctx)?       yes → broadcast to neighbours
+//
+// For a received copy, step 0 runs on the TUPLE frame's header alone —
+// type tag, uid, hop (TupleHeader) — with the one TupleSpace lookup of
+// the receive, together with the maintenance bookkeeping below, which
+// asks the stored replica's class whether the tuple is maintained.  The
+// rest of the body is decoded once, and only for a copy that survives
+// step 0.  Most delivered copies of a flood are duplicates, so most
+// frames are never decoded past their header.
 //
 // Self-maintenance uses *value justification*: because every propagation
 // is a broadcast, a node overhears the replica values its neighbours
@@ -98,8 +108,18 @@ class Engine final : public SpaceOps {
   // --- platform-facing upcalls ------------------------------------------
 
   /// The receive path: parses the frame envelope and, for TUPLE frames,
-  /// the tuple body — exactly once per delivered frame.  Malformed input
-  /// counts a decode failure and changes nothing.
+  /// resolves duplicates on the tuple header before the body (step 0 of
+  /// the pipeline above).  The contract:
+  ///   - every TUPLE frame's header is validated: type tag, uid, hop in
+  ///     [0, 2^24], and a tag equal to the stored replica's when the uid
+  ///     is stored (uids are unique per injection, so only corruption
+  ///     breaks that);
+  ///   - the body is decoded, to the last byte, whenever the copy can
+  ///     enter (no replica of its uid, or one it supersedes);
+  ///   - a damaged body on a copy that cannot enter is never read.
+  /// Malformed input that is read counts a decode failure and stores,
+  /// sends and publishes nothing; a damaged body behind a valid header
+  /// keeps the header's maintenance bookkeeping.
   void on_datagram(NodeId from, std::span<const std::uint8_t> payload);
 
   void on_neighbor_up(NodeId neighbor);
@@ -145,8 +165,16 @@ class Engine final : public SpaceOps {
   Context make_context(NodeId from, int hop) const;
 
   /// The shared pipeline (steps 1–7 above) for injected and received
-  /// tuples.
-  void process(std::unique_ptr<Tuple> tuple, NodeId from);
+  /// tuples, entered once step 0 has passed: `existing` is the replica of
+  /// tuple->uid() that the copy supersedes, or nullptr when none is
+  /// stored.
+  void process(std::unique_ptr<Tuple> tuple, NodeId from,
+               const TupleSpace::Entry* existing);
+
+  /// Step 0, duplicate resolution: true — counted under
+  /// engine.drop.duplicate — when the stored replica `existing` (nullptr:
+  /// none) stands against a copy that travelled `hop` hops.
+  bool is_duplicate(const TupleSpace::Entry* existing, int hop);
 
   /// Broadcasts a TUPLE frame carrying `tuple` as stored on this node.
   void send_tuple(const Tuple& tuple);
@@ -160,23 +188,25 @@ class Engine final : public SpaceOps {
 
   // --- engine_rx.cc: frame receive/decode --------------------------------
 
-  /// Routes a decoded envelope: TUPLE bodies via `tuple`, control frames
-  /// to their handlers.
-  void dispatch(NodeId from, const wire::Frame& frame,
-                std::unique_ptr<Tuple> tuple);
+  /// Routes a decoded envelope: TUPLE bodies to receive_tuple, control
+  /// frames to their handlers.
+  void dispatch(NodeId from, const wire::Frame& frame);
 
-  /// Maintenance bookkeeping + hop increment + pipeline for one received
-  /// tuple copy.
-  void receive_tuple(NodeId from, std::unique_ptr<Tuple> tuple);
+  /// One received tuple copy, header first: the uid lookup, maintenance
+  /// bookkeeping and step 0; then, for a copy that can enter, the body
+  /// decode, hop increment and pipeline.  Throws wire::DecodeError /
+  /// wire::UnknownTypeError on malformed input that it reads.
+  void receive_tuple(NodeId from, std::span<const std::uint8_t> body);
 
   /// Counts a frame this engine could not parse.
   void note_decode_failure();
 
   // --- engine_maintenance.cc: topology-change repair ---------------------
 
-  /// Removes the local replica of `uid`, announces the removal, arms the
-  /// hold-down, and counts it under started/cascaded retractions.
-  void retract_local(const TupleUid& uid, bool cascaded);
+  /// Removes the local replica `entry` (which dangles afterwards),
+  /// announces the removal, arms the hold-down, and counts it under
+  /// started/cascaded retractions.
+  void retract_local(const TupleSpace::Entry& entry, bool cascaded);
 
   void handle_retract(NodeId from, const TupleUid& uid);
   void handle_probe(const TupleUid& uid);
@@ -186,11 +216,12 @@ class Engine final : public SpaceOps {
   /// value (NeighborValueTable::supports).
   [[nodiscard]] bool justified(const TupleSpace::Entry& entry) const;
 
-  /// Re-checks justification of the local replica of `uid`; retracts it
-  /// when support is gone.  `cascaded` only labels the statistics:
-  /// link-loss-initiated removals are "started", removals triggered by
-  /// another node's retraction/stretch are "cascaded".
-  void recheck(const TupleUid& uid, bool cascaded = true);
+  /// Re-checks justification of the local replica `entry`; retracts it
+  /// when support is gone and returns true (`entry` then dangles).
+  /// `cascaded` only labels the statistics: link-loss-initiated removals
+  /// are "started", removals triggered by another node's
+  /// retraction/stretch are "cascaded".
+  bool recheck(const TupleSpace::Entry& entry, bool cascaded = true);
 
   /// Starts the repair clock for `uid` (called at retraction); stopped
   /// by record_repair when the tuple reinstalls, feeding maint.repair_ms.

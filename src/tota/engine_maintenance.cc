@@ -53,7 +53,9 @@ void Engine::on_neighbor_down(NodeId neighbor) {
   // Everything we knew the departed neighbour held is gone; replicas that
   // relied on those values for justification must go too.
   for (const TupleUid& uid : neighbor_values_.forget_neighbor(neighbor)) {
-    recheck(uid, /*cascaded=*/false);
+    if (const auto* entry = space_.find(uid)) {
+      recheck(*entry, /*cascaded=*/false);
+    }
   }
 }
 
@@ -64,17 +66,16 @@ bool Engine::justified(const TupleSpace::Entry& entry) const {
   return neighbor_values_.supports(uid, entry.tuple->hop());
 }
 
-void Engine::recheck(const TupleUid& uid, bool cascaded) {
-  const auto* entry = space_.find(uid);
-  if (entry == nullptr) return;
-  if (justified(*entry)) return;
-  retract_local(uid, cascaded);
+bool Engine::recheck(const TupleSpace::Entry& entry, bool cascaded) {
+  if (justified(entry)) return false;
+  retract_local(entry, cascaded);
+  return true;
 }
 
-void Engine::retract_local(const TupleUid& uid, bool cascaded) {
-  const auto* entry = space_.find(uid);
-  if (entry == nullptr) return;
-  const int removed_hop = entry->tuple->hop();
+void Engine::retract_local(const TupleSpace::Entry& entry, bool cascaded) {
+  // Copied out first: erasing the replica destroys `entry`.
+  const TupleUid uid = entry.tuple->uid();
+  const int removed_hop = entry.tuple->hop();
 
   auto removed = space_.erase(uid);
   if (cascaded) {
@@ -126,7 +127,7 @@ void Engine::handle_retract(NodeId from, const TupleUid& uid) {
   if (entry == nullptr) return;
   if (!justified(*entry)) {
     // Our support chain ran through the retracting neighbour: cascade.
-    retract_local(uid, /*cascaded=*/true);
+    retract_local(*entry, /*cascaded=*/true);
     return;
   }
   // Our replica is independently supported: answer by re-announcing it,

@@ -10,31 +10,48 @@ bool Tuple::decide_store(const Context&) { return true; }
 
 bool Tuple::decide_propagate(const Context&) { return true; }
 
-bool Tuple::supersedes(const Tuple&) const { return false; }
+bool Tuple::superseded_by(int) const { return false; }
 
 void Tuple::apply_effects(const Context&) {}
 
 bool Tuple::maintained() const { return true; }
 
+void TupleHeader::write(wire::Writer& w) const {
+  w.string(tag);
+  w.uvarint(uid.origin().value());
+  w.uvarint(uid.sequence());
+  w.svarint(hop);
+}
+
+TupleHeader TupleHeader::read(wire::Reader& r) {
+  TupleHeader header;
+  header.tag = r.string_view();
+  const NodeId origin{r.uvarint()};
+  const std::uint64_t seq = r.uvarint();
+  header.uid = TupleUid{origin, seq};
+  const std::int64_t hop = r.svarint();
+  if (hop < 0 || hop > (1 << 24)) throw wire::DecodeError("bad hop count");
+  header.hop = static_cast<int>(hop);
+  return header;
+}
+
 void Tuple::encode(wire::Writer& w) const {
-  w.string(type_tag());
-  w.uvarint(uid_.origin().value());
-  w.uvarint(uid_.sequence());
-  w.svarint(hop_);
+  TupleHeader{type_tag(), uid_, hop_}.write(w);
   access_.encode(w);
   content_.encode(w);
   encode_extra(w);
 }
 
 std::unique_ptr<Tuple> Tuple::decode(wire::Reader& r) {
-  const std::string tag = r.string();
-  auto tuple = tuple_registry().create(tag);
-  const NodeId origin{r.uvarint()};
-  const std::uint64_t seq = r.uvarint();
-  tuple->uid_ = TupleUid{origin, seq};
-  const std::int64_t hop = r.svarint();
-  if (hop < 0 || hop > (1 << 24)) throw wire::DecodeError("bad hop count");
-  tuple->hop_ = static_cast<int>(hop);
+  const TupleHeader header = TupleHeader::read(r);
+  return decode_body(header, r);
+}
+
+std::unique_ptr<Tuple> Tuple::decode_body(const TupleHeader& header,
+                                          wire::Reader& r) {
+  auto tuple = tuple_registry().create(header.tag);
+  tuple->uid_ = header.uid;
+  tuple->hop_ = header.hop;
   tuple->access_ = AccessPolicy::decode(r);
   tuple->content_ = wire::Record::decode(r);
   tuple->decode_extra(r);

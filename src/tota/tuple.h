@@ -10,18 +10,21 @@
 //   decide_store      keep a replica in this node's local tuple space?
 //   decide_propagate  re-broadcast from this node to its neighbours?
 //
-// plus `supersedes`, which resolves what happens when a copy of an
-// already-held distributed tuple arrives (monotone update vs duplicate).
+// plus `superseded_by`, which the *stored* replica answers when another
+// copy of its distributed tuple arrives (monotone update vs duplicate).
 //
 // Tuples cross the (simulated) network only as bytes: encode()/decode()
 // serialize the base state, and subclasses with extra propagation state
-// override encode_extra()/decode_extra().  Every concrete tuple class is
-// registered in the TupleRegistry under a stable string tag so receivers
-// can reconstruct the right subclass.
+// override encode_extra()/decode_extra().  Every encoding opens with a
+// TupleHeader — type tag, uid, hop — so a receiver can resolve a
+// duplicate before it reads (or allocates for) the rest of the body.
+// Every concrete tuple class is registered in the TupleRegistry under a
+// stable string tag so receivers can reconstruct the right subclass.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/ids.h"
 #include "tota/access.h"
@@ -31,6 +34,21 @@
 #include "wire/registry.h"
 
 namespace tota {
+
+/// The leading fields of every encoded tuple: which class, which
+/// distributed tuple, how far this copy travelled.  The one definition
+/// of that prefix — Tuple::encode writes it, Tuple::decode reads it.
+struct TupleHeader {
+  /// Aliases the reader's input: valid only while that buffer lives.
+  std::string_view tag;
+  TupleUid uid;
+  int hop = 0;
+
+  void write(wire::Writer& w) const;
+  /// Reads and validates the prefix (hop in [0, 2^24]) without
+  /// allocating.  Throws wire::DecodeError on malformed input.
+  static TupleHeader read(wire::Reader& r);
+};
 
 class Tuple {
  public:
@@ -91,11 +109,13 @@ class Tuple {
   /// Scope-limited tuples return false past their range.
   virtual bool decide_propagate(const Context& ctx);
 
-  /// A copy of this distributed tuple arrived at a node already holding
-  /// replica `stored`.  Return true when this copy should replace it (and
-  /// be re-propagated); false to drop it as a duplicate.  Default: false —
-  /// first copy wins, which terminates plain floods.
-  virtual bool supersedes(const Tuple& stored) const;
+  /// Asked of the *stored* replica when another copy of this distributed
+  /// tuple arrives having travelled `hop` hops.  Return true when that
+  /// copy should replace this replica (and be re-propagated); false to
+  /// drop it as a duplicate.  The engine asks before it decodes the
+  /// copy's body, so the answer may depend on the hop alone.  Default:
+  /// false — first copy wins, which terminates plain floods.
+  [[nodiscard]] virtual bool superseded_by(int hop) const;
 
   /// Side effects on the node being crossed (delete/modify other tuples
   /// via ctx.ops).  Runs once per node, after change_content and duplicate
@@ -116,17 +136,23 @@ class Tuple {
   /// Serializes tag + uid + hop + content + subclass extras.
   void encode(wire::Writer& w) const;
 
-  /// Reconstructs a tuple from bytes using the registry.  Throws
-  /// wire::DecodeError / wire::UnknownTypeError on malformed input.
+  /// Reconstructs a tuple from bytes using the registry: the header, then
+  /// the body.  Throws wire::DecodeError / wire::UnknownTypeError on
+  /// malformed input.
   static std::unique_ptr<Tuple> decode(wire::Reader& r);
 
+  /// The second half of decode: builds the tuple `header` names and reads
+  /// the rest of its encoding (access policy, content, extras) from `r`,
+  /// which must sit just past the header.
+  static std::unique_ptr<Tuple> decode_body(const TupleHeader& header,
+                                            wire::Reader& r);
+
   /// Deep copy preserving the dynamic type.  Concrete subclasses
-  /// override with a copy-construction one-liner — the decode-once
-  /// receive path clones a cached prototype for every receiver of a
-  /// broadcast frame, so this is hot.  The base fallback round-trips
-  /// through the wire format: always correct (every propagation-relevant
-  /// field is serialized, as decode must rebuild the full state) but it
-  /// pays a full encode+decode.
+  /// override with a copy-construction one-liner — on the receive path
+  /// the engine clones a copy only when it stores a replica of it.  The
+  /// base fallback round-trips through the wire format: always correct
+  /// (every propagation-relevant field is serialized, as decode must
+  /// rebuild the full state) but it pays a full encode+decode.
   [[nodiscard]] virtual std::unique_ptr<Tuple> clone() const;
 
   /// "<tag>[uid hop] (content)" for logs.

@@ -37,10 +37,10 @@ bool FieldTuple::decide_propagate(const Context& ctx) {
   return scope_ == kUnbounded || ctx.hop < scope_;
 }
 
-bool FieldTuple::supersedes(const Tuple& stored) const {
+bool FieldTuple::superseded_by(int hop) const {
   // Monotone distance update: the copy with the shorter travelled path
   // wins, so hopcount converges to the true BFS distance.
-  return hop() < stored.hop();
+  return hop < this->hop();
 }
 
 void FieldTuple::update_fields(const Context&) {}

@@ -58,7 +58,7 @@ class FieldTuple : public Tuple {
   bool decide_enter(const Context& ctx) override;
   void change_content(const Context& ctx) override;
   bool decide_propagate(const Context& ctx) override;
-  bool supersedes(const Tuple& stored) const override;
+  [[nodiscard]] bool superseded_by(int hop) const override;
 
  protected:
   /// Subclass extension point: maintain derived content fields; runs after

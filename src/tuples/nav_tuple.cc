@@ -30,10 +30,10 @@ bool NavTuple::decide_propagate(const Context&) {
   return true;
 }
 
-bool NavTuple::supersedes(const Tuple& stored) const {
+bool NavTuple::superseded_by(int hop) const {
   // Trail refinement: a copy that reaches this node over fewer hops makes
   // a better reply trail.
-  return hop() < stored.hop();
+  return hop < this->hop();
 }
 
 void NavTuple::encode_extra(wire::Writer& w) const { w.f64(best_); }

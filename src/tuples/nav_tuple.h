@@ -57,7 +57,7 @@ class NavTuple : public Tuple {
   /// maintenance.
   bool decide_store(const Context&) override { return true; }
   bool decide_propagate(const Context& ctx) override;
-  bool supersedes(const Tuple& stored) const override;
+  [[nodiscard]] bool superseded_by(int hop) const override;
   [[nodiscard]] bool maintained() const override { return false; }
 
  protected:

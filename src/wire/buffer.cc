@@ -102,10 +102,13 @@ bool Reader::boolean() {
   return v == 1;
 }
 
-std::string Reader::string() {
+std::string Reader::string() { return std::string(string_view()); }
+
+std::string_view Reader::string_view() {
   const auto len = uvarint();
   need(len);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
+  const std::string_view s(reinterpret_cast<const char*>(data_.data() + pos_),
+                           len);
   pos_ += len;
   return s;
 }

@@ -90,6 +90,9 @@ class Reader {
   double f64();
   bool boolean();
   std::string string();
+  /// Length-prefixed string as a view of the input, no copy; valid only
+  /// while the reader's buffer lives (like span()).
+  std::string_view string_view();
   Bytes blob();
 
   /// Raw view of the next `n` bytes, no copy; the span aliases the

@@ -12,6 +12,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tota::wire {
@@ -19,8 +20,8 @@ namespace tota::wire {
 /// Thrown when decoding meets a type tag with no registered factory.
 class UnknownTypeError : public std::runtime_error {
  public:
-  explicit UnknownTypeError(const std::string& tag)
-      : std::runtime_error("unknown wire type tag: " + tag) {}
+  explicit UnknownTypeError(std::string_view tag)
+      : std::runtime_error("unknown wire type tag: " + std::string(tag)) {}
 };
 
 /// Registry of default-constructible subclasses of Base, keyed by a stable
@@ -46,7 +47,7 @@ class TypeRegistry {
   }
 
   /// Creates a fresh instance for the tag; throws UnknownTypeError.
-  [[nodiscard]] std::unique_ptr<Base> create(const std::string& tag) const {
+  [[nodiscard]] std::unique_ptr<Base> create(std::string_view tag) const {
     const auto it = factories_.find(tag);
     if (it == factories_.end()) throw UnknownTypeError(tag);
     return it->second();
@@ -60,7 +61,8 @@ class TypeRegistry {
   }
 
  private:
-  std::map<std::string, Factory> factories_;
+  /// Transparent comparator: lookups by string_view build no string.
+  std::map<std::string, Factory, std::less<>> factories_;
 };
 
 }  // namespace tota::wire

@@ -3,9 +3,33 @@
 // one engine in isolation and inspects exactly what it transmits.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
+
 #include "fake_platform.h"
 #include "tota/engine.h"
 #include "tuples/all.h"
+
+namespace {
+
+// Heap allocations made while g_count_allocs is set, so a test can pin
+// the receive path's allocation count.
+bool g_count_allocs = false;
+std::size_t g_allocs = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocs) ++g_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with the
+// operator new at a call site (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tota {
 namespace {
@@ -464,6 +488,147 @@ TEST_F(EngineTest, TruncatedControlFramesCountedAndHarmless) {
   // RETRACT would have cascaded), and nothing was transmitted.
   EXPECT_NE(space_.find(remote.uid()), nullptr);
   EXPECT_EQ(engine_.maintenance_stats().retractions_cascaded, 0u);
+  EXPECT_TRUE(platform_.broadcasts.empty());
+}
+
+// --- header-first receive ----------------------------------------------------
+//
+// The contract of Engine::on_datagram: every TUPLE header is validated,
+// the body whenever the copy can enter, and a damaged body on a copy
+// that cannot enter is never read.
+
+class HeaderFirstTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    tuples::register_standard_tuples();
+    // Neighbour 5 holds the field at hop 2, so ours sits at hop 3.
+    remote_.set_uid(TupleUid{NodeId{9}, 1});
+    remote_.set_hop(2);
+    engine_.on_datagram(NodeId{5}, tuple_frame(remote_));
+    ASSERT_NE(space_.find(remote_.uid()), nullptr);
+    platform_.broadcasts.clear();
+  }
+
+  std::int64_t count(const char* name) const {
+    return hub_.metrics.get(name);
+  }
+
+  /// `remote_`'s TUPLE frame at `hop`, cut right after the tuple header.
+  wire::Bytes header_only(int hop) const {
+    wire::Bytes frame = tuple_frame_at(hop);
+    wire::Writer header;
+    TupleHeader{remote_.type_tag(), remote_.uid(), hop}.write(header);
+    frame.resize(1 + header.size());
+    return frame;
+  }
+
+  wire::Bytes tuple_frame_at(int hop) const {
+    GradientTuple copy = remote_;
+    copy.set_hop(hop);
+    return tuple_frame(copy);
+  }
+
+  int stored_hop() const {
+    const auto* entry = space_.find(remote_.uid());
+    return entry == nullptr ? -1 : entry->tuple->hop();
+  }
+
+  obs::Hub hub_;
+  FakePlatform platform_;
+  TupleSpace space_;
+  EventBus bus_;
+  Engine engine_{NodeId{1}, platform_, space_, bus_, {}, &hub_};
+  GradientTuple remote_{"field"};
+};
+
+TEST_F(HeaderFirstTest, DuplicateWithCutBodyDroppedOnItsHeader) {
+  // Hop 4 arrives as hop 5 > 3: a duplicate.  Its body is gone, which a
+  // full decode would reject — but the body is never read.
+  const wire::Bytes frame = header_only(4);
+  {
+    wire::Reader r{std::span<const std::uint8_t>(frame).subspan(1)};
+    EXPECT_THROW(Tuple::decode(r), wire::DecodeError);
+  }
+  const auto dups = count("engine.drop.duplicate");
+  engine_.on_datagram(NodeId{6}, frame);
+  EXPECT_EQ(count("engine.drop.duplicate"), dups + 1);
+  EXPECT_EQ(engine_.decode_failures(), 0u);
+  EXPECT_EQ(stored_hop(), 3);
+  EXPECT_EQ(space_.size(), 1u);
+  EXPECT_TRUE(platform_.broadcasts.empty());
+}
+
+TEST_F(HeaderFirstTest, SupersedingCopyWithMalformedBodyFailsAndKeepsReplica) {
+  // Hop 0 arrives as hop 1 < 3: it would replace the replica, so its
+  // body is read — and the cut body fails whole.
+  const wire::Bytes whole = tuple_frame_at(0);
+  const std::span<const std::uint8_t> cut(whole.data(), whole.size() - 1);
+  const auto dups = count("engine.drop.duplicate");
+  engine_.on_datagram(NodeId{6}, cut);
+  EXPECT_EQ(engine_.decode_failures(), 1u);
+  EXPECT_EQ(count("engine.decode_fail"), 1);
+  EXPECT_EQ(count("engine.drop.duplicate"), dups);
+  EXPECT_EQ(stored_hop(), 3);
+  EXPECT_EQ(space_.find(remote_.uid())->parent, NodeId{5});
+  EXPECT_TRUE(platform_.broadcasts.empty());
+
+  // The intact copy does replace it.
+  engine_.on_datagram(NodeId{6}, whole);
+  EXPECT_EQ(stored_hop(), 1);
+  EXPECT_EQ(platform_.broadcasts.size(), 1u);
+}
+
+TEST_F(HeaderFirstTest, StretchedDuplicateFromOnlyJustifierRetracts) {
+  // Neighbour 6 holds the tuple at hop 4: no support for our hop 3, so 5
+  // is the only justifier.
+  engine_.on_datagram(NodeId{6}, tuple_frame_at(4));
+  ASSERT_EQ(stored_hop(), 3);
+  platform_.broadcasts.clear();
+
+  // Neighbour 5 now holds hop 7; as hop 8 the copy cannot replace hop 3,
+  // yet what it says about 5 voids our justification.
+  engine_.on_datagram(NodeId{5}, tuple_frame_at(7));
+  EXPECT_EQ(space_.find(remote_.uid()), nullptr);
+  EXPECT_EQ(engine_.maintenance_stats().retractions_cascaded, 1u);
+  ASSERT_EQ(platform_.broadcasts.size(), 1u);
+  wire::Reader r(platform_.broadcasts[0]);
+  EXPECT_EQ(r.u8(), 2);  // RETRACT
+  // With the replica gone the copy could enter, so its body was read;
+  // the hold-down then refuses the stretched value.
+  EXPECT_EQ(count("engine.drop.holddown"), 1);
+  EXPECT_EQ(engine_.decode_failures(), 0u);
+}
+
+TEST_F(HeaderFirstTest, UidStoredUnderAnotherTagIsADecodeFailure) {
+  tuples::FloodTuple impostor("field", wire::Value{1});
+  impostor.set_uid(remote_.uid());
+  impostor.set_hop(0);
+  const auto dups = count("engine.drop.duplicate");
+  engine_.on_datagram(NodeId{6}, tuple_frame(impostor));
+  EXPECT_EQ(engine_.decode_failures(), 1u);
+  EXPECT_EQ(count("engine.drop.duplicate"), dups);
+  const auto* entry = space_.find(remote_.uid());
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->type_tag, GradientTuple::kTag);
+  EXPECT_EQ(entry->tuple->hop(), 3);
+  EXPECT_TRUE(platform_.broadcasts.empty());
+}
+
+TEST_F(HeaderFirstTest, DuplicateFromNotedNeighbourAllocatesNothing) {
+  const wire::Bytes from_parent = tuple_frame_at(2);
+  const wire::Bytes from_peer = tuple_frame_at(3);
+  engine_.on_datagram(NodeId{6}, from_peer);  // 6 is noted from here on
+  const auto dups = count("engine.drop.duplicate");
+
+  g_allocs = 0;
+  g_count_allocs = true;
+  engine_.on_datagram(NodeId{5}, from_parent);
+  engine_.on_datagram(NodeId{6}, from_peer);
+  g_count_allocs = false;
+
+  EXPECT_EQ(g_allocs, 0u);
+  EXPECT_EQ(count("engine.drop.duplicate"), dups + 2);
+  EXPECT_EQ(stored_hop(), 3);
   EXPECT_TRUE(platform_.broadcasts.empty());
 }
 

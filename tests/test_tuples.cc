@@ -56,9 +56,10 @@ TEST_F(TuplesTest, FieldTupleSupersedesByHop) {
   nearer.set_hop(2);
   GradientTuple farther("f");
   farther.set_hop(5);
-  EXPECT_TRUE(nearer.supersedes(farther));
-  EXPECT_FALSE(farther.supersedes(nearer));
-  EXPECT_FALSE(nearer.supersedes(nearer));
+  // The stored replica answers for the arriving copy's hop alone.
+  EXPECT_TRUE(farther.superseded_by(nearer.hop()));
+  EXPECT_FALSE(nearer.superseded_by(farther.hop()));
+  EXPECT_FALSE(nearer.superseded_by(nearer.hop()));
 }
 
 TEST_F(TuplesTest, FieldTupleScopeSurvivesWire) {
