@@ -26,10 +26,10 @@ int main() {
                            Config{"no link-up reprop", false, true},
                            Config{"no retraction", true, false},
                            Config{"none (ablated)", false, false}}) {
-    emu::World::Options o = exp::manet_options(71);
+    emu::ShardedWorld::Options o = exp::manet_options(71);
     o.maintenance.repropagate_on_link_up = cfg.link_up;
     o.maintenance.retract_on_link_down = cfg.link_down;
-    emu::World world(o);
+    exp::BenchWorld world(o);
     const int side = 6;
     const auto grid = world.spawn_grid(side, side, 80.0);
     world.run_for(SimTime::from_seconds(1));
@@ -40,14 +40,14 @@ int main() {
     world.mw(source).inject(std::make_unique<tuples::GradientTuple>("f"));
     world.run_for(SimTime::from_seconds(3));
 
-    const auto before = world.net().counters().get("radio.tx");
+    const auto before = world.metrics().get("radio.tx");
     for (int row = 1; row < side; ++row) {
       world.despawn(grid[static_cast<std::size_t>(row * side + side / 2)]);
     }
     world.run_for(SimTime::from_seconds(5));
     const NodeId joiner = world.spawn({6 * 80.0, 0});  // newcomer appears
     world.run_for(SimTime::from_seconds(3));
-    const auto maint_tx = world.net().counters().get("radio.tx") - before;
+    const auto maint_tx = world.metrics().get("radio.tx") - before;
 
     const double joiner_covered =
         world.mw(joiner)
@@ -70,7 +70,7 @@ int main() {
   std::printf("%-10s %-14s %-18s %-10s\n", "grid", "broadcast_tx",
               "unicast_equiv_tx", "saving");
   for (const int side : {4, 8, 12}) {
-    emu::World world(exp::manet_options(72));
+    exp::BenchWorld world(exp::manet_options(72));
     const auto grid = world.spawn_grid(side, side, 80.0);
     world.run_for(SimTime::from_seconds(1));
     const auto cost = exp::tx_cost(world, [&] {
@@ -102,15 +102,15 @@ int main() {
   std::printf("%-10s %-12s %-14s %-16s\n", "grid", "tx", "deliveries",
               "dup_absorbed");
   for (const int side : {4, 8, 12}) {
-    emu::World world(exp::manet_options(73));
+    exp::BenchWorld world(exp::manet_options(73));
     const auto grid = world.spawn_grid(side, side, 80.0);
     world.run_for(SimTime::from_seconds(1));
-    const auto tx_before = world.net().counters().get("radio.tx");
-    const auto rx_before = world.net().counters().get("radio.rx");
+    const auto tx_before = world.metrics().get("radio.tx");
+    const auto rx_before = world.metrics().get("radio.rx");
     world.mw(grid[0]).inject(std::make_unique<tuples::GradientTuple>("f"));
     world.run_for(SimTime::from_seconds(5));
-    const auto tx = world.net().counters().get("radio.tx") - tx_before;
-    const auto rx = world.net().counters().get("radio.rx") - rx_before;
+    const auto tx = world.metrics().get("radio.tx") - tx_before;
+    const auto rx = world.metrics().get("radio.rx") - rx_before;
     // Every reception beyond one per node is a duplicate the uid filter
     // absorbed without re-processing or re-propagating.
     const auto nodes = static_cast<std::int64_t>(grid.size());
@@ -135,9 +135,9 @@ int main() {
   std::printf("%-16s %-14s %-14s %-16s\n", "hold_down_ms", "repair_ms",
               "repair_tx", "retractions");
   for (const double hold_ms : {40.0, 80.0, 150.0, 300.0, 600.0}) {
-    emu::World::Options o = exp::manet_options(74);
+    emu::ShardedWorld::Options o = exp::manet_options(74);
     o.maintenance.hold_down = SimTime::from_millis(hold_ms);
-    emu::World world(o);
+    exp::BenchWorld world(o);
     const int side = 8;
     const auto grid = world.spawn_grid(side, side, 80.0);
     world.run_for(SimTime::from_seconds(1));
@@ -145,7 +145,7 @@ int main() {
     world.mw(source).inject(std::make_unique<tuples::GradientTuple>("f"));
     world.run_for(SimTime::from_seconds(5));
 
-    const auto before = world.net().counters().get("radio.tx");
+    const auto before = world.metrics().get("radio.tx");
     for (int row = 1; row < side; ++row) {
       world.despawn(grid[static_cast<std::size_t>(row * side + side / 2)]);
     }
@@ -158,7 +158,7 @@ int main() {
         break;
       }
     }
-    const auto tx = world.net().counters().get("radio.tx") - before;
+    const auto tx = world.metrics().get("radio.tx") - before;
     std::uint64_t retractions = 0;
     for (const NodeId n : world.nodes()) {
       const auto& stats = world.mw(n).engine().maintenance_stats();

@@ -88,7 +88,7 @@ int main() {
     // (a) in-network folding.
     double fold_setup = 0, fold_update = 0, folded = 0;
     {
-      emu::World world(exp::manet_options(71 + side));
+      exp::BenchWorld world(exp::manet_options(71 + side));
       const auto ids = world.spawn_grid(side, side, 60.0);
       world.run_for(SimTime::from_seconds(1));
       std::vector<std::unique_ptr<Aggregator>> aggs;
@@ -116,7 +116,7 @@ int main() {
     // (b) naive gather-at-source: flood every raw reading everywhere.
     double gather_setup = 0, gather_update = 0, gathered = 0;
     {
-      emu::World world(exp::manet_options(71 + side));
+      exp::BenchWorld world(exp::manet_options(71 + side));
       const auto ids = world.spawn_grid(side, side, 60.0);
       world.run_for(SimTime::from_seconds(1));
       gather_setup = static_cast<double>(exp::tx_cost(world, [&] {
@@ -172,7 +172,7 @@ int main() {
   // --- 2: heterogeneous devices --------------------------------------------
   exp::section("AGGREGATION: duty-cycled motes + gateway sink (5x5)");
   {
-    emu::World world(exp::manet_options(83));
+    exp::BenchWorld world(exp::manet_options(83));
     const auto ids = world.spawn_grid(5, 5, 60.0);
     net::DeviceProfile mote;
     mote.duty_cycle = 0.5;  // radio awake half of every 100 ms window
@@ -195,8 +195,7 @@ int main() {
     world.run_for(SimTime::from_seconds(10));
     const double census = aggs[0]->result("census").value_or(-1);
     const auto duty_drops =
-        static_cast<double>(world.hub().metrics.counter("net.duty_drop")
-                                .value());
+        static_cast<double>(world.metrics().get("net.duty_drop"));
     exp::row("duty-cycled census",
              {{"census", census},
               {"nodes", static_cast<double>(ids.size())},

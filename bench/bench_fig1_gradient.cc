@@ -16,21 +16,26 @@ int main() {
               "accuracy", "tx/node", "cover_ms");
 
   for (const int side : {3, 5, 8, 12, 16}) {
-    emu::World world(exp::manet_options(2003));
-    const auto nodes = world.spawn_grid(side, side, 80.0);
-    world.run_for(SimTime::from_seconds(1));
-
-    const SimTime injected = world.now();
-    const auto cost = exp::tx_cost(world, [&] {
-      world.mw(nodes.front())
-          .inject(std::make_unique<tuples::GradientTuple>("fig1"));
-      world.run_for(SimTime::from_seconds(5));
-    });
+    std::size_t nodes = 0;
+    double accuracy = 0;
+    std::int64_t cost = 0;
+    {
+      exp::BenchWorld world(exp::manet_options(2003));
+      const auto ids = world.spawn_grid(side, side, 80.0);
+      nodes = ids.size();
+      world.run_for(SimTime::from_seconds(1));
+      cost = exp::tx_cost(world, [&] {
+        world.mw(ids.front())
+            .inject(std::make_unique<tuples::GradientTuple>("fig1"));
+        world.run_for(SimTime::from_seconds(5));
+      });
+      accuracy = exp::gradient_accuracy(world, ids.front());
+    }
 
     // Time until the farthest node sensed the tuple = time of the last
     // arrival; re-derive by checking when the far corner saw it (the
     // diameter endpoint).  We re-run with a subscription for precision.
-    emu::World timed(exp::manet_options(2003));
+    exp::BenchWorld timed(exp::manet_options(2003));
     const auto tnodes = timed.spawn_grid(side, side, 80.0);
     timed.run_for(SimTime::from_seconds(1));
     SimTime last_arrival = timed.now();
@@ -49,11 +54,10 @@ int main() {
 
     char label[32];
     std::snprintf(label, sizeof(label), "%dx%d", side, side);
-    std::printf("%-28s %-10zu %-12.3f %-12.3f %-12.1f\n", label,
-                nodes.size(), exp::gradient_accuracy(world, nodes.front()),
-                static_cast<double>(cost) / static_cast<double>(nodes.size()),
+    std::printf("%-28s %-10zu %-12.3f %-12.3f %-12.1f\n", label, nodes,
+                accuracy,
+                static_cast<double>(cost) / static_cast<double>(nodes),
                 (last_arrival - t0).millis());
-    (void)injected;
   }
 
   std::printf(

@@ -17,7 +17,7 @@ using namespace tota;
 
 namespace {
 
-double formation_error(const emu::World& world,
+double formation_error(const emu::ShardedWorld& world,
                        const std::vector<NodeId>& agents, int target) {
   double err = 0;
   for (const NodeId a : agents) {
@@ -33,7 +33,8 @@ double formation_error(const emu::World& world,
   return err / static_cast<double>(agents.size());
 }
 
-double mean_gap(const emu::World& world, const std::vector<NodeId>& agents) {
+double mean_gap(const emu::ShardedWorld& world,
+                const std::vector<NodeId>& agents) {
   double total = 0;
   for (const NodeId a : agents) {
     double nearest = 1e12;
@@ -54,53 +55,55 @@ int main() {
 
   const Rect arena{{0, 0}, {500, 500}};
   const int target_hops = 2;
-  auto options = exp::manet_options(3, /*range_m=*/60.0);
-  emu::World world(options);
+  {  // the world merges into the process hub when this scope ends
+    auto options = exp::manet_options(3, /*range_m=*/60.0);
+    exp::BenchWorld world(options);
 
-  for (double x = 0; x <= 500; x += 50) {
-    for (double y = 0; y <= 500; y += 50) {
-      world.spawn({x, y});
+    for (double x = 0; x <= 500; x += 50) {
+      for (double y = 0; y <= 500; y += 50) {
+        world.spawn({x, y});
+      }
     }
-  }
-  std::vector<NodeId> agents;
-  for (int i = 0; i < 8; ++i) {
-    const double angle = 0.785 * static_cast<double>(i);
-    agents.push_back(world.spawn(
-        {250 + 20 * std::cos(angle), 250 + 20 * std::sin(angle)},
-        std::make_unique<sim::VelocityMobility>(arena, 10.0)));
-  }
-  world.run_for(SimTime::from_seconds(1));
+    std::vector<NodeId> agents;
+    for (int i = 0; i < 8; ++i) {
+      const double angle = 0.785 * static_cast<double>(i);
+      agents.push_back(world.spawn(
+          {250 + 20 * std::cos(angle), 250 + 20 * std::sin(angle)},
+          std::make_unique<sim::VelocityMobility>(arena, 10.0)));
+    }
+    world.run_for(SimTime::from_seconds(1));
 
-  apps::FlockingParams params;
-  params.target_hops = target_hops;
-  params.field_scope = 6;
-  std::vector<std::unique_ptr<apps::FlockingController>> controllers;
-  for (const NodeId id : agents) {
-    controllers.push_back(std::make_unique<apps::FlockingController>(
-        world.mw(id), params,
-        [&world, id](Vec2 v) { world.net().set_velocity(id, v); }));
-    controllers.back()->start();
-  }
+    apps::FlockingParams params;
+    params.target_hops = target_hops;
+    params.field_scope = 6;
+    std::vector<std::unique_ptr<apps::FlockingController>> controllers;
+    for (const NodeId id : agents) {
+      controllers.push_back(std::make_unique<apps::FlockingController>(
+          world.mw(id), params,
+          [&world, id](Vec2 v) { world.net().set_velocity(id, v); }));
+      controllers.back()->start();
+    }
 
-  std::printf("%-10s %-16s %-16s\n", "t_s", "formation_err", "nearest_gap_m");
-  double initial_err = -1;
-  double final_err = -1;
-  for (int t = 0; t <= 90; t += 10) {
-    const double err = formation_error(world, agents, target_hops);
-    if (initial_err < 0) initial_err = err;
-    final_err = err;
-    std::printf("%-10.0f %-16.2f %-16.1f\n", world.now().seconds(), err,
-                mean_gap(world, agents));
-    if (t < 90) world.run_for(SimTime::from_seconds(10));
-  }
+    std::printf("%-10s %-16s %-16s\n", "t_s", "formation_err", "nearest_gap_m");
+    double initial_err = -1;
+    double final_err = -1;
+    for (int t = 0; t <= 90; t += 10) {
+      const double err = formation_error(world, agents, target_hops);
+      if (initial_err < 0) initial_err = err;
+      final_err = err;
+      std::printf("%-10.0f %-16.2f %-16.1f\n", world.now().seconds(), err,
+                  mean_gap(world, agents));
+      if (t < 90) world.run_for(SimTime::from_seconds(10));
+    }
 
-  std::printf(
-      "\nexpected shape: formation error falls from its huddled start\n"
-      "(agents ~1 hop apart, error ~%d) toward 0-1 as agents spread to\n"
-      "the preferred %d-hop spacing, and the physical gap grows\n"
-      "accordingly.  result: initial=%.2f final=%.2f -> %s\n",
-      target_hops - 1, target_hops, initial_err, final_err,
-      final_err < initial_err ? "reproduced" : "NOT reproduced");
+    std::printf(
+        "\nexpected shape: formation error falls from its huddled start\n"
+        "(agents ~1 hop apart, error ~%d) toward 0-1 as agents spread to\n"
+        "the preferred %d-hop spacing, and the physical gap grows\n"
+        "accordingly.  result: initial=%.2f final=%.2f -> %s\n",
+        target_hops - 1, target_hops, initial_err, final_err,
+        final_err < initial_err ? "reproduced" : "NOT reproduced");
+  }
   exp::emit_json("fig3_flocking");
   return 0;
 }

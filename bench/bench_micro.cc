@@ -101,33 +101,6 @@ void BM_TupleSpaceRead(benchmark::State& state) {
 }
 BENCHMARK(BM_TupleSpaceRead)->Arg(16)->Arg(128)->Arg(1024);
 
-/// Populates `space` with `n` gradient tuples spread over 8 field names,
-/// mirroring BM_TupleSpaceRead's fixture.
-void fill_space(TupleSpace& space, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    auto t = std::make_unique<tuples::GradientTuple>(
-        "field" + std::to_string(i % 8));
-    t->set_uid(TupleUid{NodeId{static_cast<std::uint64_t>(i + 1)}, 1});
-    t->content().set("source", NodeId{static_cast<std::uint64_t>(i + 1)})
-        .set("hopcount", static_cast<int>(i % 10));
-    space.put(std::move(t), NodeId{}, true, SimTime::zero());
-  }
-}
-
-/// First-match lookup: early-exits at the first (lowest-uid) match
-/// instead of materializing the full match set.
-void BM_TupleSpaceReadOne(benchmark::State& state) {
-  tuples::register_standard_tuples();
-  TupleSpace space;
-  fill_space(space, state.range(0));
-  Pattern p;
-  p.eq("name", "field3");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(space.read_one(p));
-  }
-}
-BENCHMARK(BM_TupleSpaceReadOne)->Arg(16)->Arg(128)->Arg(1024);
-
 /// Typed query through the type-tag index: only same-tag candidates are
 /// examined.  The store mixes gradient tuples with 7× as many message
 /// tuples, so the index skips 7/8 of the store.

@@ -23,7 +23,7 @@ struct RunResult {
 };
 
 RunResult run_static(int n_nodes, bool gradient, std::uint64_t seed) {
-  emu::World world(exp::manet_options(seed, 120.0));
+  exp::BenchWorld world(exp::manet_options(seed, 120.0));
   const double arena_side = std::sqrt(static_cast<double>(n_nodes)) * 95.0;
   world.spawn_random(n_nodes, Rect{{0, 0}, {arena_side, arena_side}});
   world.run_for(SimTime::from_seconds(1));
@@ -62,7 +62,7 @@ RunResult run_static(int n_nodes, bool gradient, std::uint64_t seed) {
   }
 
   const int kMessages = 10;
-  const auto before = world.net().counters().get("radio.tx");
+  const auto before = world.metrics().get("radio.tx");
   for (int i = 0; i < kMessages; ++i) {
     if (gradient) {
       grad_tx->send(dest, "m" + std::to_string(i));
@@ -72,7 +72,7 @@ RunResult run_static(int n_nodes, bool gradient, std::uint64_t seed) {
     world.run_for(SimTime::from_millis(400));
   }
   world.run_for(SimTime::from_seconds(1));
-  const auto cost = world.net().counters().get("radio.tx") - before;
+  const auto cost = world.metrics().get("radio.tx") - before;
 
   RunResult r;
   r.delivery = static_cast<double>(delivered) / kMessages;
@@ -84,7 +84,7 @@ RunResult run_static(int n_nodes, bool gradient, std::uint64_t seed) {
 }
 
 RunResult run_mobile(double speed_mps, std::uint64_t seed) {
-  emu::World world(exp::manet_options(seed, 150.0));
+  exp::BenchWorld world(exp::manet_options(seed, 150.0));
   const Rect arena{{0, 0}, {700, 700}};
   // Sender and receiver static at opposite corners; 90 relays wander.
   // The density (avg degree ~12) keeps the deployment connected with
@@ -105,13 +105,13 @@ RunResult run_mobile(double speed_mps, std::uint64_t seed) {
   apps::RoutingService tx(world.mw(src), nullptr);
 
   const int kMessages = 20;
-  const auto before = world.net().counters().get("radio.tx");
+  const auto before = world.metrics().get("radio.tx");
   for (int i = 0; i < kMessages; ++i) {
     tx.send(dest, "m");
     world.run_for(SimTime::from_seconds(1));
   }
   world.run_for(SimTime::from_seconds(2));
-  const auto cost = world.net().counters().get("radio.tx") - before;
+  const auto cost = world.metrics().get("radio.tx") - before;
 
   RunResult r;
   r.delivery = static_cast<double>(delivered) / kMessages;

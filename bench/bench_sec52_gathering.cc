@@ -21,7 +21,7 @@ int main() {
 
   // --- (a) proactive adverts -----------------------------------------------
   {
-    emu::World world(exp::manet_options(31));
+    exp::BenchWorld world(exp::manet_options(31));
     const auto grid = world.spawn_grid(7, 7, 80.0);
     world.run_for(SimTime::from_seconds(1));
     apps::InfoProvider sensor(world.mw(grid[0]), "temperature");
@@ -47,7 +47,7 @@ int main() {
 
   // --- (b) reactive query/answer, by scope ---------------------------------
   for (const int scope : {2, 4, 8, 12}) {
-    emu::World world(exp::manet_options(32));
+    exp::BenchWorld world(exp::manet_options(32));
     const auto grid = world.spawn_grid(7, 7, 80.0);
     world.run_for(SimTime::from_seconds(1));
     apps::InfoProvider sensor(world.mw(grid.back()), "temperature");
@@ -68,7 +68,7 @@ int main() {
 
   // --- (c) Lime-style local sharing ----------------------------------------
   {
-    emu::World world(exp::manet_options(33));
+    exp::BenchWorld world(exp::manet_options(33));
     const auto grid = world.spawn_grid(7, 7, 80.0);
     world.run_for(SimTime::from_seconds(1));
     baseline::LocalSpace owner(world.mw(grid[0]));
@@ -97,7 +97,7 @@ int main() {
   // --- (d) mobility: the advert field follows a moving sensor -------------
   exp::section("SEC5.2d: advert coherence while the sensor drifts");
   {
-    emu::World world(exp::manet_options(34));
+    exp::BenchWorld world(exp::manet_options(34));
     const auto grid = world.spawn_grid(7, 7, 80.0);
     world.run_for(SimTime::from_seconds(1));
     const NodeId sensor_node = world.spawn({-80, 0});

@@ -18,7 +18,8 @@ namespace {
 
 /// Runs until gradient_accuracy == 1 or deadline; returns elapsed time
 /// (negative when the deadline was hit).
-double repair_delay_s(emu::World& world, NodeId source, double deadline_s) {
+double repair_delay_s(emu::ShardedWorld& world, NodeId source,
+                      double deadline_s) {
   const SimTime start = world.now();
   while (world.now() - start < SimTime::from_seconds(deadline_s)) {
     world.run_for(SimTime::from_millis(20));
@@ -43,12 +44,7 @@ int main() {
               "stretched", "repair_ms", "rep_p50_ms", "rep_p95_ms",
               "repair_tx", "tx_per_node");
   for (const int side : {4, 6, 8, 10, 12}) {
-    // A per-world hub isolates this row's measurements; merged into the
-    // process hub below so BENCH_sec6_maintenance.json sees everything.
-    obs::Hub hub;
-    auto options = exp::manet_options(41);
-    options.hub = &hub;
-    emu::World world(options);
+    exp::BenchWorld world(exp::manet_options(41));
     const auto grid = world.spawn_grid(side, side, 80.0);
     world.run_for(SimTime::from_seconds(1));
     // Bottom-left corner: the surviving row-0 bridge is then a detour,
@@ -59,7 +55,7 @@ int main() {
 
     const auto before_oracle = world.net().topology().hop_distances(source);
     const int col = side / 2;
-    const auto before = world.net().counters().get("radio.tx");
+    const auto before = world.metrics().get("radio.tx");
     for (int row = 1; row < side; ++row) {
       world.despawn(grid[static_cast<std::size_t>(row * side + col)]);
     }
@@ -71,17 +67,17 @@ int main() {
       if (it != before_oracle.end() && d > it->second) ++stretched;
     }
     const double d = repair_delay_s(world, source, 20.0);
-    const auto tx = world.net().counters().get("radio.tx") - before;
+    const auto tx = world.metrics().get("radio.tx") - before;
     const auto nodes_left = world.nodes().size();
     // Per-replica repair latency, from the engine's maint.repair_ms
     // histogram (retraction → reinstallation, per node) rather than the
     // oracle-polling loop above, which measures global convergence.
-    const auto& repair = hub.metrics.histogram("maint.repair_ms");
+    auto row_metrics = world.metrics();
+    const auto& repair = row_metrics.histogram("maint.repair_ms");
     std::printf("%-10d %-12d %-14.0f %-12.0f %-12.0f %-14lld %-14.2f\n",
                 side * side, stretched, d * 1000.0, repair.quantile(0.5),
                 repair.quantile(0.95), static_cast<long long>(tx),
                 static_cast<double>(tx) / static_cast<double>(nodes_left));
-    obs::default_hub().metrics.merge_from(hub.metrics);
   }
   std::printf(
       "expected shape: repair delay ~= hold-down window (150 ms) + a few\n"
@@ -103,7 +99,7 @@ int main() {
     Summary degree;
     Summary killed;
     for (const std::uint64_t seed : {51u, 52u, 53u, 54u}) {
-      emu::World world(exp::manet_options(seed, range));
+      exp::BenchWorld world(exp::manet_options(seed, range));
       world.spawn_random(80, Rect{{0, 0}, {600, 600}});
       world.run_for(SimTime::from_seconds(1));
       auto nodes = world.nodes();
@@ -125,7 +121,7 @@ int main() {
       if (exp::gradient_accuracy(world, source) < 1.0) continue;
       degree.add(deg / static_cast<double>(nodes.size()));
 
-      const auto before = world.net().counters().get("radio.tx");
+      const auto before = world.metrics().get("radio.tx");
       int blast = 0;
       for (const NodeId n : nodes) {
         if (n != source &&
@@ -138,7 +134,7 @@ int main() {
       const double d = repair_delay_s(world, source, 20.0);
       if (d < 0) continue;
       delay_ms.add(d * 1000.0);
-      tx.add(static_cast<double>(world.net().counters().get("radio.tx") -
+      tx.add(static_cast<double>(world.metrics().get("radio.tx") -
                                  before));
     }
     std::printf("%-12.0f %-12.1f %-10.1f %-14.0f %-14.0f\n", range,
@@ -153,7 +149,7 @@ int main() {
   std::printf("%-16s %-16s %-16s\n", "churn_per_min", "tx_per_s",
               "final_accuracy");
   for (const int churn_per_min : {0, 6, 12, 30, 60}) {
-    emu::World world(exp::manet_options(61));
+    exp::BenchWorld world(exp::manet_options(61));
     const auto grid = world.spawn_grid(8, 8, 80.0);
     world.run_for(SimTime::from_seconds(1));
     const NodeId source = grid[0];
@@ -161,7 +157,7 @@ int main() {
     world.run_for(SimTime::from_seconds(5));
 
     const double duration_s = 60.0;
-    const auto before = world.net().counters().get("radio.tx");
+    const auto before = world.metrics().get("radio.tx");
     Rng churn_rng(99);
     // Alternate kill/spawn to hold the population roughly steady.
     int events = static_cast<int>(duration_s / 60.0 * churn_per_min);
@@ -178,7 +174,7 @@ int main() {
     }
     if (events == 0) world.run_for(SimTime::from_seconds(duration_s));
     world.run_for(SimTime::from_seconds(5));  // settle
-    const auto tx = world.net().counters().get("radio.tx") - before;
+    const auto tx = world.metrics().get("radio.tx") - before;
     std::printf("%-16d %-16.1f %-16.2f\n", churn_per_min,
                 static_cast<double>(tx) / (duration_s + 5.0),
                 exp::gradient_accuracy(world, source));

@@ -1,5 +1,5 @@
 // SOAK — the gradient field on an adverse channel (net::FaultInjector
-// threaded through sim::Network, docs/NET.md).
+// threaded through sim::ShardedSim, docs/NET.md).
 //
 // The scenario benches (fig1, sec5x) run on a benign medium; this binary
 // quantifies what the event-driven protocol keeps — and loses — when the
@@ -46,11 +46,9 @@ int main() {
   std::printf("%-10s %-12s %-12s %-12s %-12s\n", "drop", "coverage",
               "accuracy", "fault_drop", "tx/node");
   for (const double drop : {0.0, 0.1, 0.3, 0.5}) {
-    obs::Hub hub;
     auto options = exp::manet_options(7);
-    options.hub = &hub;
     options.net.fault.drop = drop;  // drop == 0 stays a benign plan
-    emu::World world(options);
+    exp::BenchWorld world(options);
     const auto nodes = world.spawn_grid(6, 6, 80.0);
     world.run_for(SimTime::from_seconds(1));
     const auto tx = exp::tx_cost(world, [&] {
@@ -62,9 +60,8 @@ int main() {
     std::printf("%-10.2f %-12.3f %-12.3f %-12lld %-12.2f\n", drop,
                 exp::coverage(world, p),
                 exp::gradient_accuracy(world, nodes.front()),
-                static_cast<long long>(hub.metrics.get("net.fault.drop")),
+                static_cast<long long>(world.metrics().get("net.fault.drop")),
                 static_cast<double>(tx) / static_cast<double>(nodes.size()));
-    obs::default_hub().metrics.merge_from(hub.metrics);
   }
   std::printf(
       "expected shape: coverage/accuracy sag as drop grows — a one-shot\n"
@@ -77,11 +74,9 @@ int main() {
               "seed", "coverage", "accuracy", "proc", "deliv", "drop",
               "dup", "reord", "damage", "part", "conserved");
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    obs::Hub hub;
     auto options = exp::manet_options(seed);
-    options.hub = &hub;
     options.net.fault = chaos_plan();
-    emu::World world(options);
+    exp::BenchWorld world(options);
     const auto nodes = world.spawn_grid(6, 6, 80.0);
     world.run_for(SimTime::from_seconds(1));
     world.mw(nodes.front())
@@ -93,7 +88,7 @@ int main() {
         .inject(std::make_unique<tuples::GradientTuple>("blackout"));
     world.run_for(SimTime::from_millis(7800));
 
-    auto& m = hub.metrics;
+    const auto m = world.metrics();
     const auto processed = m.get("net.fault.processed");
     const auto delivered = m.get("net.fault.delivered");
     const auto dropped = m.get("net.fault.drop");
@@ -114,7 +109,6 @@ int main() {
         static_cast<long long>(m.get("net.fault.truncate") +
                                m.get("net.fault.corrupt")),
         static_cast<long long>(part), conserved ? "yes" : "NO");
-    obs::default_hub().metrics.merge_from(hub.metrics);
   }
   std::printf(
       "expected shape: every row conserved=yes (processed == delivered +\n"

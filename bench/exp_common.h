@@ -4,10 +4,10 @@
 // its rows to stdout; EXPERIMENTS.md records a snapshot of this output
 // next to what the paper asserts.  In addition to the text tables, every
 // binary calls emit_json() once before exiting, writing the
-// machine-readable BENCH_<name>.json described in docs/OBSERVABILITY.md
-// (manet_options() points every world at obs::default_hub(), so the
-// file aggregates the whole run; a sweep that needs isolated numbers
-// overrides Options::hub with a local Hub and merges it back).
+// machine-readable BENCH_<name>.json described in docs/OBSERVABILITY.md.
+// Each world records into its own shard hubs; a BenchWorld merges them
+// into obs::default_hub() when it goes out of scope, so the file
+// aggregates the whole run.
 #pragma once
 
 #include <cstdio>
@@ -15,22 +15,33 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 #include "obs/export.h"
 #include "tuples/all.h"
 
 namespace tota::exp {
 
-inline emu::World::Options manet_options(std::uint64_t seed,
-                                         double range_m = 100.0) {
-  emu::World::Options o;
+inline emu::ShardedWorld::Options manet_options(std::uint64_t seed,
+                                                double range_m = 100.0) {
+  emu::ShardedWorld::Options o;
   o.net.radio.range_m = range_m;
   o.net.seed = seed;
-  // Accumulate every world of this binary into the process hub, which
-  // is what emit_json() exports.  (Worlds default to a private hub.)
-  o.hub = &obs::default_hub();
   return o;
 }
+
+/// A bench's simulated world.  When it goes out of scope, whichever way
+/// the scope is left, it merges its metrics and trace into the process
+/// hub, which is what emit_json() exports.
+class BenchWorld : public emu::ShardedWorld {
+ public:
+  using emu::ShardedWorld::ShardedWorld;
+  BenchWorld(const BenchWorld&) = delete;
+  BenchWorld& operator=(const BenchWorld&) = delete;
+  ~BenchWorld() {
+    export_metrics(obs::default_hub().metrics);
+    net().export_trace(obs::default_hub().tracer);
+  }
+};
 
 /// Prints a horizontal rule + centered header for one experiment section.
 inline void section(const std::string& title) {
@@ -59,16 +70,14 @@ inline void row(const std::string& label,
 
 /// Transmissions used by `body()`.
 template <typename Fn>
-std::int64_t tx_cost(emu::World& world, Fn&& body) {
-  const auto before = world.net().counters().get("radio.tx");
+std::int64_t tx_cost(emu::ShardedWorld& world, Fn&& body) {
+  const auto before = world.metrics().get("radio.tx");
   body();
-  return world.net().counters().get("radio.tx") - before;
+  return world.metrics().get("radio.tx") - before;
 }
 
-/// Fraction of nodes holding a replica matching `p`.  Works on any world
-/// with nodes() and a const mw() (emu::World, emu::ShardedWorld).
-template <typename WorldT>
-double coverage(const WorldT& world, const Pattern& p) {
+/// Fraction of nodes holding a replica matching `p`.
+inline double coverage(const emu::ShardedWorld& world, const Pattern& p) {
   const auto nodes = world.nodes();
   if (nodes.empty()) return 0.0;
   int holders = 0;
@@ -80,8 +89,8 @@ double coverage(const WorldT& world, const Pattern& p) {
 
 /// Fraction of nodes whose gradient replica equals the BFS oracle
 /// (unreachable nodes count as correct when empty).
-template <typename WorldT>
-double gradient_accuracy(const WorldT& world, NodeId source) {
+inline double gradient_accuracy(const emu::ShardedWorld& world,
+                                NodeId source) {
   const auto oracle = world.net().topology().hop_distances(source);
   const Pattern p = Pattern::of_type(tuples::GradientTuple::kTag);
   int correct = 0;

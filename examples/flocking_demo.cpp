@@ -11,7 +11,7 @@
 
 #include "apps/flocking.h"
 #include "emu/render.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 
 using namespace tota;
 
@@ -19,7 +19,7 @@ namespace {
 
 /// Mean distance from each agent to its nearest peer; the flock aims for
 /// everyone having a neighbour at roughly target spacing.
-double mean_nearest_gap(const emu::World& world,
+double mean_nearest_gap(const emu::ShardedWorld& world,
                         const std::vector<NodeId>& agents) {
   double total = 0;
   for (const NodeId a : agents) {
@@ -38,10 +38,10 @@ double mean_nearest_gap(const emu::World& world,
 
 int main() {
   const Rect arena{{0, 0}, {500, 500}};
-  emu::World::Options options;
+  emu::ShardedWorld::Options options;
   options.net.radio.range_m = 60.0;
   options.net.seed = 3;
-  emu::World world(options);
+  emu::ShardedWorld world(options);
 
   // A static relay mesh models the ad-hoc substrate of Fig. 3 (cubes in
   // range of each other); the flocking agents are the black cubes.
@@ -84,12 +84,14 @@ int main() {
     std::printf("t=%4.0fs   mean nearest-peer gap: %5.1f m\n",
                 world.now().seconds(), mean_nearest_gap(world, agents));
     std::printf("%s\n",
-                emu::ascii_map(world.net(), arena, 50, 16, agent_glyph)
+                emu::ascii_map(world.net().topology(), arena, 50, 16,
+                               agent_glyph)
                     .c_str());
     if (snapshot < 4) world.run_for(SimTime::from_seconds(15));
   }
 
-  emu::write_ppm("flocking_final.ppm", world.net(), arena, 250, 250,
+  emu::write_ppm("flocking_final.ppm", world.net().topology(), arena, 250,
+                 250,
                  [&](NodeId id) -> std::array<std::uint8_t, 3> {
                    for (const NodeId a : agents) {
                      if (a == id) return {20, 20, 20};  // black cubes

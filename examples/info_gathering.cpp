@@ -8,15 +8,15 @@
 #include <cstdio>
 
 #include "apps/gathering.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 
 using namespace tota;
 
 int main() {
-  emu::World::Options options;
+  emu::ShardedWorld::Options options;
   options.net.radio.range_m = 120.0;
   options.net.seed = 23;
-  emu::World world(options);
+  emu::ShardedWorld world(options);
   const auto mesh = world.spawn_grid(5, 5, 90.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -67,6 +67,6 @@ int main() {
   world.run_for(SimTime::from_seconds(3));
 
   std::printf("\ntotal radio transmissions: %lld\n",
-              static_cast<long long>(world.net().counters().get("radio.tx")));
+              static_cast<long long>(world.metrics().get("radio.tx")));
   return 0;
 }

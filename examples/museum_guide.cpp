@@ -13,13 +13,13 @@
 
 #include "apps/crowd.h"
 #include "emu/render.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 
 using namespace tota;
 
 namespace {
 
-double worst_crowding(const emu::World& world,
+double worst_crowding(const emu::ShardedWorld& world,
                       const std::vector<NodeId>& visitors) {
   // Max number of visitor pairs within one radio hop of each other.
   int worst = 0;
@@ -40,10 +40,10 @@ double worst_crowding(const emu::World& world,
 
 int main() {
   const Rect museum{{0, 0}, {600, 300}};
-  emu::World::Options options;
+  emu::ShardedWorld::Options options;
   options.net.radio.range_m = 65.0;
   options.net.seed = 5;
-  emu::World world(options);
+  emu::ShardedWorld world(options);
 
   // The building: a mesh of room/corridor nodes.
   for (double x = 0; x <= 600; x += 50) {
@@ -97,7 +97,8 @@ int main() {
     std::printf("t=%3ds  arrived=%d/6  worst local crowding=%.0f\n",
                 t, arrived, worst_crowding(world, visitors));
     std::printf("%s\n",
-                emu::ascii_map(world.net(), museum, 60, 10, glyph).c_str());
+                emu::ascii_map(world.net().topology(), museum, 60, 10, glyph)
+                    .c_str());
     if (arrived == 6 && arrived_at < 0) arrived_at = t;
     if (t < 100) world.run_for(SimTime::from_seconds(20));
   }

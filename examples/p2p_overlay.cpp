@@ -14,19 +14,19 @@
 #include <memory>
 
 #include "apps/content_store.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 
 using namespace tota;
 
 int main() {
   const Rect space{{0, 0}, {1000, 1000}};
-  emu::World::Options options;
+  emu::ShardedWorld::Options options;
   options.net.wired = true;
   options.net.seed = 404;
   // Internet links: ~25 ms one-way.
   options.net.radio.base_delay = SimTime::from_millis(20);
   options.net.radio.jitter = SimTime::from_millis(10);
-  emu::World world(options);
+  emu::ShardedWorld world(options);
 
   // 40 peers at random virtual coordinates.
   const auto peers = world.spawn_random(40, space);
@@ -113,6 +113,6 @@ int main() {
   }
 
   std::printf("\ntotal frames on the overlay: %lld\n",
-              static_cast<long long>(world.net().counters().get("radio.tx")));
+              static_cast<long long>(world.metrics().get("radio.tx")));
   return 0;
 }

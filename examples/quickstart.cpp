@@ -6,7 +6,7 @@
 // field it paints over the network — the paper's Figure 1 scenario.
 #include <cstdio>
 
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 #include "tuples/gradient_tuple.h"
 
 using namespace tota;
@@ -14,10 +14,10 @@ using namespace tota;
 int main() {
   // A 5x5 grid of nodes, 80 m apart, radio range 100 m: each node hears
   // its 4-neighbours only, so tuples must travel hop by hop.
-  emu::World::Options options;
+  emu::ShardedWorld::Options options;
   options.net.radio.range_m = 100.0;
   options.net.seed = 2003;
-  emu::World world(options);
+  emu::ShardedWorld world(options);
   const auto nodes = world.spawn_grid(5, 5, 80.0);
   world.run_for(SimTime::from_seconds(1));  // let neighbourhoods form
 
@@ -55,6 +55,6 @@ int main() {
   }
 
   std::printf("\nradio transmissions used: %lld\n",
-              static_cast<long long>(world.net().counters().get("radio.tx")));
+              static_cast<long long>(world.metrics().get("radio.tx")));
   return 0;
 }

@@ -9,15 +9,15 @@
 
 #include "apps/routing.h"
 #include "baseline/flood_routing.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 
 using namespace tota;
 
 int main() {
-  emu::World::Options options;
+  emu::ShardedWorld::Options options;
   options.net.radio.range_m = 120.0;
-  options.net.seed = 7;
-  emu::World world(options);
+  options.net.seed = 14;
+  emu::ShardedWorld world(options);
   world.spawn_random(40, Rect{{0, 0}, {600, 600}});
   world.run_for(SimTime::from_seconds(1));
 
@@ -40,10 +40,10 @@ int main() {
   apps::RoutingService sender(world.mw(src), nullptr);
 
   auto send_and_cost = [&](const std::string& text) {
-    const auto before = world.net().counters().get("radio.tx");
+    const auto before = world.metrics().get("radio.tx");
     sender.send(dest, text);
     world.run_for(SimTime::from_seconds(2));
-    return world.net().counters().get("radio.tx") - before;
+    return world.metrics().get("radio.tx") - before;
   };
 
   const auto routed_cost = send_and_cost("hello along the gradient");
@@ -52,11 +52,11 @@ int main() {
 
   // The same message by pure flooding, for contrast.
   baseline::FloodRoutingService flooder(world.mw(src), nullptr);
-  const auto before = world.net().counters().get("radio.tx");
+  const auto before = world.metrics().get("radio.tx");
   flooder.send(dest, "hello by flooding");
   world.run_for(SimTime::from_seconds(2));
   std::printf("  flooding used %lld transmissions\n\n",
-              static_cast<long long>(world.net().counters().get("radio.tx") -
+              static_cast<long long>(world.metrics().get("radio.tx") -
                                      before));
 
   // Churn: kill a handful of relays, let the middleware repair the

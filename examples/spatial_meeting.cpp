@@ -12,17 +12,17 @@
 #include <vector>
 
 #include "apps/meeting.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 #include "tuples/space_tuple.h"
 
 using namespace tota;
 
 int main() {
   const Rect arena{{0, 0}, {600, 600}};
-  emu::World::Options options;
+  emu::ShardedWorld::Options options;
   options.net.radio.range_m = 70.0;
   options.net.seed = 17;
-  emu::World world(options);
+  emu::ShardedWorld world(options);
 
   for (double x = 0; x <= 600; x += 55) {
     for (double y = 0; y <= 600; y += 55) {

@@ -1,8 +1,7 @@
 // HostAdapter — forwards the simulator's upcalls to a node's middleware.
 //
-// Shared by the two emulator worlds: emu::World (single-threaded
-// sim::Network) and emu::ShardedWorld (sim::ShardedSim), which wire the
-// same Middleware stack to different schedulers.
+// emu::ShardedWorld attaches one per node to sim::ShardedSim; the
+// benchmark's traced world wraps it in a timing decorator.
 #pragma once
 
 #include "sim/node.h"

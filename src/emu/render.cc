@@ -27,14 +27,14 @@ struct Mapper {
 
 }  // namespace
 
-std::string ascii_map(const sim::Network& net, Rect arena, int width,
+std::string ascii_map(const sim::Topology& topology, Rect arena, int width,
                       int height, const GlyphFn& glyph) {
   std::vector<std::string> rows(static_cast<std::size_t>(height),
                                 std::string(static_cast<std::size_t>(width),
                                             '.'));
   const Mapper map{arena, width, height};
-  for (const NodeId id : net.nodes()) {
-    const auto [cx, cy] = map.cell(net.position(id));
+  for (const NodeId id : topology.nodes()) {
+    const auto [cx, cy] = map.cell(topology.position(id));
     char g = glyph ? glyph(id) : '\0';
     if (g == '\0') g = '*';
     // Row 0 is the top of the map (max y).
@@ -49,16 +49,16 @@ std::string ascii_map(const sim::Network& net, Rect arena, int width,
   return out;
 }
 
-bool write_ppm(const std::string& path, const sim::Network& net, Rect arena,
-               int width, int height, const ColorFn& color) {
+bool write_ppm(const std::string& path, const sim::Topology& topology,
+               Rect arena, int width, int height, const ColorFn& color) {
   std::ofstream file(path, std::ios::binary);
   if (!file) return false;
   std::vector<std::array<std::uint8_t, 3>> pixels(
       static_cast<std::size_t>(width) * static_cast<std::size_t>(height),
       {20, 20, 28});
   const Mapper map{arena, width, height};
-  for (const NodeId id : net.nodes()) {
-    const auto [cx, cy] = map.cell(net.position(id));
+  for (const NodeId id : topology.nodes()) {
+    const auto [cx, cy] = map.cell(topology.position(id));
     const auto rgb =
         color ? color(id) : std::array<std::uint8_t, 3>{240, 240, 240};
     for (int dy = -1; dy <= 1; ++dy) {

@@ -11,9 +11,14 @@ ShardedWorld::ShardedWorld(Options options)
   tuples::register_standard_tuples();
 }
 
-NodeId ShardedWorld::spawn(Vec2 position) {
-  const NodeId id = sim_.add_node(position);
-  pending_.push_back(id);
+NodeId ShardedWorld::spawn(Vec2 position,
+                           std::unique_ptr<sim::MobilityModel> mobility) {
+  const NodeId id = sim_.add_node(position, std::move(mobility));
+  if (built_) {
+    build(id);
+  } else {
+    pending_.push_back(id);
+  }
   return id;
 }
 
@@ -30,6 +35,40 @@ std::vector<NodeId> ShardedWorld::spawn_grid(int rows, int cols,
   return ids;
 }
 
+std::vector<NodeId> ShardedWorld::spawn_random(
+    int n, Rect arena,
+    const std::function<std::unique_ptr<sim::MobilityModel>(Rng&)>&
+        mobility_factory) {
+  Rng& rng = sim_.world_rng();
+  std::vector<NodeId> ids;
+  ids.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const Vec2 pos{rng.uniform(arena.min.x, arena.max.x),
+                   rng.uniform(arena.min.y, arena.max.y)};
+    ids.push_back(spawn(pos, mobility_factory ? mobility_factory(rng)
+                                              : nullptr));
+  }
+  return ids;
+}
+
+void ShardedWorld::despawn(NodeId id) {
+  // Unhook the host first, so the stack is torn down on a live node (its
+  // destructors may still cancel timers through the platform); then the
+  // simulator drops the node and cancels whatever timers remain.
+  // The cell is torn down in reverse build order: the middleware's
+  // engine cancels its live timers through the platform on destruction,
+  // so the platform must outlive it.
+  sim_.detach(id);
+  if (id.value() < cells_.size()) {
+    NodeCell& cell = cells_[id.value()];
+    cell.adapter.reset();
+    cell.middleware.reset();
+    cell.platform.reset();
+  }
+  std::erase(pending_, id);
+  sim_.remove_node(id);
+}
+
 void ShardedWorld::seal() {
   if (built_) return;
   built_ = true;
@@ -38,16 +77,18 @@ void ShardedWorld::seal() {
   // are built in node-id order — the fork order, and therefore every
   // node's private stream, is deterministic per (seed, shard_count).
   sim_.seal();
-  cells_.resize(pending_.size() + 1);
-  for (const NodeId id : pending_) {
-    NodeCell& cell = cells_[id.value()];
-    cell.platform = std::make_unique<ShardPlatform>(sim_, id);
-    cell.middleware = std::make_unique<Middleware>(
-        id, *cell.platform, options_.maintenance, &sim_.shard_hub(id));
-    cell.adapter = std::make_unique<HostAdapter>(*cell.middleware);
-    sim_.attach(id, cell.adapter.get());
-  }
+  for (const NodeId id : pending_) build(id);
   pending_.clear();
+}
+
+void ShardedWorld::build(NodeId id) {
+  if (id.value() >= cells_.size()) cells_.resize(id.value() + 1);
+  NodeCell& cell = cells_[id.value()];
+  cell.platform = std::make_unique<ShardPlatform>(sim_, id);
+  cell.middleware = std::make_unique<Middleware>(
+      id, *cell.platform, options_.maintenance, &sim_.shard_hub(id));
+  cell.adapter = std::make_unique<HostAdapter>(*cell.middleware);
+  sim_.attach(id, cell.adapter.get());
 }
 
 Middleware& ShardedWorld::mw(NodeId id) {

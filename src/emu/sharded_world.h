@@ -1,27 +1,33 @@
-// ShardedWorld — the headless emulator at 100k-node scale.
+// ShardedWorld — the headless emulator (paper §4.2).
 //
-// Same node stack as emu::World (one full TOTA Middleware per node), but
-// scheduled by sim::ShardedSim: the world is split into per-thread shards
-// that advance in conservative-lookahead epochs (docs/SIM.md).  The
-// trade-offs versus World: population is frozen after seal(), churn is
-// expressed as quiescent-point teleports (move_node), and mobility
-// models / wired mode / fault injection are not available.  In exchange,
-// worlds of 50k–100k nodes run on all cores, bit-for-bit reproducibly
-// per (seed, shard_count).
+// "Since the effective testing of TOTA would require a larger number of
+// devices, we have implemented a graphic emulator to analyze TOTA behavior
+// in presence of hundreds of nodes."  This is that emulator, headless and
+// deterministic: one full TOTA Middleware per node, scheduled by
+// sim::ShardedSim, plus scenario builders (grids, random deployments,
+// churn) and the drag-and-drop equivalent (mobility models, teleports).
+// At one shard it is a sequential simulator; with more, the world is
+// split into per-thread shards that advance in conservative-lookahead
+// epochs (docs/SIM.md), bit-for-bit reproducibly per
+// (seed, shard_count), up to 100k-node worlds.
 //
 // Build phase vs run phase:
 //
 //   ShardedWorld w(opts);            // opts.net.shards = thread count
 //   auto ids = w.spawn_grid(224, 224, 80.0);
-//   w.seal();                        // or implied by the first run_for
-//   w.mw(ids[0]).inject(...);        // quiescent-point API, as in World
+//   w.seal();                        // or implied by the first run_for/mw
+//   w.mw(ids[0]).inject(...);
 //   w.run_for(SimTime::from_seconds(5));
 //
-// Middleware access (mw(), read/inject/subscribe) and topology mutation
-// (move_node) are quiescent-point operations: legal from the driver
-// thread between run_for calls, never from inside a reaction.
+// Nodes spawned before seal() have their stacks built there, in node-id
+// order; nodes spawned later are built on the spot and join the frozen
+// partition.  Middleware access (mw(), read/inject/subscribe) and every
+// change to the world's shape (spawn, despawn, move_node, connect) are
+// quiescent-point operations: legal from the driver thread between
+// run_for calls, never from inside a reaction.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -70,15 +76,30 @@ class ShardedWorld {
 
   explicit ShardedWorld(Options options = {});
 
-  // --- population (build phase; before seal) ----------------------------
+  // --- population -------------------------------------------------------
 
-  NodeId spawn(Vec2 position);
+  /// Creates a node (and, once sealed, its middleware) at `position`;
+  /// optionally with a mobility model.
+  NodeId spawn(Vec2 position,
+               std::unique_ptr<sim::MobilityModel> mobility = nullptr);
   /// rows × cols grid with the given spacing, anchored at `origin`.
+  /// Spacing at or below the radio range yields a connected 8/4-neighbour
+  /// mesh.
   std::vector<NodeId> spawn_grid(int rows, int cols, double spacing,
                                  Vec2 origin = {});
+  /// `n` nodes uniformly random in `arena`, placed with the world Rng
+  /// stream; `mobility_factory` (optional) builds each node's mobility
+  /// model from the same stream.
+  std::vector<NodeId> spawn_random(
+      int n, Rect arena,
+      const std::function<std::unique_ptr<sim::MobilityModel>(Rng&)>&
+          mobility_factory = nullptr);
+  /// Tears the node down (crash/leave — neighbours just see link loss);
+  /// none of its pending timers fires afterwards.
+  void despawn(NodeId id);
 
-  /// Freezes the population, partitions the world, and builds every
-  /// node's middleware stack.  Idempotent; implied by run_*/mw().
+  /// Freezes the partition and builds the middleware stack of every
+  /// node spawned so far.  Idempotent; implied by run_*/mw().
   void seal();
 
   // --- access (quiescent points) ----------------------------------------
@@ -103,6 +124,12 @@ class ShardedWorld {
   void export_metrics(obs::MetricsRegistry& into) const {
     sim_.export_metrics(into);
   }
+  /// export_metrics() into a fresh registry.
+  [[nodiscard]] obs::MetricsRegistry metrics() const {
+    obs::MetricsRegistry merged;
+    sim_.export_metrics(merged);
+    return merged;
+  }
 
   // --- time -------------------------------------------------------------
 
@@ -122,6 +149,9 @@ class ShardedWorld {
     std::unique_ptr<Middleware> middleware;
     std::unique_ptr<HostAdapter> adapter;
   };
+
+  /// Builds `id`'s middleware stack and attaches it.
+  void build(NodeId id);
 
   Options options_;
   sim::ShardedSim sim_;

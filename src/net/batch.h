@@ -63,7 +63,7 @@ struct BatchOptions {
 };
 
 /// Packs `chunks` into as few BATCH datagrams as `options` allows
-/// (shared by Batcher and sim::Network's batching path).  Oversize
+/// (the Batcher's flush).  Oversize
 /// single chunks are emitted alone; `oversize` (optional) counts them.
 std::vector<wire::Bytes> pack_batches(NodeId sender,
                                       std::vector<EncodedChunk> chunks,

@@ -8,7 +8,7 @@
 // profiles existed, so worlds that never call set_profile() stay
 // bit-for-bit identical to the committed bench baselines.
 //
-// Semantics (applied by sim::Network / sim::ShardedSim per delivery):
+// Semantics (applied by sim::ShardedSim per delivery):
 //
 //  * duty_cycle / duty_period — the receiver sleeps its radio: a frame
 //    landing while the node is asleep is dropped (`net.duty_drop`).

@@ -4,7 +4,7 @@
 // coherent on an *adverse* dynamic network; a benign loopback run proves
 // nothing.  This layer wraps a datagram path — between
 // `UdpTransport::drain` and the datagram sink on a live node, or inside
-// `sim::Network::broadcast` per delivery — and applies a configurable,
+// `sim::ShardedSim::broadcast` per delivery — and applies a configurable,
 // seeded-Rng-driven mix of the failure modes a connectionless broadcast
 // medium actually exhibits (BeeTS makes the same argument for broadcast
 // tuple spaces: loss, duplication and reordering are the normal operating

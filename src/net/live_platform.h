@@ -1,6 +1,6 @@
 // LivePlatform — tota::Platform on real sockets and the real clock.
 //
-// The production-shaped twin of emu::SimPlatform: where that binds a
+// The production-shaped twin of emu::ShardPlatform: where that binds a
 // Middleware to the discrete-event simulator, this binds one to a
 // net::EventLoop (timers + readiness), a net::UdpTransport (the shared
 // broadcast channel), and a net::NetSession (the whole v2 datagram

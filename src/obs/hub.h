@@ -1,20 +1,16 @@
 // The observability hub: one MetricsRegistry + one Tracer, shared by
-// every component observing the same world.
+// every component observing the same slice of a system.
 //
-// A simulated world (emu::World), its Network, and every per-node Engine
-// all record into the same Hub, so counters aggregate across nodes and
-// the trace interleaves the whole system's pipeline — which is what
-// benches and the JSON exporter want.  Components take the hub as an
-// optional constructor argument.  Defaulting rules: a World or Network
-// constructed with nullptr owns a *private* hub, so its counters reflect
-// only its own traffic (two identical runs stay bit-identical — the
-// determinism tests rely on this); an Engine/Middleware given nullptr
-// records into the process-wide default_hub() (in a World, each node's
-// middleware is handed the world's hub explicitly, so this fallback only
-// matters for standalone engines).  Benches opt into aggregation:
-// exp::manet_options() points every world at default_hub(), so one
-// BENCH_*.json tells the whole binary's story, while a sweep wanting
-// per-row numbers passes its own Hub and merge_from()s it back.
+// In a simulated world (emu::ShardedWorld) each shard has one hub: the
+// simulator's radio counters and every Engine on that shard record into
+// it, so counters aggregate across nodes and the trace interleaves the
+// shard's pipeline.  ShardedSim::export_metrics/export_trace merge the
+// shard hubs in shard order (deterministic), and a world's hubs are its
+// own, so two identical runs stay bit-identical — the determinism tests
+// rely on this.  An Engine/Middleware given nullptr records into the
+// process-wide default_hub(); benches use that hub as the sink their
+// finished worlds are merged into (bench/exp_common.h absorb()), so one
+// BENCH_*.json tells the whole binary's story.
 #pragma once
 
 #include "obs/metrics.h"

@@ -14,7 +14,8 @@ std::uint32_t generation_of(EventId id) {
 
 }  // namespace
 
-EventId EventQueue::schedule_at(SimTime when, Action action) {
+EventId EventQueue::schedule_at(SimTime when, Action action,
+                                std::uint64_t owner) {
   if (when < now_) {
     throw std::invalid_argument("cannot schedule event in the past");
   }
@@ -31,14 +32,16 @@ EventId EventQueue::schedule_at(SimTime when, Action action) {
   }
   Slot& slot = slots_[index];
   slot.action = std::move(action);
+  slot.owner = owner;
   const EventId id = (EventId{slot.generation} << 32) | index;
   queue_.push(Entry{when, next_seq_++, id});
   ++live_count_;
   return id;
 }
 
-EventId EventQueue::schedule_after(SimTime delay, Action action) {
-  return schedule_at(now_ + delay, std::move(action));
+EventId EventQueue::schedule_after(SimTime delay, Action action,
+                                   std::uint64_t owner) {
+  return schedule_at(now_ + delay, std::move(action), owner);
 }
 
 bool EventQueue::live(EventId id) const {
@@ -52,6 +55,7 @@ EventQueue::Action EventQueue::release(EventId id) {
   Slot& slot = slots_[slot_of(id)];
   Action action = std::move(slot.action);
   slot.action = nullptr;
+  slot.owner = 0;
   --live_count_;
   // Wrapping to 0 retires the slot: reusing it would repeat an id.
   if (++slot.generation != 0) free_.push_back(slot_of(id));
@@ -60,6 +64,16 @@ EventQueue::Action EventQueue::release(EventId id) {
 
 void EventQueue::cancel(EventId id) {
   if (live(id)) release(id);
+}
+
+void EventQueue::cancel_owned(std::uint64_t owner) {
+  if (owner == 0) return;
+  // Only a pending event's slot carries a non-zero owner (release()
+  // clears it), so a match is always live.
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].owner != owner) continue;
+    release((EventId{slots_[i].generation} << 32) | i);
+  }
 }
 
 bool EventQueue::step() {

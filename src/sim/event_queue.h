@@ -34,13 +34,20 @@ class EventQueue {
   using Action = std::function<void()>;
 
   /// Schedules `action` at absolute time `when` (must be >= now()).
-  EventId schedule_at(SimTime when, Action action);
+  /// A non-zero `owner` tags the event for cancel_owned().
+  EventId schedule_at(SimTime when, Action action, std::uint64_t owner = 0);
 
   /// Schedules `action` `delay` after the current time.
-  EventId schedule_after(SimTime delay, Action action);
+  EventId schedule_after(SimTime delay, Action action,
+                         std::uint64_t owner = 0);
 
   /// Cancels a pending event; no-op if it already fired or was cancelled.
   void cancel(EventId id);
+
+  /// Cancels every pending event tagged with `owner` (non-zero): the
+  /// simulator's despawn, which must silence all of a node's timers.
+  /// Linear in slot_count().
+  void cancel_owned(std::uint64_t owner);
 
   /// Runs events until the queue is empty or the next event is after
   /// `deadline`; leaves now() == deadline.
@@ -78,6 +85,7 @@ class EventQueue {
   };
   struct Slot {
     Action action;
+    std::uint64_t owner = 0;       // cancel_owned() tag; 0 = untagged
     std::uint32_t generation = 1;  // 0 = retired
   };
 

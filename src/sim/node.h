@@ -24,7 +24,7 @@ class Host {
   virtual void on_datagram(NodeId from,
                            std::span<const std::uint8_t> payload) = 0;
 
-  /// Compatibility shim: the simulators only call the span overload.
+  /// Compatibility shim: the simulator only calls the span overload.
   /// Kept while the benchmark's sim::Host decorator (perfbench) still
   /// overrides it; remove once that decorator stops doing so.
   virtual void on_datagram(NodeId from,

@@ -23,8 +23,8 @@ Engine::~Engine() {
   // Recurring maintenance timers (hold-down expiries, coalesced
   // re-propagation) capture `this`; cancel the survivors so a platform
   // that outlives the engine (live event loop) cannot fire them into a
-  // destroyed object.  SimPlatform additionally guards with an aliveness
-  // token, so in the simulator this is belt-and-braces.
+  // destroyed object.  In the simulator, despawning a node also cancels
+  // every timer it still has pending, so there this is belt-and-braces.
   for (const Platform::TimerId id : live_timers_) platform_.cancel(id);
 }
 

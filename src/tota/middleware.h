@@ -11,8 +11,9 @@
 // A Middleware is wired to a Platform (radio + clock + sensors) and is
 // driven by upcalls from the node's link layer: on_datagram,
 // on_neighbor_up, on_neighbor_down.  In this repository the Platform is
-// the network simulator (see emu/sim_platform.h); on real hardware it
-// would wrap sockets, as the paper's IPAQ prototype did.
+// either the network simulator (emu::ShardPlatform in
+// emu/sharded_world.h) or real UDP sockets (net/live_platform.h), as on
+// the paper's IPAQ prototype.
 #pragma once
 
 #include <memory>

@@ -38,6 +38,7 @@ std::vector<TupleUid> NeighborValueTable::forget_neighbor(NodeId n) {
   for (auto& [uid, row] : values_) {
     if (erase(row, n)) affected.push_back(uid);
   }
+  std::sort(affected.begin(), affected.end());
   return affected;
 }
 

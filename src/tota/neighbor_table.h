@@ -8,10 +8,12 @@
 // shorter support chain towards the source exists next door (the full
 // essay lives in engine.h).
 //
-// Determinism note: the outer map is deliberately the same unordered_map
-// the engine historically used, and forget_neighbor() reports affected
-// uids in its iteration order — the recheck cascade (and therefore the
-// broadcast/RNG draw order of a whole simulation) reproduces run-to-run.
+// Determinism note: the outer map is an unordered_map, whose iteration
+// order is an accident of the standard library's bucket layout.  Nothing
+// that leaves the table may depend on it: forget_neighbor() sorts the
+// uids it reports, so the recheck cascade it starts (and therefore the
+// broadcast/RNG draw order of a whole simulation) is a function of the
+// table's contents alone.
 #pragma once
 
 #include <unordered_map>
@@ -32,7 +34,7 @@ class NeighborValueTable {
   void forget(const TupleUid& uid, NodeId n, bool retain_row);
 
   /// Drops everything `n` held (the link went down); returns the uids
-  /// whose support changed, in table iteration order.
+  /// whose support changed, sorted ascending.
   std::vector<TupleUid> forget_neighbor(NodeId n);
 
   /// True when some current neighbour holds `uid` strictly below `hop` —

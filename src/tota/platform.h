@@ -4,8 +4,8 @@
 // on 802.11b multicast sockets; this repository runs it on a simulated
 // radio.  A Platform provides one-hop broadcast, timers, a clock, a
 // location sensor, and per-node randomness.  Porting TOTA to real
-// hardware means implementing this interface (see sim_platform.h for the
-// simulator binding).
+// hardware means implementing this interface (see emu/sharded_world.h
+// for the simulator binding, net/live_platform.h for real sockets).
 #pragma once
 
 #include <cstdint>

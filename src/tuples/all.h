@@ -16,7 +16,7 @@ namespace tota::tuples {
 
 /// Registers every standard tuple class in the process-wide registry so
 /// received frames decode to the right subclasses.  Idempotent; call once
-/// at startup (emu::World does this automatically).
+/// at startup (emu::ShardedWorld does this automatically).
 void register_standard_tuples();
 
 }  // namespace tota::tuples

@@ -1,7 +1,7 @@
 // Tests for the access-control model (paper §6 future work).
 #include <gtest/gtest.h>
 
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 #include "fake_platform.h"
 #include "tota/access.h"
 #include "tota/middleware.h"
@@ -163,10 +163,10 @@ TEST_F(AccessMiddlewareTest, HostDenialMakesTupleRelayOnly) {
 }
 
 TEST(AccessIntegrationTest, WhitelistedReaderSeesSharedField) {
-  emu::World::Options o;
+  emu::ShardedWorld::Options o;
   o.net.radio.range_m = 100.0;
   o.net.seed = 88;
-  emu::World world(o);
+  emu::ShardedWorld world(o);
   const auto line = world.spawn_grid(1, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
 

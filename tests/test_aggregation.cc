@@ -10,7 +10,6 @@
 #include "apps/crowd.h"
 #include "apps/sensor_fusion.h"
 #include "emu/sharded_world.h"
-#include "emu/world.h"
 #include "net/device_profile.h"
 #include "tuples/aggregator.h"
 #include "tuples/all.h"
@@ -178,8 +177,8 @@ TEST(AggTupleTest, OpNamesRoundTrip) {
 
 // --- the folding runtime on live worlds -------------------------------------
 
-emu::World::Options world_options(std::uint64_t seed = 21) {
-  emu::World::Options o;
+emu::ShardedWorld::Options world_options(std::uint64_t seed = 21) {
+  emu::ShardedWorld::Options o;
   o.net.radio.range_m = 65.0;
   o.net.seed = seed;
   return o;
@@ -187,7 +186,7 @@ emu::World::Options world_options(std::uint64_t seed = 21) {
 
 /// One Aggregator per node, indexed like `ids`.
 std::vector<std::unique_ptr<Aggregator>> aggregators_for(
-    emu::World& world, const std::vector<NodeId>& ids,
+    emu::ShardedWorld& world, const std::vector<NodeId>& ids,
     AggregatorOptions opts = {}) {
   std::vector<std::unique_ptr<Aggregator>> out;
   out.reserve(ids.size());
@@ -198,7 +197,7 @@ std::vector<std::unique_ptr<Aggregator>> aggregators_for(
 }
 
 TEST(AggregatorTest, CountsEverySensorAtTheSink) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(4, 4, 50.0);
   world.run_for(SimTime::from_seconds(1));
   auto aggs = aggregators_for(world, ids);
@@ -213,7 +212,7 @@ TEST(AggregatorTest, CountsEverySensorAtTheSink) {
 }
 
 TEST(AggregatorTest, SumsMinMaxAvgOverSensors) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(3, 3, 50.0);
   world.run_for(SimTime::from_seconds(1));
   auto aggs = aggregators_for(world, ids);
@@ -234,7 +233,7 @@ TEST(AggregatorTest, SumsMinMaxAvgOverSensors) {
 }
 
 TEST(AggregatorTest, ScopeBoundsTheCountedRegion) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   // A 1x7 line: only nodes within 2 hops of the left end contribute.
   const auto ids = world.spawn_grid(1, 7, 50.0);
   world.run_for(SimTime::from_seconds(1));
@@ -249,7 +248,7 @@ TEST(AggregatorTest, ScopeBoundsTheCountedRegion) {
 }
 
 TEST(AggregatorTest, SensorChangeReFoldsIncrementally) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(1, 5, 50.0);
   world.run_for(SimTime::from_seconds(1));
   auto aggs = aggregators_for(world, ids);
@@ -268,7 +267,7 @@ TEST(AggregatorTest, SensorChangeReFoldsIncrementally) {
 }
 
 TEST(AggregatorTest, ContributionPatternFoldsMatchingTuples) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(3, 3, 50.0);
   world.run_for(SimTime::from_seconds(1));
   auto aggs = aggregators_for(world, ids);
@@ -289,7 +288,7 @@ TEST(AggregatorTest, ContributionPatternFoldsMatchingTuples) {
 }
 
 TEST(AggregatorTest, ContributorDeathDropsOutOfTheCount) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(1, 4, 50.0);
   world.run_for(SimTime::from_seconds(1));
   auto aggs = aggregators_for(world, ids);
@@ -305,7 +304,7 @@ TEST(AggregatorTest, ContributorDeathDropsOutOfTheCount) {
 }
 
 TEST(AggregatorTest, MovedNodeReattachesAndKeepsTheCountRight) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(1, 5, 50.0);
   world.run_for(SimTime::from_seconds(1));
   auto aggs = aggregators_for(world, ids);
@@ -323,7 +322,7 @@ TEST(AggregatorTest, MovedNodeReattachesAndKeepsTheCountRight) {
 }
 
 TEST(AggregatorTest, RetractedAggregationTearsDownState) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(1, 3, 50.0);
   world.run_for(SimTime::from_seconds(1));
   auto aggs = aggregators_for(world, ids);
@@ -341,7 +340,7 @@ TEST(AggregatorTest, RetractedAggregationTearsDownState) {
 }
 
 TEST(AggregatorTest, DecayForgetsStaleContributions) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(1, 3, 50.0);
   world.run_for(SimTime::from_seconds(1));
   auto aggs = aggregators_for(world, ids);
@@ -362,11 +361,11 @@ TEST(AggregatorTest, DecayForgetsStaleContributions) {
   world.run_for(SimTime::from_seconds(7));
   const double stale = *aggs[0]->result("census");
   EXPECT_LT(stale, 0.01);
-  EXPECT_GT(world.hub().metrics.counter("agg.prune").value(), 0);
+  EXPECT_GT(world.metrics().get("agg.prune"), 0);
 }
 
 TEST(AggregatorTest, RefreshOnTickKeepsDecayedCountAlive) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(1, 3, 50.0);
   world.run_for(SimTime::from_seconds(1));
   AggregatorOptions opts;
@@ -391,7 +390,7 @@ TEST(AggregatorTest, RefreshOnTickKeepsDecayedCountAlive) {
 // --- the scenario apps ------------------------------------------------------
 
 TEST(CrowdDensityTest, KioskCountsEachVisitorOnce) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(3, 4, 50.0);
   world.run_for(SimTime::from_seconds(1));
   std::vector<std::unique_ptr<apps::CrowdDensity>> census;
@@ -416,7 +415,7 @@ TEST(CrowdDensityTest, KioskCountsEachVisitorOnce) {
 }
 
 TEST(SensorFusionTest, AverageTemperatureWithinThreeHops) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(1, 6, 50.0);
   world.run_for(SimTime::from_seconds(1));
   std::vector<std::unique_ptr<apps::SensorFusion>> fusion;
@@ -480,7 +479,7 @@ TEST(DeviceProfileTest, LinkMtuIsTheTighterEndpoint) {
 }
 
 TEST(DeviceProfileSimTest, TinyMtuDropsFramesAndCounts) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(1, 2, 50.0);
   net::DeviceProfile constrained;
   constrained.mtu = 8;  // nothing real fits in 8 bytes
@@ -490,11 +489,11 @@ TEST(DeviceProfileSimTest, TinyMtuDropsFramesAndCounts) {
   world.run_for(SimTime::from_seconds(2));
   EXPECT_TRUE(world.mw(ids[1]).read(Pattern::of_type(GradientTuple::kTag))
                   .empty());
-  EXPECT_GT(world.hub().metrics.counter("net.mtu_drop").value(), 0);
+  EXPECT_GT(world.metrics().get("net.mtu_drop"), 0);
 }
 
 TEST(DeviceProfileSimTest, SleepingReceiverMissesFramesAndCounts) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(1, 2, 50.0);
   net::DeviceProfile sleepy;
   sleepy.duty_cycle = 0.01;
@@ -504,21 +503,21 @@ TEST(DeviceProfileSimTest, SleepingReceiverMissesFramesAndCounts) {
   world.run_for(SimTime::from_seconds(1));
   world.mw(ids[0]).inject(std::make_unique<GradientTuple>("field"));
   world.run_for(SimTime::from_seconds(2));
-  EXPECT_GT(world.hub().metrics.counter("net.duty_drop").value(), 0);
+  EXPECT_GT(world.metrics().get("net.duty_drop"), 0);
 }
 
 TEST(DeviceProfileSimTest, ProfilesOffKeepsCountersAtZero) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(2, 2, 50.0);
   world.run_for(SimTime::from_seconds(1));
   world.mw(ids[0]).inject(std::make_unique<GradientTuple>("field"));
   world.run_for(SimTime::from_seconds(2));
-  EXPECT_EQ(world.hub().metrics.counter("net.mtu_drop").value(), 0);
-  EXPECT_EQ(world.hub().metrics.counter("net.duty_drop").value(), 0);
+  EXPECT_EQ(world.metrics().get("net.mtu_drop"), 0);
+  EXPECT_EQ(world.metrics().get("net.duty_drop"), 0);
 }
 
 TEST(DeviceProfileSimTest, UnknownNodeProfileThrows) {
-  emu::World world(world_options());
+  emu::ShardedWorld world(world_options());
   (void)world.spawn_grid(1, 2, 50.0);
   EXPECT_THROW(world.set_profile(NodeId(9999), net::DeviceProfile{}),
                std::invalid_argument);

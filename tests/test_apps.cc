@@ -7,20 +7,20 @@
 #include "apps/routing.h"
 #include "baseline/flood_routing.h"
 #include "baseline/local_space.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 
 namespace tota {
 namespace {
 
-emu::World::Options options(std::uint64_t seed = 21) {
-  emu::World::Options o;
+emu::ShardedWorld::Options options(std::uint64_t seed = 21) {
+  emu::ShardedWorld::Options o;
   o.net.radio.range_m = 100.0;
   o.net.seed = seed;
   return o;
 }
 
 TEST(RoutingServiceTest, DeliversAlongAdvertisedStructure) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(3, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -33,7 +33,10 @@ TEST(RoutingServiceTest, DeliversAlongAdvertisedStructure) {
   world.run_for(SimTime::from_seconds(2));
 
   apps::RoutingService src(world.mw(grid.front()), nullptr);
+  // Each hop draws its own radio jitter, so "second" leaves after the
+  // whole path's worst-case jitter: separated sends arrive in order.
   src.send(grid.back(), "first");
+  world.run_for(SimTime::from_millis(50));
   src.send(grid.back(), "second");
   world.run_for(SimTime::from_seconds(2));
 
@@ -46,7 +49,7 @@ TEST(RoutingServiceTest, DeliversAlongAdvertisedStructure) {
 }
 
 TEST(RoutingServiceTest, DeliversByFloodingWithoutStructure) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(2, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -61,7 +64,7 @@ TEST(RoutingServiceTest, DeliversByFloodingWithoutStructure) {
 }
 
 TEST(RoutingServiceTest, SurvivesRelayChurnMidStream) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(3, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
   int delivered = 0;
@@ -81,7 +84,7 @@ TEST(RoutingServiceTest, SurvivesRelayChurnMidStream) {
 }
 
 TEST(FloodRoutingBaselineTest, DeliversButCostsMore) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(4, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -91,10 +94,10 @@ TEST(FloodRoutingBaselineTest, DeliversButCostsMore) {
       [&](NodeId, const std::string&) { ++flood_delivered; });
   baseline::FloodRoutingService src(world.mw(grid.front()), nullptr);
 
-  const auto before = world.net().counters().get("radio.tx");
+  const auto before = world.metrics().get("radio.tx");
   src.send(grid.back(), "x");
   world.run_for(SimTime::from_seconds(2));
-  const auto flood_cost = world.net().counters().get("radio.tx") - before;
+  const auto flood_cost = world.metrics().get("radio.tx") - before;
 
   EXPECT_EQ(flood_delivered, 1);
   // Flooding a 16-node network costs at least one transmission per node.
@@ -102,7 +105,7 @@ TEST(FloodRoutingBaselineTest, DeliversButCostsMore) {
 }
 
 TEST(GatheringTest, ProactiveAdvertReachesEveryone) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(3, 3, 80.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -123,7 +126,7 @@ TEST(GatheringTest, ProactiveAdvertReachesEveryone) {
 }
 
 TEST(GatheringTest, ReactiveQueryGetsAnswer) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(3, 3, 80.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -143,7 +146,7 @@ TEST(GatheringTest, ReactiveQueryGetsAnswer) {
 }
 
 TEST(GatheringTest, MultipleProvidersAllAnswer) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(3, 3, 80.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -161,7 +164,7 @@ TEST(GatheringTest, MultipleProvidersAllAnswer) {
 }
 
 TEST(GatheringTest, ScopedQueryOnlyReachesTheRing) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto line = world.spawn_grid(1, 6, 80.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -179,7 +182,7 @@ TEST(GatheringTest, ScopedQueryOnlyReachesTheRing) {
 }
 
 TEST(LocalSpaceBaselineTest, SharedDataIsStrictlyLocal) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto line = world.spawn_grid(1, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -196,7 +199,7 @@ TEST(LocalSpaceBaselineTest, SharedDataIsStrictlyLocal) {
 }
 
 TEST(LocalSpaceBaselineTest, EngagementFollowsConnectivity) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const NodeId a = world.spawn({0, 0});
   const NodeId b = world.spawn({500, 0});
   world.run_for(SimTime::from_seconds(1));
@@ -222,7 +225,7 @@ TEST(LocalSpaceBaselineTest, EngagementFollowsConnectivity) {
 TEST(FlockingTest, TwoAgentsSettleNearTargetDistance) {
   auto o = options();
   o.net.radio.range_m = 60.0;
-  emu::World world(o);
+  emu::ShardedWorld world(o);
   const Rect arena{{0, 0}, {400, 400}};
 
   // A static relay mesh so the agents stay connected while manoeuvring.
@@ -262,7 +265,7 @@ TEST(FlockingTest, TwoAgentsSettleNearTargetDistance) {
 TEST(MeetingTest, AgentsConvergeOnEachOther) {
   auto o = options();
   o.net.radio.range_m = 60.0;
-  emu::World world(o);
+  emu::ShardedWorld world(o);
   const Rect arena{{0, 0}, {400, 400}};
   for (double x = 0; x <= 400; x += 50) {
     for (double y = 0; y <= 400; y += 50) {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "apps/content_store.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 #include "tuples/all.h"
 
 namespace tota {
@@ -15,15 +15,15 @@ using namespace tota::tuples;
 
 constexpr Rect kKeyspace{{0, 0}, {480, 480}};
 
-emu::World::Options options(std::uint64_t seed = 91) {
-  emu::World::Options o;
+emu::ShardedWorld::Options options(std::uint64_t seed = 91) {
+  emu::ShardedWorld::Options o;
   o.net.radio.range_m = 100.0;
   o.net.seed = seed;
   return o;
 }
 
 struct Overlay {
-  explicit Overlay(emu::World& world) {
+  explicit Overlay(emu::ShardedWorld& world) {
     for (const NodeId n : world.nodes()) {
       stores.emplace(n,
                      std::make_unique<apps::ContentStore>(world.mw(n),
@@ -87,7 +87,7 @@ TEST(NavTupleTest, WireRoundTripKeepsBest) {
 }
 
 TEST(ContentStoreTest, PutStoresAtTheClosestNode) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(7, 7, 80.0);
   world.run_for(SimTime::from_seconds(1));
   Overlay overlay(world);
@@ -112,7 +112,7 @@ TEST(ContentStoreTest, PutStoresAtTheClosestNode) {
 }
 
 TEST(ContentStoreTest, GetFindsValueFromAnywhere) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(7, 7, 80.0);
   world.run_for(SimTime::from_seconds(1));
   Overlay overlay(world);
@@ -134,7 +134,7 @@ TEST(ContentStoreTest, GetFindsValueFromAnywhere) {
 }
 
 TEST(ContentStoreTest, MissingKeyAnswersNullopt) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(5, 5, 80.0);
   world.run_for(SimTime::from_seconds(1));
   Overlay overlay(world);
@@ -152,7 +152,7 @@ TEST(ContentStoreTest, MissingKeyAnswersNullopt) {
 }
 
 TEST(ContentStoreTest, PutOverwritesValue) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(5, 5, 80.0);
   world.run_for(SimTime::from_seconds(1));
   Overlay overlay(world);
@@ -175,7 +175,7 @@ TEST(ContentStoreTest, PutOverwritesValue) {
 }
 
 TEST(ContentStoreTest, ManyKeysSpreadOverManyHomes) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(6, 6, 80.0);
   world.run_for(SimTime::from_seconds(1));
   Overlay overlay(world);
@@ -200,7 +200,7 @@ TEST(ContentStoreTest, ManyKeysSpreadOverManyHomes) {
 
 TEST(ContentStoreTest, AnswersNeverFlood) {
   // The strict reply must cost O(path), not O(N).
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(6, 6, 80.0);
   world.run_for(SimTime::from_seconds(1));
   Overlay overlay(world);
@@ -208,11 +208,11 @@ TEST(ContentStoreTest, AnswersNeverFlood) {
   overlay.stores.at(grid[0])->put("k", "v");
   world.run_for(SimTime::from_seconds(2));
 
-  const auto before = world.net().counters().get("radio.tx");
+  const auto before = world.metrics().get("radio.tx");
   std::optional<std::string> got;
   overlay.stores.at(grid[35])->get("k", [&](auto v) { got = std::move(v); });
   world.run_for(SimTime::from_seconds(3));
-  const auto cost = world.net().counters().get("radio.tx") - before;
+  const auto cost = world.metrics().get("radio.tx") - before;
   ASSERT_TRUE(got.has_value());
   // Nav + strict answer both confined near the greedy path; far below a
   // double network flood (2 x 36).

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "apps/crowd.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 #include "tuples/all.h"
 
 namespace tota {
@@ -12,15 +12,15 @@ namespace {
 
 using namespace tota::tuples;
 
-emu::World::Options options() {
-  emu::World::Options o;
+emu::ShardedWorld::Options options() {
+  emu::ShardedWorld::Options o;
   o.net.radio.range_m = 65.0;
   o.net.seed = 15;
   return o;
 }
 
 struct Scenario {
-  explicit Scenario(emu::World& w) : world(w) {
+  explicit Scenario(emu::ShardedWorld& w) : world(w) {
     for (double x = 0; x <= 400; x += 50) {
       for (double y = 0; y <= 200; y += 50) {
         world.spawn({x, y});
@@ -41,7 +41,7 @@ struct Scenario {
     return v;
   }
 
-  emu::World& world;
+  emu::ShardedWorld& world;
   NodeId attraction;
 };
 
@@ -53,7 +53,7 @@ apps::CrowdNavParams params() {
 }
 
 TEST(CrowdNavTest, SensesDestinationDistance) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   Scenario s(world);
   const NodeId v = s.add_visitor({10, 100});
   apps::CrowdNavigator nav(world.mw(v), params(), [](Vec2) {});
@@ -64,7 +64,7 @@ TEST(CrowdNavTest, SensesDestinationDistance) {
 }
 
 TEST(CrowdNavTest, ReachesTheAttraction) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   Scenario s(world);
   const NodeId v = s.add_visitor({10, 100});
   apps::CrowdNavigator nav(world.mw(v), params(),
@@ -79,7 +79,7 @@ TEST(CrowdNavTest, ReachesTheAttraction) {
 }
 
 TEST(CrowdNavTest, SensesNearbyVisitors) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   Scenario s(world);
   const NodeId a = s.add_visitor({100, 100});
   const NodeId b = s.add_visitor({110, 100});
@@ -96,7 +96,7 @@ TEST(CrowdNavTest, RepulsionSpreadsTwoVisitors) {
   // Both head for the same attraction from the same spot; repulsion must
   // keep them farther apart than a no-repulsion run.
   auto final_gap = [](double repulsion) {
-    emu::World world(options());
+    emu::ShardedWorld world(options());
     Scenario s(world);
     const NodeId a = s.add_visitor({20, 90});
     const NodeId b = s.add_visitor({20, 110});
@@ -115,7 +115,7 @@ TEST(CrowdNavTest, RepulsionSpreadsTwoVisitors) {
 }
 
 TEST(CrowdNavTest, StopsSteeringOnArrival) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   Scenario s(world);
   const NodeId v = s.add_visitor({360, 100});  // next to the attraction
   Vec2 last_steer{9, 9};

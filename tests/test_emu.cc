@@ -1,11 +1,11 @@
-// Tests for the emulator harness: World lifecycle, SimPlatform binding,
-// renderers.
+// Tests for the emulator harness: ShardedWorld lifecycle, the
+// ShardPlatform binding, renderers.
 #include <gtest/gtest.h>
 
 #include <fstream>
 
 #include "emu/render.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 #include "tuples/all.h"
 
 namespace tota {
@@ -13,15 +13,15 @@ namespace {
 
 using namespace tota::tuples;
 
-emu::World::Options options() {
-  emu::World::Options o;
+emu::ShardedWorld::Options options() {
+  emu::ShardedWorld::Options o;
   o.net.radio.range_m = 100.0;
   o.net.seed = 77;
   return o;
 }
 
 TEST(WorldTest, SpawnGridPlacesAndConnects) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto nodes = world.spawn_grid(3, 4, 80.0, {100, 200});
   EXPECT_EQ(nodes.size(), 12u);
   EXPECT_EQ(world.net().position(nodes[0]), (Vec2{100, 200}));
@@ -30,7 +30,7 @@ TEST(WorldTest, SpawnGridPlacesAndConnects) {
 }
 
 TEST(WorldTest, SpawnRandomStaysInArena) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const Rect arena{{50, 50}, {150, 150}};
   const auto nodes = world.spawn_random(30, arena);
   for (const NodeId n : nodes) {
@@ -39,7 +39,7 @@ TEST(WorldTest, SpawnRandomStaysInArena) {
 }
 
 TEST(WorldTest, SpawnRandomUsesMobilityFactory) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   int built = 0;
   world.spawn_random(5, Rect{{0, 0}, {100, 100}},
                      [&](Rng&) -> std::unique_ptr<sim::MobilityModel> {
@@ -50,12 +50,12 @@ TEST(WorldTest, SpawnRandomUsesMobilityFactory) {
 }
 
 TEST(WorldTest, MwThrowsForUnknownNode) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   EXPECT_THROW(static_cast<void>(world.mw(NodeId{999})), std::invalid_argument);
 }
 
 TEST(WorldTest, DespawnedNodeStopsParticipating) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const NodeId a = world.spawn({0, 0});
   const NodeId b = world.spawn({50, 0});
   world.run_for(SimTime::from_seconds(1));
@@ -71,7 +71,7 @@ TEST(WorldTest, DespawnedNodeStopsParticipating) {
 TEST(WorldTest, DespawnDisarmsPendingTimers) {
   // A node with periodic middleware timers (here: injected via platform
   // schedule) is torn down; its pending actions must not fire afterwards.
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const NodeId a = world.spawn({0, 0});
   int fired = 0;
   world.mw(a).platform().schedule(SimTime::from_seconds(1),
@@ -82,15 +82,15 @@ TEST(WorldTest, DespawnDisarmsPendingTimers) {
 }
 
 TEST(WorldTest, ReusesNothingAcrossSpawns) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const NodeId a = world.spawn({0, 0});
   world.despawn(a);
   const NodeId b = world.spawn({0, 0});
   EXPECT_NE(a, b);  // ids are never recycled
 }
 
-TEST(SimPlatformTest, PositionFollowsNode) {
-  emu::World world(options());
+TEST(ShardPlatformTest, PositionFollowsNode) {
+  emu::ShardedWorld world(options());
   const NodeId a = world.spawn({10, 20});
   EXPECT_EQ(world.mw(a).platform().position(), (Vec2{10, 20}));
   world.net().move_node(a, {30, 40});
@@ -98,11 +98,11 @@ TEST(SimPlatformTest, PositionFollowsNode) {
 }
 
 TEST(RenderTest, AsciiMapGlyphsAndBounds) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const NodeId a = world.spawn({0, 0});
   world.spawn({90, 90});
   const std::string map =
-      emu::ascii_map(world.net(), Rect{{0, 0}, {100, 100}}, 10, 5,
+      emu::ascii_map(world.net().topology(), Rect{{0, 0}, {100, 100}}, 10, 5,
                      [&](NodeId id) { return id == a ? 'A' : '\0'; });
   EXPECT_NE(map.find('A'), std::string::npos);
   EXPECT_NE(map.find('*'), std::string::npos);
@@ -111,19 +111,19 @@ TEST(RenderTest, AsciiMapGlyphsAndBounds) {
 }
 
 TEST(RenderTest, AsciiMapClampsOutOfArenaNodes) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   world.spawn({-500, -500});
   const std::string map =
-      emu::ascii_map(world.net(), Rect{{0, 0}, {100, 100}}, 10, 5);
+      emu::ascii_map(world.net().topology(), Rect{{0, 0}, {100, 100}}, 10, 5);
   EXPECT_NE(map.find('*'), std::string::npos);  // clamped to the edge
 }
 
 TEST(RenderTest, PpmFileIsWellFormed) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   world.spawn_grid(2, 2, 50.0);
   const std::string path = ::testing::TempDir() + "/tota_render_test.ppm";
-  ASSERT_TRUE(emu::write_ppm(path, world.net(), Rect{{0, 0}, {100, 100}},
-                             40, 30));
+  ASSERT_TRUE(emu::write_ppm(path, world.net().topology(),
+                             Rect{{0, 0}, {100, 100}}, 40, 30));
   std::ifstream in(path, std::ios::binary);
   ASSERT_TRUE(in.good());
   std::string magic;
@@ -142,8 +142,9 @@ TEST(RenderTest, PpmFileIsWellFormed) {
 }
 
 TEST(RenderTest, PpmFailsGracefullyOnBadPath) {
-  emu::World world(options());
-  EXPECT_FALSE(emu::write_ppm("/nonexistent-dir/x.ppm", world.net(),
+  emu::ShardedWorld world(options());
+  EXPECT_FALSE(emu::write_ppm("/nonexistent-dir/x.ppm",
+                              world.net().topology(),
                               Rect{{0, 0}, {1, 1}}, 4, 4));
 }
 

@@ -727,8 +727,8 @@ TEST_F(EngineTest, PassThroughProcessedOncePerNode) {
 
 TEST(EngineLifetimeTest, DestructorCancelsPendingTimers) {
   // A destroyed engine must leave no timers behind on a platform that
-  // outlives it (a live event loop does; the simulator's aliveness token
-  // only guards the SimPlatform binding).  Provoke both timer kinds — a
+  // outlives it (a live event loop does; only the simulator's despawn
+  // cancels a node's timers for it).  Provoke both timer kinds — a
   // coalesced link-up re-propagation and a hold-down expiry — then tear
   // the engine down with them pending.
   tuples::register_standard_tuples();

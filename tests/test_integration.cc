@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "emu/render.h"
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 #include "tuples/all.h"
 
 namespace tota {
@@ -11,21 +11,22 @@ namespace {
 
 using namespace tota::tuples;
 
-emu::World::Options grid_options(std::uint64_t seed = 42) {
-  emu::World::Options o;
+emu::ShardedWorld::Options grid_options(std::uint64_t seed = 42) {
+  emu::ShardedWorld::Options o;
   o.net.radio.range_m = 100.0;
   o.net.seed = seed;
   return o;
 }
 
-int hopcount_at(const emu::World& world, NodeId node, const Pattern& p) {
+int hopcount_at(const emu::ShardedWorld& world, NodeId node,
+                const Pattern& p) {
   const auto replica = world.mw(node).read_one(p);
   if (!replica) return -1;
   return static_cast<int>(replica->content().at("hopcount").as_int());
 }
 
 TEST(IntegrationTest, GradientMatchesBfsDistanceOnGrid) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   const auto nodes = world.spawn_grid(4, 6, 80.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -40,7 +41,7 @@ TEST(IntegrationTest, GradientMatchesBfsDistanceOnGrid) {
 }
 
 TEST(IntegrationTest, ScopeLimitsTheExpandingRing) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   const auto nodes = world.spawn_grid(1, 8, 80.0);  // a line
   world.run_for(SimTime::from_seconds(1));
 
@@ -59,7 +60,7 @@ TEST(IntegrationTest, ScopeLimitsTheExpandingRing) {
 }
 
 TEST(IntegrationTest, MessageDeliveredAlongGradient) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   const auto nodes = world.spawn_grid(3, 5, 80.0);
   world.run_for(SimTime::from_seconds(1));
 
@@ -94,7 +95,7 @@ TEST(IntegrationTest, GradientRoutingCheaperThanFlooding) {
   // hopcount (Poor's gradient routing), which for same-row endpoints on
   // a grid is a thin strip — far fewer transmissions than flooding.
   auto run = [](bool with_structure) {
-    emu::World world(grid_options());
+    emu::ShardedWorld world(grid_options());
     const auto nodes = world.spawn_grid(3, 8, 80.0);
     world.run_for(SimTime::from_seconds(1));
     const NodeId src = nodes[0];   // row 0, col 0
@@ -103,11 +104,11 @@ TEST(IntegrationTest, GradientRoutingCheaperThanFlooding) {
       world.mw(dest).inject(std::make_unique<GradientTuple>("structure"));
       world.run_for(SimTime::from_seconds(2));
     }
-    const auto before = world.net().counters().get("radio.tx");
+    const auto before = world.metrics().get("radio.tx");
     world.mw(src).inject(
         std::make_unique<MessageTuple>(dest, "m", "structure"));
     world.run_for(SimTime::from_seconds(2));
-    return world.net().counters().get("radio.tx") - before;
+    return world.metrics().get("radio.tx") - before;
   };
   const auto routed = run(true);
   const auto flooded = run(false);
@@ -116,7 +117,7 @@ TEST(IntegrationTest, GradientRoutingCheaperThanFlooding) {
 }
 
 TEST(IntegrationTest, LateJoinerReceivesExistingStructures) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   const auto nodes = world.spawn_grid(1, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
   world.mw(nodes[0]).inject(std::make_unique<GradientTuple>("field"));
@@ -130,7 +131,7 @@ TEST(IntegrationTest, LateJoinerReceivesExistingStructures) {
 }
 
 TEST(IntegrationTest, DisconnectedComponentNeverHearsTuple) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   const NodeId a = world.spawn({0, 0});
   const NodeId b = world.spawn({50, 0});
   const NodeId island = world.spawn({1000, 1000});
@@ -142,7 +143,7 @@ TEST(IntegrationTest, DisconnectedComponentNeverHearsTuple) {
 }
 
 TEST(IntegrationTest, SpaceTupleStaysWithinMetricRadius) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   const auto nodes = world.spawn_grid(1, 8, 80.0);  // line, 80 m spacing
   world.run_for(SimTime::from_seconds(1));
   world.mw(nodes[0]).inject(
@@ -156,7 +157,7 @@ TEST(IntegrationTest, SpaceTupleStaysWithinMetricRadius) {
 }
 
 TEST(IntegrationTest, DirectionTupleReachesOnlyTheSector) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   // A plus-shaped deployment around the origin.
   const NodeId center = world.spawn({0, 0});
   const NodeId east1 = world.spawn({80, 0});
@@ -179,7 +180,7 @@ TEST(IntegrationTest, DirectionTupleReachesOnlyTheSector) {
 }
 
 TEST(IntegrationTest, ModifierDeletesAcrossTheNetwork) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   const auto nodes = world.spawn_grid(2, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
   world.mw(nodes[0]).inject(std::make_unique<GradientTuple>("obsolete"));
@@ -200,7 +201,7 @@ TEST(IntegrationTest, ModifierDeletesAcrossTheNetwork) {
 }
 
 TEST(IntegrationTest, PresenceEventsReportNeighborhoodChanges) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   const NodeId a = world.spawn({0, 0});
   int ups = 0;
   int downs = 0;
@@ -220,7 +221,7 @@ TEST(IntegrationTest, PresenceEventsReportNeighborhoodChanges) {
 }
 
 TEST(IntegrationTest, ConcurrentFieldsFromManySources) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   const auto nodes = world.spawn_grid(3, 3, 80.0);
   world.run_for(SimTime::from_seconds(1));
   for (const NodeId n : nodes) {
@@ -245,7 +246,7 @@ TEST(IntegrationTest, ConcurrentFieldsFromManySources) {
 TEST(IntegrationTest, LossyRadioStillConverges) {
   auto o = grid_options();
   o.net.radio.loss_probability = 0.3;
-  emu::World world(o);
+  emu::ShardedWorld world(o);
   const auto nodes = world.spawn_grid(3, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
   world.mw(nodes[0]).inject(std::make_unique<GradientTuple>("field"));
@@ -266,10 +267,10 @@ TEST(IntegrationTest, LossyRadioStillConverges) {
 }
 
 TEST(IntegrationTest, AsciiMapShowsNodes) {
-  emu::World world(grid_options());
+  emu::ShardedWorld world(grid_options());
   world.spawn_grid(2, 2, 80.0);
   const std::string map = emu::ascii_map(
-      world.net(), Rect{{-10, -10}, {100, 100}}, 20, 10);
+      world.net().topology(), Rect{{-10, -10}, {100, 100}}, 20, 10);
   int stars = 0;
   for (const char c : map) {
     if (c == '*') ++stars;
@@ -279,12 +280,12 @@ TEST(IntegrationTest, AsciiMapShowsNodes) {
 
 TEST(IntegrationTest, DeterministicAcrossIdenticalRuns) {
   auto run = [] {
-    emu::World world(grid_options(7));
+    emu::ShardedWorld world(grid_options(7));
     const auto nodes = world.spawn_grid(3, 3, 80.0);
     world.run_for(SimTime::from_seconds(1));
     world.mw(nodes[4]).inject(std::make_unique<GradientTuple>("f"));
     world.run_for(SimTime::from_seconds(2));
-    return world.net().counters().get("radio.tx");
+    return world.metrics().get("radio.tx");
   };
   EXPECT_EQ(run(), run());
 }

@@ -5,7 +5,11 @@
 // changes to reflect the new topology").
 #include <gtest/gtest.h>
 
-#include "emu/world.h"
+#include <algorithm>
+#include <vector>
+
+#include "emu/sharded_world.h"
+#include "tota/neighbor_table.h"
 #include "tuples/all.h"
 
 namespace tota {
@@ -13,8 +17,8 @@ namespace {
 
 using namespace tota::tuples;
 
-emu::World::Options options(std::uint64_t seed = 5) {
-  emu::World::Options o;
+emu::ShardedWorld::Options options(std::uint64_t seed = 5) {
+  emu::ShardedWorld::Options o;
   o.net.radio.range_m = 100.0;
   o.net.seed = seed;
   return o;
@@ -22,7 +26,7 @@ emu::World::Options options(std::uint64_t seed = 5) {
 
 /// True when every node's gradient replica equals its BFS distance from
 /// `source` (and nodes disconnected from the source hold no replica).
-::testing::AssertionResult field_coherent(const emu::World& world,
+::testing::AssertionResult field_coherent(const emu::ShardedWorld& world,
                                           NodeId source) {
   const auto oracle = world.net().topology().hop_distances(source);
   const Pattern p = Pattern::of_type(GradientTuple::kTag);
@@ -53,7 +57,7 @@ emu::World::Options options(std::uint64_t seed = 5) {
 }
 
 TEST(MaintenanceTest, FieldRepairsAfterRelayNodeDies) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   // A line: source - r1 - r2 - tail; killing r1 must reroute... a line has
   // no alternative path, so the tail should *lose* the field instead.
   const NodeId source = world.spawn({0, 0});
@@ -73,7 +77,7 @@ TEST(MaintenanceTest, FieldRepairsAfterRelayNodeDies) {
 }
 
 TEST(MaintenanceTest, FieldRepairsAroundAHole) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   // A 3x5 grid: killing an interior relay leaves alternative paths, so
   // every survivor must re-converge to the *new* BFS distances.
   const auto nodes = world.spawn_grid(3, 5, 80.0);
@@ -89,7 +93,7 @@ TEST(MaintenanceTest, FieldRepairsAroundAHole) {
 }
 
 TEST(MaintenanceTest, ValuesStretchWhenShortcutDisappears) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   // A ring with a chord: the chord gives short distances; removing it
   // must *increase* stored hopcounts (the hard direction for monotone
   // updates — requires retraction, not supersede).
@@ -128,7 +132,7 @@ TEST(MaintenanceTest, ValuesStretchWhenShortcutDisappears) {
 }
 
 TEST(MaintenanceTest, FieldFollowsAMovingSource) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto nodes = world.spawn_grid(1, 5, 80.0);  // a line
   // The source starts at the left end and teleports to the right end.
   const NodeId source = world.spawn({-80, 0});
@@ -148,7 +152,7 @@ TEST(MaintenanceTest, FieldFollowsAMovingSource) {
 }
 
 TEST(MaintenanceTest, PartitionClearsTheOrphanSide) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto line = world.spawn_grid(1, 6, 80.0);
   world.run_for(SimTime::from_seconds(1));
   world.mw(line[0]).inject(std::make_unique<GradientTuple>("f"));
@@ -165,7 +169,7 @@ TEST(MaintenanceTest, PartitionClearsTheOrphanSide) {
 }
 
 TEST(MaintenanceTest, HealingAfterPartitionRejoins) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto line = world.spawn_grid(1, 6, 80.0);
   world.run_for(SimTime::from_seconds(1));
   world.mw(line[0]).inject(std::make_unique<GradientTuple>("f"));
@@ -181,7 +185,7 @@ TEST(MaintenanceTest, HealingAfterPartitionRejoins) {
 }
 
 TEST(MaintenanceTest, MobileNodeCarriesNoStaleField) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto cluster = world.spawn_grid(2, 2, 80.0);
   const NodeId wanderer = world.spawn({80, 80});
   world.run_for(SimTime::from_seconds(1));
@@ -207,7 +211,7 @@ TEST(MaintenanceTest, DisabledMaintenanceLeavesStaleValues) {
   auto o = options();
   o.maintenance.repropagate_on_link_up = false;
   o.maintenance.retract_on_link_down = false;
-  emu::World world(o);
+  emu::ShardedWorld world(o);
   const auto line = world.spawn_grid(1, 5, 80.0);
   world.run_for(SimTime::from_seconds(1));
   world.mw(line[0]).inject(std::make_unique<GradientTuple>("f"));
@@ -226,7 +230,7 @@ TEST(MaintenanceTest, DisabledMaintenanceLeavesStaleValues) {
 }
 
 TEST(MaintenanceTest, DeliveredMessageSurvivesPathLoss) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto line = world.spawn_grid(1, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
   const NodeId dest = line[3];
@@ -247,7 +251,7 @@ TEST(MaintenanceTest, DeliveredMessageSurvivesPathLoss) {
 }
 
 TEST(MaintenanceTest, ChurnStormEventuallyCoheres) {
-  emu::World world(options(11));
+  emu::ShardedWorld world(options(11));
   const auto grid = world.spawn_grid(4, 4, 80.0);
   world.run_for(SimTime::from_seconds(1));
   const NodeId source = grid[5];
@@ -266,7 +270,7 @@ TEST(MaintenanceTest, ChurnStormEventuallyCoheres) {
 }
 
 TEST(MaintenanceTest, SourceDeathClearsTheWholeField) {
-  emu::World world(options());
+  emu::ShardedWorld world(options());
   const auto grid = world.spawn_grid(3, 3, 80.0);
   world.run_for(SimTime::from_seconds(1));
   world.mw(grid[4]).inject(std::make_unique<GradientTuple>("f"));
@@ -277,6 +281,27 @@ TEST(MaintenanceTest, SourceDeathClearsTheWholeField) {
   for (const NodeId n : world.nodes()) {
     EXPECT_TRUE(world.mw(n).read(Pattern{}).empty()) << to_string(n);
   }
+}
+
+TEST(NeighborValueTableTest, ForgetNeighborReportsUidsSorted) {
+  // Rows inserted in a scrambled order: the uids a lost link affects
+  // must come back sorted, not in the hash table's bucket order, so the
+  // recheck cascade they start is the same under any standard library.
+  NeighborValueTable table;
+  const NodeId gone{7};
+  const NodeId stays{8};
+  std::vector<TupleUid> expected;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const std::uint64_t k = (i * 37 + 11) % 64;  // a permutation of 0..63
+    const TupleUid uid{NodeId{1 + k % 5}, 1000 - k};
+    table.note(uid, gone, 2);
+    expected.push_back(uid);
+    if (k % 4 == 0) table.note(TupleUid{NodeId{99}, k}, stays, 1);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(table.forget_neighbor(gone), expected);
+  EXPECT_TRUE(table.forget_neighbor(gone).empty());
+  EXPECT_EQ(table.forget_neighbor(stays).size(), 16u);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 #include <map>
 #include <set>
 
-#include "emu/world.h"
+#include "emu/sharded_world.h"
 #include "tota/tuple_space.h"
 #include "tuples/aggregator.h"
 #include "tuples/all.h"
@@ -31,15 +31,15 @@ namespace {
 
 using namespace tota::tuples;
 
-emu::World::Options options(std::uint64_t seed) {
-  emu::World::Options o;
+emu::ShardedWorld::Options options(std::uint64_t seed) {
+  emu::ShardedWorld::Options o;
   o.net.radio.range_m = 100.0;
   o.net.seed = seed;
   return o;
 }
 
-::testing::AssertionResult gradient_matches_oracle(const emu::World& world,
-                                                   NodeId source) {
+::testing::AssertionResult gradient_matches_oracle(
+    const emu::ShardedWorld& world, NodeId source) {
   const auto oracle = world.net().topology().hop_distances(source);
   const Pattern p = Pattern::of_type(GradientTuple::kTag);
   for (const NodeId n : world.nodes()) {
@@ -72,7 +72,7 @@ emu::World::Options options(std::uint64_t seed) {
 class GradientProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GradientProperty, MatchesBfsOnRandomTopology) {
-  emu::World world(options(GetParam()));
+  emu::ShardedWorld world(options(GetParam()));
   world.spawn_random(40, Rect{{0, 0}, {500, 500}});
   world.run_for(SimTime::from_seconds(1));
   const auto nodes = world.nodes();
@@ -91,7 +91,7 @@ class MaintenanceProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MaintenanceProperty, ReconvergesAfterRandomChurn) {
   const std::uint64_t seed = GetParam();
-  emu::World world(options(seed));
+  emu::ShardedWorld world(options(seed));
   world.spawn_random(30, Rect{{0, 0}, {400, 400}});
   world.run_for(SimTime::from_seconds(1));
   auto nodes = world.nodes();
@@ -250,13 +250,13 @@ TEST_P(BroadcastProperty, OneTransmissionPerNodePerFlood) {
   // (With jitter, an occasional longer-path copy arrives first and is
   // later superseded — allowed, but not what this property pins down.)
   o.net.radio.jitter = SimTime::zero();
-  emu::World world(o);
+  emu::ShardedWorld world(o);
   const auto nodes = world.spawn_grid(side, side, 80.0);
   world.run_for(SimTime::from_seconds(1));
-  const auto before = world.net().counters().get("radio.tx");
+  const auto before = world.metrics().get("radio.tx");
   world.mw(nodes[0]).inject(std::make_unique<GradientTuple>("f"));
   world.run_for(SimTime::from_seconds(5));
-  const auto cost = world.net().counters().get("radio.tx") - before;
+  const auto cost = world.metrics().get("radio.tx") - before;
   // Breadth-first flooding over a broadcast medium: each node announces
   // the tuple exactly once (supersede storms would show up here).
   EXPECT_EQ(cost, static_cast<std::int64_t>(nodes.size()));
@@ -271,7 +271,7 @@ class ScopeProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ScopeProperty, ExactlyScopePlusOneHoldersOnALine) {
   const int scope = GetParam();
-  emu::World world(options(50));
+  emu::ShardedWorld world(options(50));
   const auto line = world.spawn_grid(1, 10, 80.0);
   world.run_for(SimTime::from_seconds(1));
   world.mw(line[0]).inject(std::make_unique<GradientTuple>("ring", scope));
@@ -292,7 +292,7 @@ class RadiusProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(RadiusProperty, HoldersMatchMetricRadiusOnALine) {
   const double radius = GetParam();
-  emu::World world(options(51));
+  emu::ShardedWorld world(options(51));
   const auto line = world.spawn_grid(1, 10, 80.0);  // nodes at 0,80,…,720
   world.run_for(SimTime::from_seconds(1));
   world.mw(line[0]).inject(std::make_unique<SpaceTuple>("zone", radius));
@@ -315,7 +315,7 @@ TEST_P(DeterminismProperty, IdenticalSeedsGiveIdenticalRuns) {
   auto fingerprint = [&](std::uint64_t seed) {
     auto o = options(seed);
     o.net.radio.loss_probability = 0.1;
-    emu::World world(o);
+    emu::ShardedWorld world(o);
     const Rect arena{{0, 0}, {400, 400}};
     world.spawn_random(25, arena, [&](Rng&) {
       return std::make_unique<sim::RandomWaypoint>(arena, 1.0, 6.0);
@@ -330,8 +330,8 @@ TEST_P(DeterminismProperty, IdenticalSeedsGiveIdenticalRuns) {
     auto mix = [&fp](std::uint64_t v) {
       fp = (fp ^ v) * 1099511628211ull;
     };
-    mix(static_cast<std::uint64_t>(world.net().counters().get("radio.tx")));
-    mix(static_cast<std::uint64_t>(world.net().counters().get("radio.rx")));
+    mix(static_cast<std::uint64_t>(world.metrics().get("radio.tx")));
+    mix(static_cast<std::uint64_t>(world.metrics().get("radio.rx")));
     for (const NodeId n : world.nodes()) {
       mix(n.value());
       for (const auto& t : world.mw(n).read(Pattern{})) {
@@ -356,7 +356,7 @@ class HealthProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HealthProperty, NoDecodeFailuresUnderChurnAndMobility) {
   auto o = options(GetParam());
-  emu::World world(o);
+  emu::ShardedWorld world(o);
   const Rect arena{{0, 0}, {400, 400}};
   world.spawn_random(20, arena, [&](Rng&) {
     return std::make_unique<sim::RandomWaypoint>(arena, 2.0, 8.0);
@@ -559,7 +559,7 @@ class AggregationProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AggregationProperty, FoldedSumEqualsGatherOracle) {
   const std::uint64_t seed = GetParam();
-  emu::World world(options(seed));
+  emu::ShardedWorld world(options(seed));
   const auto ids = world.spawn_grid(4, 4, 60.0);
   world.run_for(SimTime::from_seconds(1));
   std::vector<std::unique_ptr<Aggregator>> aggs;

@@ -1,16 +1,16 @@
-// Unit tests for the network simulator substrate.
+// Unit tests for the simulator substrate: event queue, topology,
+// mobility models, radio.  The simulator itself is tested in
+// tests/test_shard.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_set>
 #include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/mobility.h"
-#include "sim/network.h"
+#include "sim/radio.h"
 #include "sim/topology.h"
-#include "sim/trace.h"
 
 namespace tota::sim {
 namespace {
@@ -151,6 +151,25 @@ TEST(EventQueueTest, PendingAndEmptyStayExact) {
   EXPECT_EQ(q.pending(), 0u);
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.step());
+}
+
+TEST(EventQueueTest, CancelOwnedSilencesOnlyThatOwner) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule_at(SimTime{10}, [&] { fired.push_back(1); }, 7);
+  q.schedule_at(SimTime{20}, [&] { fired.push_back(2); }, 8);
+  q.schedule_at(SimTime{30}, [&] { fired.push_back(3); });  // untagged
+  const EventId gone =
+      q.schedule_at(SimTime{40}, [&] { fired.push_back(4); }, 7);
+  q.cancel_owned(7);
+  EXPECT_EQ(q.pending(), 2u);
+  q.cancel(gone);  // already cancelled: no-op
+  // A freed slot's next tenant starts untagged.
+  q.schedule_at(SimTime{50}, [&] { fired.push_back(5); });
+  q.cancel_owned(7);
+  q.cancel_owned(0);  // 0 is "untagged", never an owner
+  q.run_until(SimTime{100});
+  EXPECT_EQ(fired, (std::vector<int>{2, 3, 5}));
 }
 
 TEST(EventQueueTest, SlotTableNeverOutgrowsPeakLiveEvents) {
@@ -312,153 +331,6 @@ TEST(MobilityTest, VelocityMobilityIntegratesAndClamps) {
   EXPECT_TRUE(arena.contains(pos));
 }
 
-class RecordingHost : public Host {
- public:
-  void on_datagram(NodeId from,
-                   std::span<const std::uint8_t> payload) override {
-    datagrams.push_back({from, wire::Bytes(payload.begin(), payload.end())});
-  }
-  void on_neighbor_up(NodeId n) override { ups.push_back(n); }
-  void on_neighbor_down(NodeId n) override { downs.push_back(n); }
-
-  std::vector<std::pair<NodeId, wire::Bytes>> datagrams;
-  std::vector<NodeId> ups;
-  std::vector<NodeId> downs;
-};
-
-NetworkParams quiet_params() {
-  NetworkParams p;
-  p.radio.range_m = 10.0;
-  p.radio.jitter = SimTime::zero();
-  p.seed = 99;
-  return p;
-}
-
-TEST(NetworkTest, BroadcastReachesNeighborsOnly) {
-  Network net(quiet_params());
-  RecordingHost h1;
-  RecordingHost h2;
-  RecordingHost h3;
-  const NodeId a = net.add_node({0, 0});
-  const NodeId b = net.add_node({5, 0});
-  const NodeId c = net.add_node({50, 0});
-  net.attach(a, &h1);
-  net.attach(b, &h2);
-  net.attach(c, &h3);
-
-  net.broadcast(a, {1, 2, 3});
-  net.run_for(SimTime::from_seconds(1));
-
-  ASSERT_EQ(h2.datagrams.size(), 1u);
-  EXPECT_EQ(h2.datagrams[0].first, a);
-  EXPECT_EQ(h2.datagrams[0].second, (wire::Bytes{1, 2, 3}));
-  EXPECT_TRUE(h3.datagrams.empty());
-  EXPECT_TRUE(h1.datagrams.empty());  // no self-delivery
-  EXPECT_EQ(net.counters().get("radio.tx"), 1);
-  EXPECT_EQ(net.counters().get("radio.rx"), 1);
-}
-
-TEST(NetworkTest, LinkEventsOnJoin) {
-  Network net(quiet_params());
-  RecordingHost h1;
-  RecordingHost h2;
-  const NodeId a = net.add_node({0, 0});
-  net.attach(a, &h1);
-  const NodeId b = net.add_node({5, 0});
-  net.attach(b, &h2);
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_EQ(h1.ups, std::vector<NodeId>{b});
-  EXPECT_EQ(h2.ups, std::vector<NodeId>{a});
-}
-
-TEST(NetworkTest, LinkEventsOnDeparture) {
-  Network net(quiet_params());
-  RecordingHost h1;
-  const NodeId a = net.add_node({0, 0});
-  const NodeId b = net.add_node({5, 0});
-  net.attach(a, &h1);
-  net.run_for(SimTime::from_seconds(1));
-  net.remove_node(b);
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_EQ(h1.downs, std::vector<NodeId>{b});
-  EXPECT_FALSE(net.alive(b));
-}
-
-TEST(NetworkTest, LinkEventsOnMove) {
-  Network net(quiet_params());
-  RecordingHost h1;
-  const NodeId a = net.add_node({0, 0});
-  const NodeId b = net.add_node({5, 0});
-  net.attach(a, &h1);
-  net.run_for(SimTime::from_seconds(1));
-  net.move_node(b, {100, 0});
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_EQ(h1.downs, std::vector<NodeId>{b});
-  net.move_node(b, {7, 0});
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_EQ(h1.ups.size(), 2u);
-}
-
-TEST(NetworkTest, LossDropsFrames) {
-  NetworkParams p = quiet_params();
-  p.radio.loss_probability = 1.0;
-  Network net(p);
-  RecordingHost h2;
-  const NodeId a = net.add_node({0, 0});
-  const NodeId b = net.add_node({5, 0});
-  net.attach(b, &h2);
-  net.broadcast(a, {42});
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_TRUE(h2.datagrams.empty());
-  EXPECT_EQ(net.counters().get("radio.lost"), 1);
-}
-
-TEST(NetworkTest, DetectDelayPostponesLinkEvents) {
-  NetworkParams p = quiet_params();
-  p.link_detect_delay = SimTime::from_seconds(2);
-  Network net(p);
-  RecordingHost h1;
-  const NodeId a = net.add_node({0, 0});
-  net.attach(a, &h1);
-  net.add_node({5, 0});
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_TRUE(h1.ups.empty());
-  net.run_for(SimTime::from_seconds(2));
-  EXPECT_EQ(h1.ups.size(), 1u);
-}
-
-TEST(NetworkTest, MobilityTickMovesNodes) {
-  NetworkParams p = quiet_params();
-  Network net(p);
-  const NodeId a =
-      net.add_node({0, 0}, std::make_unique<VelocityMobility>(
-                               Rect{{0, 0}, {1000, 1000}}, 100.0));
-  net.set_velocity(a, {10, 0});
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_NEAR(net.position(a).x, 10.0, 1.5);
-}
-
-TEST(NetworkTest, SetVelocityWithoutModelThrows) {
-  Network net(quiet_params());
-  const NodeId a = net.add_node({0, 0});
-  EXPECT_THROW(net.set_velocity(a, {1, 0}), std::invalid_argument);
-}
-
-TEST(NetworkTest, DeterministicAcrossRuns) {
-  auto run = [] {
-    Network net(quiet_params());
-    RecordingHost h;
-    const NodeId a = net.add_node({0, 0});
-    const NodeId b = net.add_node({5, 0});
-    net.attach(b, &h);
-    (void)a;
-    for (int i = 0; i < 10; ++i) net.broadcast(a, {static_cast<uint8_t>(i)});
-    net.run_for(SimTime::from_seconds(1));
-    return h.datagrams.size();
-  };
-  EXPECT_EQ(run(), run());
-}
-
 TEST(RadioTest, DelayIncludesSerializationAtFiniteBandwidth) {
   RadioParams params;
   params.base_delay = SimTime::from_millis(1);
@@ -539,46 +411,6 @@ TEST(WiredTopologyTest, HopDistancesFollowLinks) {
   EXPECT_EQ(topo.hop_distance(NodeId{1}, NodeId{4}), 3);
   topo.add_link(NodeId{1}, NodeId{4});  // shortcut
   EXPECT_EQ(topo.hop_distance(NodeId{1}, NodeId{4}), 1);
-}
-
-TEST(WiredNetworkTest, ConnectDisconnectFireLinkEvents) {
-  NetworkParams p = quiet_params();
-  p.wired = true;
-  Network net(p);
-  RecordingHost h1;
-  RecordingHost h2;
-  const NodeId a = net.add_node({0, 0});
-  const NodeId b = net.add_node({1000, 1000});  // distance is irrelevant
-  net.attach(a, &h1);
-  net.attach(b, &h2);
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_TRUE(h1.ups.empty());
-
-  net.connect(a, b);
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_EQ(h1.ups, std::vector<NodeId>{b});
-
-  net.broadcast(a, {7});
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_EQ(net.counters().get("radio.rx"), 1);
-
-  net.disconnect(a, b);
-  net.run_for(SimTime::from_seconds(1));
-  EXPECT_EQ(h1.downs, std::vector<NodeId>{b});
-}
-
-TEST(TraceTest, RecordsAndCounts) {
-  Trace trace;
-  trace.record(SimTime::from_seconds(1), "delivery", NodeId{1}, 0.5, "ok");
-  trace.record(SimTime::from_seconds(2), "delivery", NodeId{2}, 0.7);
-  trace.record(SimTime::from_seconds(3), "repair", NodeId{1}, 1.0);
-  EXPECT_EQ(trace.count("delivery"), 2u);
-  EXPECT_EQ(trace.count("repair"), 1u);
-  std::ostringstream out;
-  trace.write_csv(out);
-  EXPECT_NE(out.str().find("time_s,kind,node,value,detail"),
-            std::string::npos);
-  EXPECT_NE(out.str().find("delivery"), std::string::npos);
 }
 
 }  // namespace
