@@ -182,19 +182,6 @@ void BM_QueryPlanPredicate(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryPlanPredicate)->Arg(128)->Arg(1024);
 
-/// Metadata-indexed plan: candidates come from one parent bucket.
-void BM_QueryPlanParent(benchmark::State& state) {
-  tuples::register_standard_tuples();
-  TupleSpace space;
-  fill_mixed_space(space, state.range(0));
-  Pattern p;
-  p.from_parent(NodeId{3});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(space.peek(p));
-  }
-}
-BENCHMARK(BM_QueryPlanParent)->Arg(128)->Arg(1024);
-
 /// Maintaining a standing query incrementally: one put+erase churn cycle
 /// against a populated store, deltas flowing through the bus.
 void BM_ContinuousQueryDelta(benchmark::State& state) {

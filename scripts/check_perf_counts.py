@@ -2,13 +2,15 @@
 """Work-count gate over the perfbench driver's traced runs.
 
 Runs perfbench's `tota_perf` driver traced (--trace 1) twice per sim
-workload at fixed work — seed 7, a fixed number of passes — and checks:
+workload (grid_flood, grid_churn, app_query) at fixed work — seed 7, a
+fixed number of passes — and checks:
 
   * repeatability: the `engine.*` and `radio.*` counters (--counts-out)
     and every per-layer `*_allocs` metric are identical across the two
     runs, so a ceiling below is a property of the code, not of the run;
-  * ceilings on heap allocations per delivered frame (`engine.rx_allocs`)
-    and per simulated broadcast (`sim.broadcast_allocs`);
+  * ceilings on heap allocations per delivered frame (`engine.rx_allocs`),
+    per simulated broadcast (`sim.broadcast_allocs`) and per application
+    read (`space.read_allocs`);
   * every output check of the driver passed (`failed` is 0).
 
 Wall-clock metrics are not gated: they measure the host as much as the
@@ -33,8 +35,9 @@ import run  # noqa: E402
 SEED = 7
 # workload -> (passes, {metric: ceiling})
 GATES = {
-    "grid_flood": (2, {"engine.rx_allocs": 3.8, "sim.broadcast_allocs": 5.0}),
-    "grid_churn": (1, {"engine.rx_allocs": 1.0, "sim.broadcast_allocs": 5.0}),
+    "grid_flood": (2, {"engine.rx_allocs": 3.35, "sim.broadcast_allocs": 5.0}),
+    "grid_churn": (1, {"engine.rx_allocs": 0.7, "sim.broadcast_allocs": 5.0}),
+    "app_query": (1, {"engine.rx_allocs": 26.5, "space.read_allocs": 9.0}),
 }
 REPEATED_COUNTS = ("engine.", "radio.")
 

@@ -61,8 +61,8 @@ bool Pattern::matches_record(const std::string& tag,
 
 bool Pattern::matches_fields(const wire::Record& content) const {
   for (const auto& c : fields_) {
-    const auto value = content.find(c.name);
-    if (!value) return false;
+    const wire::Value* value = content.find(c.name);
+    if (value == nullptr) return false;
     if (!c.pred.eval(*value)) return false;
   }
   return true;

@@ -9,9 +9,10 @@
 //
 // Space queries may additionally constrain replica *metadata* — the
 // neighbour a replica was received from (`from_parent`) and the
-// re-propagation flag (`propagated_only`).  Metadata constraints give the
-// query planner (tota/query.h) two extra index-assisted access paths; they
-// apply only where replicas have metadata, i.e. TupleSpace queries and
+// re-propagation flag (`propagated_only`).  `propagated_only(true)` gives
+// the query planner (tota/query.h) an extra index-assisted access path;
+// a parent is checked per candidate.  Metadata constraints apply only
+// where replicas have metadata, i.e. TupleSpace queries and
 // continuous queries.  `matches()` / `matches_record()` check type +
 // fields only (events carry no entry metadata).
 //

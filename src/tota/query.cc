@@ -8,8 +8,6 @@ const char* to_string(AccessPath path) {
   switch (path) {
     case AccessPath::kTypeIndex:
       return "type_index";
-    case AccessPath::kParentIndex:
-      return "parent_index";
     case AccessPath::kPropagatedIndex:
       return "propagated_index";
     case AccessPath::kFullScan:
@@ -25,25 +23,15 @@ Plan compile(const Pattern& pattern, const TupleSpace& space) {
 
   // Earlier options win ties, so the order here encodes walk cost.
   if (pattern.type_tag()) {
-    const auto* bucket = space.type_bucket(*pattern.type_tag());
-    const std::size_t n = bucket != nullptr ? bucket->size() : 0;
-    if (n < plan.candidates ||
-        (n == plan.candidates && plan.path == AccessPath::kFullScan)) {
+    const std::size_t n = space.type_count(*pattern.type_tag());
+    if (n <= plan.candidates) {
       plan.path = AccessPath::kTypeIndex;
-      plan.candidates = n;
-    }
-  }
-  if (pattern.parent()) {
-    const auto* bucket = space.parent_bucket(*pattern.parent());
-    const std::size_t n = bucket != nullptr ? bucket->size() : 0;
-    if (n < plan.candidates) {
-      plan.path = AccessPath::kParentIndex;
       plan.candidates = n;
     }
   }
   // Only propagated==true has an index; ==false is residual-only.
   if (pattern.propagated() && *pattern.propagated()) {
-    const std::size_t n = space.propagated_set().size();
+    const std::size_t n = space.propagated_count();
     if (n < plan.candidates) {
       plan.path = AccessPath::kPropagatedIndex;
       plan.candidates = n;
@@ -52,8 +40,7 @@ Plan compile(const Pattern& pattern, const TupleSpace& space) {
 
   plan.check_type =
       pattern.type_tag().has_value() && plan.path != AccessPath::kTypeIndex;
-  plan.check_parent =
-      pattern.parent().has_value() && plan.path != AccessPath::kParentIndex;
+  plan.check_parent = pattern.parent().has_value();
   plan.check_propagated = pattern.propagated().has_value() &&
                           plan.path != AccessPath::kPropagatedIndex;
   plan.check_fields = !pattern.constraints().empty();

@@ -1,13 +1,15 @@
 // Query planner — compiles a Pattern into an index-assisted access plan
 // over TupleSpace's secondary indexes (docs/QUERY.md).
 //
-// A pattern names up to three indexable constraints: the type tag (the
-// by-type bucket), the replica's parent (the parent→children index), and
-// the propagated flag (the propagated set).  `compile` looks at the
-// actual bucket sizes of the target space and picks the path with the
-// fewest candidates, then marks which constraints remain to be checked
-// per candidate (the residual).  Plans are per-query and cost a few map
-// lookups — the store can change arbitrarily between queries.
+// A pattern names up to three metadata/type constraints: the type tag
+// (indexed by the type buckets), the propagated flag (indexed by the
+// propagated uids when it asks for `true`), and the replica's parent (not
+// indexed: always a residual check).  `compile` looks at the actual
+// bucket sizes of the target space and picks the path with the fewest
+// candidates, then marks which constraints remain to be checked per
+// candidate (the residual).  Plans are per-query and cost a scan of the
+// node's few type tags — the store can change arbitrarily between
+// queries.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +27,6 @@ namespace query {
 /// ascending uid order, so plan results are bit-for-bit a full scan's.
 enum class AccessPath : std::uint8_t {
   kTypeIndex,        // the pattern's type-tag bucket
-  kParentIndex,      // children of the pattern's parent
   kPropagatedIndex,  // the propagated set (pattern wants propagated==true)
   kFullScan,         // the whole store
 };
@@ -49,8 +50,9 @@ struct Plan {
 };
 
 /// Picks the most selective access path for `pattern` over `space`.
-/// Ties break toward the cheaper walk: type bucket (contiguous entry
-/// pointers) over parent/propagated uid sets over the full scan.
+/// Ties break toward the cheaper walk: type bucket (entry pointers, read
+/// in order) over the propagated uids (one uid lookup each) over the full
+/// scan.
 [[nodiscard]] Plan compile(const Pattern& pattern, const TupleSpace& space);
 
 }  // namespace query

@@ -1,5 +1,7 @@
 #include "tota/tuple_space.h"
 
+#include <algorithm>
+
 #include "tota/query.h"
 
 namespace tota {
@@ -11,7 +13,6 @@ SpaceMetrics::SpaceMetrics(obs::MetricsRegistry& registry)
       matches(registry.counter("space.query.matches")),
       naive_candidates(registry.counter("space.query.naive_candidates")),
       plan_type_index(registry.counter("space.plan.type_index")),
-      plan_parent_index(registry.counter("space.plan.parent_index")),
       plan_propagated_index(registry.counter("space.plan.propagated_index")),
       plan_full_scan(registry.counter("space.plan.full_scan")),
       plan_candidates(registry.counter("space.plan.candidates")),
@@ -21,78 +22,129 @@ void TupleSpace::bind_metrics(obs::MetricsRegistry& registry) {
   metrics_ = std::make_unique<SpaceMetrics>(registry);
 }
 
-void TupleSpace::index_entry(const TupleUid& uid, const Entry& entry) {
-  by_type_[entry.type_tag].emplace(uid, &entry);
-  by_parent_[entry.parent].insert(uid);
-  if (entry.propagated) propagated_.insert(uid);
+std::vector<TupleSpace::Slot>::const_iterator TupleSpace::locate(
+    const TupleUid& uid) const {
+  return std::lower_bound(
+      entries_.begin(), entries_.end(), uid,
+      [](const Slot& slot, const TupleUid& key) { return slot.uid < key; });
 }
 
-void TupleSpace::unindex_entry(const TupleUid& uid, const Entry& entry) {
-  const auto type_it = by_type_.find(entry.type_tag);
-  if (type_it != by_type_.end()) {
-    type_it->second.erase(uid);
-    if (type_it->second.empty()) by_type_.erase(type_it);
+std::size_t TupleSpace::bucket_index(const std::string& tag) const {
+  std::size_t b = 0;
+  while (b < by_type_.size() && by_type_[b].tag != tag) ++b;
+  return b;
+}
+
+namespace {
+
+/// Runs `consider` over the entries `at(0)`, `at(1)`, … `at(size() - 1)`
+/// in order, until it returns false.  Each candidate costs three
+/// dependent loads — entry, tuple, field vector — that miss the cache
+/// once the node stores outgrow it, so they are prefetched one to three
+/// candidates ahead to overlap the misses.  `size` and `at` are re-read
+/// every step: `consider` runs caller code that may put into the space
+/// and move every vector.
+template <typename Size, typename At, typename Consider>
+void walk(const Size& size, const At& at, const Consider& consider) {
+  for (std::size_t i = 0; i < size(); ++i) {
+    const std::size_t n = size();
+    if (i + 3 < n) __builtin_prefetch(at(i + 3));
+    if (i + 2 < n) __builtin_prefetch(at(i + 2)->tuple.get());
+    if (i + 1 < n) {
+      const wire::Record& content = at(i + 1)->tuple->content();
+      if (!content.empty()) __builtin_prefetch(&content.field(0));
+    }
+    if (!consider(*at(i))) return;
   }
-  const auto parent_it = by_parent_.find(entry.parent);
-  if (parent_it != by_parent_.end()) {
-    parent_it->second.erase(uid);
-    if (parent_it->second.empty()) by_parent_.erase(parent_it);
-  }
-  if (entry.propagated) propagated_.erase(uid);
+}
+
+bool member_before(const std::pair<TupleUid, const TupleSpace::Entry*>& m,
+                   const TupleUid& key) {
+  return m.first < key;
+}
+
+}  // namespace
+
+void TupleSpace::index_type(const TupleUid& uid, const Entry& entry) {
+  const std::size_t b = bucket_index(entry.type_tag);
+  if (b == by_type_.size()) by_type_.push_back({entry.type_tag, {}});
+  TypeMembers& members = by_type_[b].members;
+  members.emplace(
+      std::lower_bound(members.begin(), members.end(), uid, member_before),
+      uid, &entry);
+}
+
+void TupleSpace::unindex_type(const TupleUid& uid, const Entry& entry) {
+  const std::size_t b = bucket_index(entry.type_tag);
+  if (b == by_type_.size()) return;
+  TypeMembers& members = by_type_[b].members;
+  const auto it =
+      std::lower_bound(members.begin(), members.end(), uid, member_before);
+  if (it != members.end() && it->first == uid) members.erase(it);
+}
+
+void TupleSpace::set_propagated(const TupleUid& uid, bool propagated) {
+  const auto it = std::lower_bound(propagated_.begin(), propagated_.end(), uid);
+  const bool present = it != propagated_.end() && *it == uid;
+  if (propagated && !present) propagated_.insert(it, uid);
+  if (!propagated && present) propagated_.erase(it);
 }
 
 void TupleSpace::put(std::unique_ptr<Tuple> tuple, NodeId parent,
                      bool propagated, SimTime now) {
   const TupleUid uid = tuple->uid();
   std::string tag = tuple->type_tag();
-  const auto [it, inserted] = entries_.try_emplace(uid);
-  // Replacement may change the tag/parent/flag, so the old entry leaves
-  // the indexes before the new one enters.
+  const auto pos = locate(uid);
+  const bool inserted = pos == entries_.end() || pos->uid != uid;
+  Entry* entry = nullptr;
   bool tag_changed = false;
-  if (!inserted) {
-    tag_changed = it->second.type_tag != tag;
+  if (inserted) {
+    entry = entries_.insert(pos, Slot{uid, std::make_unique<Entry>()})
+                ->entry.get();
+  } else {
+    // A replacement reuses the Entry, so its address — held by the type
+    // bucket and by callers across reentrant injects — stays valid.
+    entry = pos->entry.get();
+    tag_changed = entry->type_tag != tag;
     // To observers, a replacement that changes the type tag is an erase
     // of the old replica followed by an insert — a type-bucketed
     // continuous query on the old tag must see its member leave.
-    if (tag_changed && listener_) listener_(ChangeKind::kErased, it->second);
-    unindex_entry(uid, it->second);
+    if (tag_changed) {
+      if (listener_) listener_(ChangeKind::kErased, *entry);
+      unindex_type(uid, *entry);
+    }
   }
-  it->second =
-      Entry{std::move(tuple), std::move(tag), parent, propagated, now};
-  index_entry(uid, it->second);
+  *entry = Entry{std::move(tuple), std::move(tag), parent, propagated, now};
+  if (inserted || tag_changed) index_type(uid, *entry);
+  set_propagated(uid, propagated);
   if (listener_) {
     listener_(inserted || tag_changed ? ChangeKind::kInserted
                                       : ChangeKind::kReplaced,
-              it->second);
+              *entry);
   }
 }
 
 const TupleSpace::Entry* TupleSpace::find(const TupleUid& uid) const {
-  const auto it = entries_.find(uid);
-  return it == entries_.end() ? nullptr : &it->second;
+  const auto it = locate(uid);
+  return it == entries_.end() || it->uid != uid ? nullptr : it->entry.get();
 }
 
 std::unique_ptr<Tuple> TupleSpace::erase(const TupleUid& uid) {
-  const auto it = entries_.find(uid);
-  if (it == entries_.end()) return nullptr;
+  const auto it = locate(uid);
+  if (it == entries_.end() || it->uid != uid) return nullptr;
   // Notified while the entry is still intact and indexed, so listeners
   // see the state being removed.
-  if (listener_) listener_(ChangeKind::kErased, it->second);
-  unindex_entry(uid, it->second);
-  auto tuple = std::move(it->second.tuple);
+  if (listener_) listener_(ChangeKind::kErased, *it->entry);
+  unindex_type(uid, *it->entry);
+  set_propagated(uid, false);
+  auto tuple = std::move(it->entry->tuple);
   entries_.erase(it);
   return tuple;
 }
 
-const std::map<TupleUid, const TupleSpace::Entry*>* TupleSpace::type_bucket(
-    const std::string& tag) const {
-  const auto it = by_type_.find(tag);
-  return it == by_type_.end() ? nullptr : &it->second;
-}
-
-const std::set<TupleUid>* TupleSpace::parent_bucket(NodeId parent) const {
-  const auto it = by_parent_.find(parent);
-  return it == by_parent_.end() ? nullptr : &it->second;
+std::size_t TupleSpace::type_count(const std::string& tag) const {
+  const std::size_t b = bucket_index(tag);
+  return b == by_type_.size() ? 0 : by_type_[b].members.size();
 }
 
 template <typename Fn>
@@ -106,18 +158,10 @@ void TupleSpace::match(const Pattern& pattern, Fn&& fn) const {
       metrics_->plan_full_scan.inc();
     } else {
       metrics_->query_indexed.inc();
-      switch (plan.path) {
-        case query::AccessPath::kTypeIndex:
-          metrics_->plan_type_index.inc();
-          break;
-        case query::AccessPath::kParentIndex:
-          metrics_->plan_parent_index.inc();
-          break;
-        case query::AccessPath::kPropagatedIndex:
-          metrics_->plan_propagated_index.inc();
-          break;
-        case query::AccessPath::kFullScan:
-          break;
+      if (plan.path == query::AccessPath::kTypeIndex) {
+        metrics_->plan_type_index.inc();
+      } else {
+        metrics_->plan_propagated_index.inc();
       }
     }
     metrics_->plan_candidates.inc(static_cast<std::int64_t>(plan.candidates));
@@ -142,30 +186,24 @@ void TupleSpace::match(const Pattern& pattern, Fn&& fn) const {
 
   switch (plan.path) {
     case query::AccessPath::kTypeIndex: {
-      const auto* bucket = type_bucket(*pattern.type_tag());
-      if (bucket == nullptr) return;
-      for (const auto& [uid, entry] : *bucket) {
-        if (!consider(*entry)) return;
-      }
-      return;
-    }
-    case query::AccessPath::kParentIndex: {
-      const auto* bucket = parent_bucket(*pattern.parent());
-      if (bucket == nullptr) return;
-      for (const TupleUid& uid : *bucket) {
-        if (!consider(entries_.find(uid)->second)) return;
-      }
+      const std::size_t b = bucket_index(*pattern.type_tag());
+      if (b == by_type_.size()) return;
+      walk([&] { return by_type_[b].members.size(); },
+           [&](std::size_t i) { return by_type_[b].members[i].second; },
+           consider);
       return;
     }
     case query::AccessPath::kPropagatedIndex:
-      for (const TupleUid& uid : propagated_) {
-        if (!consider(entries_.find(uid)->second)) return;
-      }
+      walk([&] { return propagated_.size(); },
+           [&](std::size_t i) {
+             return locate(propagated_[i])->entry.get();
+           },
+           consider);
       return;
     case query::AccessPath::kFullScan:
-      for (const auto& [uid, entry] : entries_) {
-        if (!consider(entry)) return;
-      }
+      walk([&] { return entries_.size(); },
+           [&](std::size_t i) { return entries_[i].entry.get(); },
+           consider);
       return;
   }
 }
@@ -233,18 +271,12 @@ std::vector<std::unique_ptr<Tuple>> TupleSpace::take(const Pattern& pattern) {
   return out;
 }
 
-std::vector<TupleUid> TupleSpace::dependents_of(NodeId parent) const {
-  const auto it = by_parent_.find(parent);
-  if (it == by_parent_.end()) return {};
-  return {it->second.begin(), it->second.end()};
-}
-
 std::vector<TupleUid> TupleSpace::propagated_uids() const {
-  return {propagated_.begin(), propagated_.end()};
+  return propagated_;
 }
 
 void TupleSpace::for_each(const std::function<void(const Entry&)>& fn) const {
-  for (const auto& [uid, entry] : entries_) fn(entry);
+  for (std::size_t i = 0; i < entries_.size(); ++i) fn(*entries_[i].entry);
 }
 
 void TupleSpace::for_matching(

@@ -6,30 +6,38 @@
 // algorithm cascades along) and whether the replica is re-propagated to
 // newly-appearing neighbours.
 //
-// Storage is an *indexed store with maintained order*: the primary map is
-// uid-ordered (std::map), so every query iterates replicas in uid order
-// without a per-query sort, and three secondary indexes are kept coherent
-// under put/erase:
+// Storage is a *flat store with maintained order*.  A node holds tens of
+// replicas and reads them far more often than it changes them, so the
+// replicas and both indexes live in uid-sorted contiguous vectors,
+// searched by binary search:
 //
-//   by_type_     type tag → uid-ordered candidates, so a typed pattern
-//                (Pattern::of_type) touches only replicas of that type;
-//   by_parent_   parent → children uids, so dependents_of is O(children);
-//   propagated_  uids flagged for link-up re-propagation, so
+//   entries_     (uid, owned Entry) — the primary store; every query
+//                iterates replicas in uid order without a per-query sort;
+//   by_type_     a short list of (type tag, uid-sorted (uid, Entry*)
+//                members), so a typed pattern (Pattern::of_type) touches
+//                only replicas of that type;
+//   propagated_  uid-sorted uids flagged for link-up re-propagation, so
 //                propagated_uids is O(flagged).
+//
+// Each Entry lives in its own heap block, so its address survives vector
+// growth and a replacement (which reuses the block): the engine holds a
+// `const Entry*` across process(), whose reactions may inject reentrantly,
+// and by_type_ stores the same pointers.  Parent constraints
+// (Pattern::from_parent) have no index; they are a residual check on
+// each candidate.
 //
 // Invariants (asserted by the property tests in tests/test_tuple_space.cc):
 // every entry appears in exactly one by_type_ bucket (under its cached
-// type_tag), in exactly one by_parent_ set, and in propagated_ iff its
-// flag is set; indexed queries therefore return bit-for-bit the same
-// tuples, in the same uid order, as a naive full scan.
+// type_tag) and in propagated_ iff its flag is set; indexed queries
+// therefore return bit-for-bit the same tuples, in the same uid order, as
+// a naive full scan.
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -61,7 +69,6 @@ struct SpaceMetrics {
   // Query-planner counters (space.plan.*, docs/QUERY.md): which access
   // path each compiled plan chose, and how much residual work ran.
   obs::Counter& plan_type_index;
-  obs::Counter& plan_parent_index;
   obs::Counter& plan_propagated_index;
   obs::Counter& plan_full_scan;
   /// Candidates the chosen paths promised to touch (per plan, at compile
@@ -146,17 +153,15 @@ class TupleSpace {
   /// Removes and returns all matches (the paper's `delete`).
   std::vector<std::unique_ptr<Tuple>> take(const Pattern& pattern);
 
-  /// Uids of replicas whose parent is `parent` (dependency children of a
-  /// lost link).  O(children) via the parent index.
-  [[nodiscard]] std::vector<TupleUid> dependents_of(NodeId parent) const;
-
   /// Uids of replicas flagged for re-propagation.  O(flagged).
   [[nodiscard]] std::vector<TupleUid> propagated_uids() const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
-  /// Iterates entries in deterministic (uid) order.
+  /// Iterates entries in deterministic (uid) order.  Should `fn` put
+  /// into the space, the walk stays memory-safe but may revisit or skip
+  /// entries; the same holds for every query callback below.
   void for_each(const std::function<void(const Entry&)>& fn) const;
 
   /// Runs `fn` over every entry matching `pattern` — fields *and* replica
@@ -166,22 +171,39 @@ class TupleSpace {
                     const std::function<bool(const Entry&)>& fn) const;
 
   // --- planner surface (tota/query.cc) -------------------------------------
-  // Read-only views of the secondary indexes so `query::compile` can
-  // price access paths; nullptr when the bucket doesn't exist.
+  // Secondary-index sizes, so `query::compile` can price access paths.
 
-  [[nodiscard]] const std::map<TupleUid, const Entry*>* type_bucket(
-      const std::string& tag) const;
-  [[nodiscard]] const std::set<TupleUid>* parent_bucket(NodeId parent) const;
-  [[nodiscard]] const std::set<TupleUid>& propagated_set() const {
-    return propagated_;
+  /// Replicas stored under type tag `tag`.
+  [[nodiscard]] std::size_t type_count(const std::string& tag) const;
+  /// Replicas flagged for re-propagation.
+  [[nodiscard]] std::size_t propagated_count() const {
+    return propagated_.size();
   }
 
  private:
-  /// Inserts/removes `entry` (stored under `uid`) into/from the three
-  /// secondary indexes.  Entry addresses are stable (std::map nodes), so
-  /// by_type_ holds raw pointers.
-  void index_entry(const TupleUid& uid, const Entry& entry);
-  void unindex_entry(const TupleUid& uid, const Entry& entry);
+  /// One type tag's replicas, uid-sorted.
+  using TypeMembers = std::vector<std::pair<TupleUid, const Entry*>>;
+  struct Slot {
+    TupleUid uid;
+    std::unique_ptr<Entry> entry;
+  };
+  struct TypeBucket {
+    std::string tag;
+    TypeMembers members;
+  };
+
+  /// Position of `uid` in entries_, or where it would be inserted.
+  [[nodiscard]] std::vector<Slot>::const_iterator locate(
+      const TupleUid& uid) const;
+  /// Index of `tag`'s bucket in by_type_, or by_type_.size() if none.
+  [[nodiscard]] std::size_t bucket_index(const std::string& tag) const;
+
+  /// Inserts/removes `entry` (stored under `uid`) into/from the type
+  /// bucket of its tag.
+  void index_type(const TupleUid& uid, const Entry& entry);
+  void unindex_type(const TupleUid& uid, const Entry& entry);
+  /// Adds/removes `uid` to/from propagated_.
+  void set_propagated(const TupleUid& uid, bool propagated);
 
   /// Compiles `pattern` into an access plan (tota/query.h) and runs
   /// `fn(entry)` over the plan's candidates in uid order, applying
@@ -190,10 +212,11 @@ class TupleSpace {
   template <typename Fn>
   void match(const Pattern& pattern, Fn&& fn) const;
 
-  std::map<TupleUid, Entry> entries_;
-  std::unordered_map<std::string, std::map<TupleUid, const Entry*>> by_type_;
-  std::unordered_map<NodeId, std::set<TupleUid>> by_parent_;
-  std::set<TupleUid> propagated_;
+  std::vector<Slot> entries_;
+  /// Buckets are never removed (a node sees a handful of tags), so a
+  /// bucket's index stays valid for the life of the space.
+  std::vector<TypeBucket> by_type_;
+  std::vector<TupleUid> propagated_;
   ChangeListener listener_;
   std::unique_ptr<SpaceMetrics> metrics_;
 };

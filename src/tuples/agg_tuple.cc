@@ -122,20 +122,20 @@ AggregationTuple& AggregationTuple::with_half_life(SimTime half_life) {
 }
 
 AggOp AggregationTuple::op() const {
-  const auto v = content().find("agg_op");
-  if (!v.has_value()) return AggOp::kCount;
+  const wire::Value* v = content().find("agg_op");
+  if (v == nullptr) return AggOp::kCount;
   const auto op = agg_op_from_string(v->as_string());
   return op.value_or(AggOp::kCount);
 }
 
 std::string AggregationTuple::value_field() const {
-  const auto v = content().find("agg_field");
-  return v.has_value() ? v->as_string() : std::string();
+  const wire::Value* v = content().find("agg_field");
+  return v != nullptr ? v->as_string() : std::string();
 }
 
 SimTime AggregationTuple::half_life() const {
-  const auto v = content().find("agg_hl");
-  return v.has_value() ? SimTime(v->as_int()) : SimTime::zero();
+  const wire::Value* v = content().find("agg_hl");
+  return v != nullptr ? SimTime(v->as_int()) : SimTime::zero();
 }
 
 // --- AggReportTuple ---------------------------------------------------------
@@ -170,9 +170,9 @@ AggSummary AggReportTuple::summary() const {
   AggSummary s;
   s.sum = content().at("sum").as_number();
   s.count = content().at("cnt").as_number();
-  const auto mn = content().find("min");
-  const auto mx = content().find("max");
-  if (mn.has_value() && mx.has_value()) {
+  const wire::Value* mn = content().find("min");
+  const wire::Value* mx = content().find("max");
+  if (mn != nullptr && mx != nullptr) {
     s.min = mn->as_number();
     s.max = mx->as_number();
     s.has_extrema = true;
@@ -195,15 +195,13 @@ bool AggReportTuple::decide_enter(const Context& ctx) {
         .eq("agg_seq", content().at("agg_seq"))
         .eq("reporter", content().at("reporter"));
     const std::int64_t my_stamp = content().at("stamp").as_int();
-    const auto my_rseq_v = content().find("rseq");
-    const std::int64_t my_rseq =
-        my_rseq_v.has_value() ? my_rseq_v->as_int() : 0;
+    const wire::Value* my_rseq_v = content().find("rseq");
+    const std::int64_t my_rseq = my_rseq_v != nullptr ? my_rseq_v->as_int() : 0;
     for (const Tuple* stored : ctx.space.peek(prev)) {
-      const auto stamp = stored->content().find("stamp");
-      if (!stamp.has_value()) continue;
-      const auto rseq = stored->content().find("rseq");
-      const std::int64_t their_rseq =
-          rseq.has_value() ? rseq->as_int() : 0;
+      const wire::Value* stamp = stored->content().find("stamp");
+      if (stamp == nullptr) continue;
+      const wire::Value* rseq = stored->content().find("rseq");
+      const std::int64_t their_rseq = rseq != nullptr ? rseq->as_int() : 0;
       if (std::pair(stamp->as_int(), their_rseq) >
           std::pair(my_stamp, my_rseq)) {
         return false;

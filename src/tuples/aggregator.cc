@@ -146,9 +146,9 @@ double Aggregator::contribution_value(const AggState& state,
     *ok = state.op == AggOp::kCount;
     return 1.0;
   }
-  const auto v = tuple.content().find(state.field);
-  if (!v.has_value() || (v->type() != wire::ValueType::kInt &&
-                         v->type() != wire::ValueType::kDouble)) {
+  const wire::Value* v = tuple.content().find(state.field);
+  if (v == nullptr || (v->type() != wire::ValueType::kInt &&
+                       v->type() != wire::ValueType::kDouble)) {
     *ok = false;
     return 0.0;
   }

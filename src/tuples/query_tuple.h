@@ -55,8 +55,8 @@ class QueryTuple : public FieldTuple {
   /// The attached predicate, if any.  Decoding is bounds-checked; a
   /// malformed blob (hostile remote) throws wire::DecodeError.
   [[nodiscard]] std::optional<Pattern> predicate() const {
-    const auto blob = content().find(kPatternField);
-    if (!blob) return std::nullopt;
+    const wire::Value* blob = content().find(kPatternField);
+    if (blob == nullptr) return std::nullopt;
     wire::Reader r(blob->as_blob());
     Pattern p = Pattern::decode(r);
     r.expect_done();

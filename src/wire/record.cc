@@ -30,11 +30,11 @@ const Value& Record::at(std::string_view name) const {
   throw std::out_of_range("record has no field '" + std::string(name) + "'");
 }
 
-std::optional<Value> Record::find(std::string_view name) const {
+const Value* Record::find(std::string_view name) const {
   for (const auto& f : fields_) {
-    if (f.name == name) return f.value;
+    if (f.name == name) return &f.value;
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 void Record::encode(Writer& w) const {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <initializer_list>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -35,8 +34,9 @@ class Record {
   [[nodiscard]] bool has(std::string_view name) const;
   /// Value of the named field; throws std::out_of_range if absent.
   [[nodiscard]] const Value& at(std::string_view name) const;
-  /// Value if present.
-  [[nodiscard]] std::optional<Value> find(std::string_view name) const;
+  /// The named field's value, or nullptr if absent.  Points into the
+  /// record: valid until the record is next modified.
+  [[nodiscard]] const Value* find(std::string_view name) const;
 
   /// Positional access.
   [[nodiscard]] std::size_t size() const { return fields_.size(); }

@@ -405,8 +405,9 @@ void random_space_op(Rng& rng, TupleSpace& space) {
             SimTime::zero());
 }
 
-/// Patterns covering every access path: full scan, type bucket, parent
-/// bucket, propagated set, and residual predicates on top of each.
+/// Patterns covering every access path: full scan, type bucket,
+/// propagated set, and residual predicates (fields, parent) on top of
+/// each.
 std::vector<Pattern> probe_patterns(Rng& rng) {
   std::vector<Pattern> out;
   out.emplace_back();  // match-all full scan

@@ -117,16 +117,38 @@ TEST_F(TupleSpaceTest, TakeRemovesMatches) {
   EXPECT_EQ(space_.find(TupleUid{NodeId{1}, 1}), nullptr);
 }
 
-TEST_F(TupleSpaceTest, DependentsOfTracksParents) {
+// Uids for_matching visits for `pattern`, in visiting order.
+std::vector<TupleUid> matching_uids(const TupleSpace& space,
+                                    const Pattern& pattern) {
+  std::vector<TupleUid> uids;
+  space.for_matching(pattern, [&uids](const TupleSpace::Entry& entry) {
+    uids.push_back(entry.tuple->uid());
+    return true;
+  });
+  return uids;
+}
+
+Pattern parent_is(NodeId parent) {
+  Pattern p;
+  p.from_parent(parent);
+  return p;
+}
+
+TEST_F(TupleSpaceTest, FromParentReadTracksParents) {
   space_.put(make_tuple(NodeId{1}, 1, "a", 1), NodeId{9}, true,
              SimTime::zero());
   space_.put(make_tuple(NodeId{2}, 1, "b", 1), NodeId{9}, true,
              SimTime::zero());
   space_.put(make_tuple(NodeId{3}, 1, "c", 1), NodeId{8}, true,
              SimTime::zero());
-  const auto deps = space_.dependents_of(NodeId{9});
-  EXPECT_EQ(deps.size(), 2u);
-  EXPECT_EQ(space_.dependents_of(NodeId{7}).size(), 0u);
+  EXPECT_EQ(matching_uids(space_, parent_is(NodeId{9})),
+            (std::vector<TupleUid>{TupleUid{NodeId{1}, 1},
+                                   TupleUid{NodeId{2}, 1}}));
+  EXPECT_TRUE(matching_uids(space_, parent_is(NodeId{7})).empty());
+  // The parent is never an access path: it is checked per candidate.
+  const auto plan = query::compile(parent_is(NodeId{9}), space_);
+  EXPECT_EQ(plan.path, query::AccessPath::kFullScan);
+  EXPECT_TRUE(plan.check_parent);
 }
 
 TEST_F(TupleSpaceTest, PropagatedUidsFiltersFlag) {
@@ -167,8 +189,9 @@ TEST_F(TupleSpaceTest, ReplaceMovesEntryBetweenIndexes) {
   EXPECT_TRUE(space_.peek(Pattern::of_type(GradientTuple::kTag)).empty());
   ASSERT_EQ(space_.peek(Pattern::of_type(tuples::MessageTuple::kTag)).size(),
             1u);
-  EXPECT_TRUE(space_.dependents_of(NodeId{2}).empty());
-  EXPECT_EQ(space_.dependents_of(NodeId{3}).size(), 1u);
+  EXPECT_TRUE(matching_uids(space_, parent_is(NodeId{2})).empty());
+  EXPECT_EQ(matching_uids(space_, parent_is(NodeId{3})),
+            (std::vector<TupleUid>{TupleUid{NodeId{1}, 1}}));
   EXPECT_TRUE(space_.propagated_uids().empty());
 }
 
@@ -232,16 +255,19 @@ TEST_F(TupleSpaceTest, PlannerPicksMostSelectivePath) {
     EXPECT_EQ(plan.candidates, 12u);
     EXPECT_FALSE(plan.residual());
   }
-  // Typed + parent: the 2-entry parent bucket beats the 12-entry type
-  // bucket; the type constraint becomes residual.
+  // Typed + parent: the parent has no index, so the type bucket is
+  // walked and the parent is checked per candidate.
   {
     Pattern p = Pattern::of_type(GradientTuple::kTag);
     p.from_parent(NodeId{8});
     const auto plan = query::compile(p, space_);
-    EXPECT_EQ(plan.path, query::AccessPath::kParentIndex);
-    EXPECT_EQ(plan.candidates, 2u);
-    EXPECT_TRUE(plan.check_type);
-    EXPECT_FALSE(plan.check_parent);
+    EXPECT_EQ(plan.path, query::AccessPath::kTypeIndex);
+    EXPECT_EQ(plan.candidates, 12u);
+    EXPECT_FALSE(plan.check_type);
+    EXPECT_TRUE(plan.check_parent);
+    EXPECT_EQ(matching_uids(space_, p),
+              (std::vector<TupleUid>{TupleUid{NodeId{11}, 1},
+                                     TupleUid{NodeId{12}, 1}}));
   }
   // Propagated-only: the 1-entry propagated set wins outright.
   {
@@ -314,18 +340,26 @@ TEST_F(TupleSpaceTest, PlanCountersRecordPathAndResidual) {
   EXPECT_EQ(registry.get("space.plan.candidates"), 4);
   EXPECT_EQ(registry.get("space.plan.residual_evals"), 4);
 
-  Pattern parent;
-  parent.from_parent(NodeId{9});
-  (void)space_.peek(parent);
-  EXPECT_EQ(registry.get("space.plan.parent_index"), 1);
+  // A parent constraint is residual: the whole store is scanned.
+  EXPECT_EQ(matching_uids(space_, parent_is(NodeId{9})),
+            (std::vector<TupleUid>{TupleUid{NodeId{1}, 1},
+                                   TupleUid{NodeId{2}, 1}}));
+  EXPECT_EQ(registry.get("space.plan.full_scan"), 1);
+  EXPECT_EQ(registry.get("space.plan.candidates"), 8);
   // No field constraints: nothing reached residual evaluation.
   EXPECT_EQ(registry.get("space.plan.residual_evals"), 4);
 
+  Pattern prop;
+  prop.propagated_only();
+  (void)space_.peek(prop);
+  EXPECT_EQ(registry.get("space.plan.propagated_index"), 1);
+  EXPECT_EQ(registry.get("space.plan.candidates"), 9);
+
   (void)space_.peek(Pattern{});
-  EXPECT_EQ(registry.get("space.plan.full_scan"), 1);
+  EXPECT_EQ(registry.get("space.plan.full_scan"), 2);
   // Legacy counters keep their historical meaning alongside.
   EXPECT_EQ(registry.get("space.query.indexed"), 2);
-  EXPECT_EQ(registry.get("space.query.scan"), 1);
+  EXPECT_EQ(registry.get("space.query.scan"), 2);
 }
 
 TEST_F(TupleSpaceTest, FilteredReadNeverMaterializesDeniedAndKeepsCounters) {
@@ -395,10 +429,56 @@ TEST_F(TupleSpaceTest, ListenerSplitsTagChangingReplaceIntoEraseInsert) {
   EXPECT_EQ(kinds[2], TupleSpace::ChangeKind::kInserted);
 }
 
+TEST_F(TupleSpaceTest, EntryAddressSurvivesGrowthAndReplacement) {
+  // The engine holds a `const Entry*` while reactions put and erase other
+  // replicas; the entry must stay put however the store's vectors move.
+  const TupleUid held{NodeId{500}, 1};
+  space_.put(make_tuple(NodeId{500}, 1, "held", 3), NodeId{4}, true,
+             SimTime(7));
+  const TupleSpace::Entry* entry = space_.find(held);
+  ASSERT_NE(entry, nullptr);
+  const Tuple* tuple = entry->tuple.get();
+
+  // ~1k uids on both sides of the held one: inserts shift it within the
+  // primary vector and both indexes, and regrow all three.
+  for (std::uint64_t i = 1; i <= 1000; ++i) {
+    space_.put(make_tuple(NodeId{i}, 2, "x", 1), NodeId{i % 5}, i % 2 == 0,
+               SimTime::zero());
+    if (i % 3 == 0) space_.erase(TupleUid{NodeId{i / 3}, 2});
+  }
+  for (std::uint64_t i = 1; i <= 1000; ++i) {
+    space_.erase(TupleUid{NodeId{i}, 2});
+  }
+  EXPECT_EQ(space_.size(), 1u);
+  EXPECT_EQ(space_.find(held), entry);
+  EXPECT_EQ(entry->tuple.get(), tuple);
+  EXPECT_EQ(entry->tuple->content().at("name").as_string(), "held");
+  EXPECT_EQ(entry->tuple->hop(), 3);
+  EXPECT_EQ(entry->type_tag, GradientTuple::kTag);
+  EXPECT_EQ(entry->parent, NodeId{4});
+  EXPECT_TRUE(entry->propagated);
+  EXPECT_EQ(entry->stored_at, SimTime(7));
+
+  // A replacement — even one that changes the type tag — reuses the
+  // entry, and the type buckets follow it.
+  auto msg = std::make_unique<tuples::MessageTuple>();
+  msg->set_uid(held);
+  space_.put(std::move(msg), NodeId{6}, false, SimTime::zero());
+  EXPECT_EQ(space_.find(held), entry);
+  EXPECT_EQ(entry->type_tag, tuples::MessageTuple::kTag);
+  EXPECT_TRUE(space_.peek(Pattern::of_type(GradientTuple::kTag)).empty());
+  EXPECT_EQ(space_.peek(Pattern::of_type(tuples::MessageTuple::kTag)),
+            (std::vector<const Tuple*>{entry->tuple.get()}));
+  EXPECT_TRUE(space_.propagated_uids().empty());
+}
+
 // Property: every indexed query returns bit-for-bit what a naive
 // full-scan over a reference model returns, across a random churn of
-// puts, replaces, and erases.  Seeded, so failures reproduce.
-TEST(TupleSpacePropertyTest, IndexedQueriesEqualNaiveFullScan) {
+// puts, replaces (including ones that change the type tag), and erases.
+// Seeded, so failures reproduce.  `origins` x 4 sequence numbers is the
+// uid universe; the store settles near three quarters of it.
+void check_against_model(std::uint64_t seed, std::uint64_t origins,
+                         int steps, std::size_t min_peak) {
   tuples::register_standard_tuples();
 
   struct Replica {
@@ -409,7 +489,7 @@ TEST(TupleSpacePropertyTest, IndexedQueriesEqualNaiveFullScan) {
     bool propagated;
   };
 
-  Rng rng(20260807);
+  Rng rng(seed);
   TupleSpace space;
   std::vector<Replica> model;  // unsorted reference
 
@@ -425,8 +505,11 @@ TEST(TupleSpacePropertyTest, IndexedQueriesEqualNaiveFullScan) {
   };
 
   const std::vector<std::string> names{"a", "b", "c", "d"};
-  for (int step = 0; step < 2000; ++step) {
-    const TupleUid uid{NodeId{rng.below(40) + 1}, rng.below(4) + 1};
+  std::size_t peak = 0;
+  int tag_changes = 0;
+  int meta_queries = 0;
+  for (int step = 0; step < steps; ++step) {
+    const TupleUid uid{NodeId{rng.below(origins) + 1}, rng.below(4) + 1};
     const auto op = rng.below(10);
     if (op < 6) {  // put (or replace)
       const std::string& name = names[rng.below(names.size())];
@@ -443,8 +526,12 @@ TEST(TupleSpacePropertyTest, IndexedQueriesEqualNaiveFullScan) {
       t->set_uid(uid);
       const std::string tag = t->type_tag();
       space.put(std::move(t), parent, propagated, SimTime::zero());
-      if (auto it = model_find(uid); it != model.end()) model.erase(it);
+      if (auto it = model_find(uid); it != model.end()) {
+        if (it->tag != tag) ++tag_changes;
+        model.erase(it);
+      }
       model.push_back({uid, tag, name, parent, propagated});
+      peak = std::max(peak, model.size());
     } else if (op < 8) {  // erase
       space.erase(uid);
       if (auto it = model_find(uid); it != model.end()) model.erase(it);
@@ -457,17 +544,26 @@ TEST(TupleSpacePropertyTest, IndexedQueriesEqualNaiveFullScan) {
       if (rng.below(2) == 0) {
         p.eq("name", names[rng.below(names.size())]);
       }
+      if (rng.below(3) == 0) p.from_parent(NodeId{rng.below(5)});
+      if (rng.below(3) == 0) p.propagated_only(rng.below(2) == 0);
+      if (p.parent() || p.propagated()) ++meta_queries;
       const auto got = space.peek(p);
       std::vector<TupleUid> got_uids;
       got_uids.reserve(got.size());
       for (const Tuple* t : got) got_uids.push_back(t->uid());
+      ASSERT_EQ(matching_uids(space, p), got_uids) << "step " << step;
 
       std::vector<TupleUid> want_uids;
       for (const Replica& r : sorted_model()) {
         const bool type_ok = !p.type_tag() || *p.type_tag() == r.tag;
+        const bool parent_ok = !p.parent() || *p.parent() == r.parent;
+        const bool propagated_ok =
+            !p.propagated() || *p.propagated() == r.propagated;
         const auto* entry = space.find(r.uid);
         ASSERT_NE(entry, nullptr);
-        if (type_ok && p.matches(*entry->tuple)) want_uids.push_back(r.uid);
+        if (type_ok && parent_ok && propagated_ok && p.matches(*entry->tuple)) {
+          want_uids.push_back(r.uid);
+        }
       }
       ASSERT_EQ(got_uids, want_uids) << "step " << step;
 
@@ -480,20 +576,39 @@ TEST(TupleSpacePropertyTest, IndexedQueriesEqualNaiveFullScan) {
       }
     }
   }
+  EXPECT_GE(peak, min_peak);
+  EXPECT_GT(tag_changes, 0);
+  EXPECT_GT(meta_queries, 0);
+  ASSERT_EQ(space.size(), model.size());
 
-  // Secondary indexes agree with the model at the end of the churn.
+  // The indexes agree with the model at the end of the churn.
   for (std::uint64_t parent = 0; parent < 5; ++parent) {
     std::vector<TupleUid> want;
     for (const Replica& r : sorted_model()) {
       if (r.parent == NodeId{parent}) want.push_back(r.uid);
     }
-    EXPECT_EQ(space.dependents_of(NodeId{parent}), want);
+    EXPECT_EQ(matching_uids(space, parent_is(NodeId{parent})), want);
   }
   std::vector<TupleUid> want_propagated;
   for (const Replica& r : sorted_model()) {
     if (r.propagated) want_propagated.push_back(r.uid);
   }
   EXPECT_EQ(space.propagated_uids(), want_propagated);
+  for (const char* tag : {GradientTuple::kTag, tuples::MessageTuple::kTag}) {
+    std::vector<TupleUid> want;
+    for (const Replica& r : sorted_model()) {
+      if (r.tag == tag) want.push_back(r.uid);
+    }
+    EXPECT_EQ(matching_uids(space, Pattern::of_type(tag)), want);
+  }
+}
+
+TEST(TupleSpacePropertyTest, IndexedQueriesEqualNaiveFullScan) {
+  check_against_model(20260807, 40, 2000, 100);
+}
+
+TEST(TupleSpacePropertyTest, IndexedQueriesEqualNaiveFullScanAt1kEntries) {
+  check_against_model(20261019, 400, 8000, 1000);
 }
 
 }  // namespace

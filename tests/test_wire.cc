@@ -243,8 +243,9 @@ TEST(RecordTest, FindAndHas) {
   r.set("x", "v");
   EXPECT_TRUE(r.has("x"));
   EXPECT_FALSE(r.has("y"));
-  EXPECT_TRUE(r.find("x").has_value());
-  EXPECT_FALSE(r.find("y").has_value());
+  ASSERT_NE(r.find("x"), nullptr);
+  EXPECT_EQ(r.find("x"), &r.at("x"));
+  EXPECT_EQ(r.find("y"), nullptr);
   EXPECT_THROW(r.at("y"), std::out_of_range);
 }
 
