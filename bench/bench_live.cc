@@ -136,7 +136,6 @@ void section_mass() {
   opts.transport.rcvbuf = 4 << 20;
   opts.discovery.beacon_period = SimTime::from_millis(250);
   opts.discovery.expiry_missed_beacons = 6;
-  opts.batch.enabled = true;
   opts.batch.flush_delay = SimTime::from_millis(5);
   opts.digest_period = SimTime::from_millis(500);
   opts.reliable = true;

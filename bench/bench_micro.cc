@@ -81,51 +81,6 @@ void BM_PatternMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternMatch);
 
-void BM_TupleSpaceRead(benchmark::State& state) {
-  tuples::register_standard_tuples();
-  TupleSpace space;
-  const auto n = state.range(0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    auto t = std::make_unique<tuples::GradientTuple>(
-        "field" + std::to_string(i % 8));
-    t->set_uid(TupleUid{NodeId{static_cast<std::uint64_t>(i + 1)}, 1});
-    t->content().set("source", NodeId{static_cast<std::uint64_t>(i + 1)})
-        .set("hopcount", static_cast<int>(i % 10));
-    space.put(std::move(t), NodeId{}, true, SimTime::zero());
-  }
-  Pattern p;
-  p.eq("name", "field3");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(space.peek(p));
-  }
-}
-BENCHMARK(BM_TupleSpaceRead)->Arg(16)->Arg(128)->Arg(1024);
-
-/// Typed query through the type-tag index: only same-tag candidates are
-/// examined.  The store mixes gradient tuples with 7× as many message
-/// tuples, so the index skips 7/8 of the store.
-void BM_TupleSpaceTyped(benchmark::State& state) {
-  tuples::register_standard_tuples();
-  TupleSpace space;
-  const auto n = state.range(0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::unique_ptr<Tuple> t;
-    if (i % 8 == 0) {
-      t = std::make_unique<tuples::GradientTuple>("structure");
-    } else {
-      t = std::make_unique<tuples::MessageTuple>();
-    }
-    t->set_uid(TupleUid{NodeId{static_cast<std::uint64_t>(i + 1)}, 1});
-    t->content().set("hopcount", static_cast<int>(i % 10));
-    space.put(std::move(t), NodeId{}, true, SimTime::zero());
-  }
-  const Pattern p = Pattern::of_type(tuples::GradientTuple::kTag);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(space.peek(p));
-  }
-}
-BENCHMARK(BM_TupleSpaceTyped)->Arg(16)->Arg(128)->Arg(1024);
-
 /// Populates `space` with a 1:7 mix of gradient and message tuples spread
 /// over 8 parents — the fixture for the query-plan benchmarks.
 void fill_mixed_space(TupleSpace& space, std::int64_t n) {

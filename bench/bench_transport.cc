@@ -1,17 +1,19 @@
-// TRANSPORT — the v2 datagram path (net/batch.h, net/reliable.h,
-// tota/digest.h) priced against the v1 frame-per-datagram wire.
+// TRANSPORT — the live datagram path (net/batch.h, net/reliable.h,
+// tota/digest.h).
 //
-// Three sections, each an acceptance number for the transport rework:
+// Three sections, each an acceptance number for the transport:
 //
-//   (1) datagrams per delivered tuple, batching off vs on: a 20-tuple
-//       burst through a 6-node line.  Coalescing same-instant frames
-//       into MTU-sized BATCH datagrams must cut the datagram bill at
-//       least 2x (each relay re-broadcasts one batch, not 20 frames);
-//   (2) retraction delivery under drop 0.3: the source of a tuple dies
-//       while every link loses 30% of datagrams.  Best-effort RETRACT
-//       cascades leak stale replicas (one lost frame per hop is a
-//       permanent leak); the reliable-ordered channel retransmits until
-//       acked and reaches delivery ratio 1.0 within the soak horizon;
+//   (1) datagrams per delivered tuple: a 20-tuple burst through a
+//       6-node line.  Coalescing same-instant frames into MTU-sized
+//       BATCH datagrams means each relay re-broadcasts one batch, not
+//       20 frames (EXPERIMENTS.md keeps the last one-frame-per-datagram
+//       numbers for comparison);
+//   (2) retraction delivery under drop 0.3, both arms batched: the
+//       source of a tuple dies while every link loses 30% of datagrams.
+//       Best-effort RETRACT cascades leak stale replicas (one lost frame
+//       per hop is a permanent leak); the reliable-ordered channel
+//       retransmits until acked and reaches delivery ratio 1.0 within
+//       the soak horizon;
 //   (3) anti-entropy heal cost: a silent DATA hole (HELLOs flow, so no
 //       link event fires) is repaired by the periodic digest exchange
 //       with O(diff) resent frames, not a full-store resync.
@@ -92,7 +94,7 @@ net::DiscoveryOptions fast_discovery() {
   return o;
 }
 
-/// N full v2 stacks (Middleware + NetSession) on a line topology over an
+/// N full live stacks (Middleware + NetSession) on a line topology over an
 /// in-memory broadcast channel with per-directed-link fault injection.
 class TransportWorld {
  public:
@@ -213,8 +215,6 @@ class TransportWorld {
 /// True when the (well-formed) datagram carries any engine frame.
 bool carries_data(const wire::Bytes& datagram) {
   const net::Datagram d = net::Datagram::decode(datagram);
-  if (d.kind == net::DatagramKind::kData) return true;
-  if (d.kind != net::DatagramKind::kBatch) return false;
   return std::any_of(d.chunks.begin(), d.chunks.end(), [](const auto& c) {
     return c.kind == net::ChunkKind::kData;
   });
@@ -229,20 +229,17 @@ obs::Gauge& result(const std::string& name) {
 }  // namespace
 
 int main() {
-  exp::section(
-      "TRANSPORT(1): datagrams per delivered tuple, batching off vs on");
-  std::printf("%-10s %-11s %-11s %-13s %-10s %-10s\n", "mode", "datagrams",
-              "delivered", "dgrams/tuple", "batch.tx", "chunks");
+  exp::section("TRANSPORT(1): datagrams per delivered tuple");
+  std::printf("%-11s %-11s %-13s %-10s %-10s\n", "datagrams", "delivered",
+              "dgrams/tuple", "batch.tx", "chunks");
   constexpr int kTuples = 20;
   const Pattern all = Pattern::of_type(tuples::GradientTuple::kTag);
-  double cost[2] = {0.0, 0.0};
-  for (const bool batching : {false, true}) {
+  {
     TransportConfig config;
     config.session.discovery = fast_discovery();
     // A quiet beacon cadence so the measured window is dominated by
     // data traffic.
     config.session.discovery.beacon_period = SimTime::from_millis(500);
-    config.session.batch.enabled = batching;
 
     TransportWorld world(7, kNodes, config);
     world.start();
@@ -263,23 +260,19 @@ int main() {
     auto& m = world.hub().metrics;
     const double per_tuple =
         static_cast<double>(world.datagrams_tx()) / delivered;
-    std::printf("%-10s %-11lld %-11lld %-13.2f %-10lld %-10lld\n",
-                batching ? "batch" : "v1",
+    std::printf("%-11lld %-11lld %-13.2f %-10lld %-10lld\n",
                 static_cast<long long>(world.datagrams_tx()),
                 static_cast<long long>(delivered), per_tuple,
                 static_cast<long long>(m.get("net.batch.tx")),
                 static_cast<long long>(m.get("net.batch.chunks")));
-    cost[batching ? 1 : 0] = static_cast<double>(world.datagrams_tx());
-    result(batching ? "batch.datagrams" : "v1.datagrams")
-        .set(static_cast<double>(world.datagrams_tx()));
-    result(batching ? "batch.delivered" : "v1.delivered")
-        .set(static_cast<double>(delivered));
+    result("batch.datagrams").set(static_cast<double>(world.datagrams_tx()));
+    result("batch.delivered").set(static_cast<double>(delivered));
     obs::default_hub().metrics.merge_from(m);
   }
-  result("batch.speedup").set(cost[0] / cost[1]);
   std::printf(
-      "expected shape: >= 2x fewer datagrams with batching on, same\n"
-      "tuples delivered (the acceptance ratio pinned by the test suite).\n");
+      "expected shape: every tuple delivered everywhere in well under one\n"
+      "datagram per delivered tuple (one frame per datagram would cost\n"
+      "more than one).\n");
 
   exp::section(
       "TRANSPORT(2): retraction delivery at drop 0.3, best-effort vs "
@@ -292,7 +285,6 @@ int main() {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
       TransportConfig config;
       config.session.discovery = fast_discovery();
-      config.session.batch.enabled = reliable;  // the full v2 path
       config.session.reliable = reliable;
       config.fault.drop = 0.3;
 
@@ -323,7 +315,7 @@ int main() {
       auto& m = world.hub().metrics;
       std::printf("%-6llu %-10s %-8d %-10.3f %-9lld %-9lld %-9lld %-11lld\n",
                   static_cast<unsigned long long>(seed),
-                  reliable ? "reliable" : "v1", leaked,
+                  reliable ? "reliable" : "best", leaked,
                   static_cast<double>(alive - leaked) / alive,
                   static_cast<long long>(m.get("net.rel.tx")),
                   static_cast<long long>(m.get("net.rel.rtx")),
@@ -333,7 +325,7 @@ int main() {
       obs::default_hub().metrics.merge_from(m);
     }
   }
-  result("v1.leaked").set(leaked_total[0]);
+  result("best_effort.leaked").set(leaked_total[0]);
   result("reliable.leaked").set(leaked_total[1]);
   std::printf(
       "expected shape: the best-effort rows strand stale replicas (one\n"
@@ -348,7 +340,6 @@ int main() {
 
     TransportConfig config;
     config.session.discovery = fast_discovery();
-    config.session.batch.enabled = true;
     config.session.digest_period = SimTime::from_millis(500);
     config.session.digest_buckets = 64;
 

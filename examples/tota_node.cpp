@@ -193,7 +193,6 @@ int run_mass(const Cli& cli) {
   // a node that only caught a hop-2 re-propagation hears the hop-1
   // holder's digest differ and gets the exact value re-sent.
   if (opts.transport.rcvbuf == 0) opts.transport.rcvbuf = 4 << 20;
-  opts.batch.enabled = true;
   opts.batch.flush_delay = SimTime::from_millis(5);
   opts.digest_period = opts.discovery.beacon_period * 2;
   // RETRACT/PROBE go over the reliable channel: a RETRACT lost in the

@@ -45,7 +45,7 @@ fi
 for ((i = 1; i <= REPEAT; ++i)); do
   echo "== soak: run $i/$REPEAT =="
   "$BUILD/tests/test_soak" --gtest_brief=1
-  # The transport-v2 soak legs (tests/test_transport.cc): the drop-0.3
+  # The transport soak legs (tests/test_transport.cc): the drop-0.3
   # reliable-retraction scenario (best-effort leaks, the reliable
   # channel drains every RETRACT), the batching datagram-cost ratio,
   # and the anti-entropy partition-heal run.

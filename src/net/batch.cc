@@ -56,44 +56,20 @@ Batcher::Batcher(NodeId self, tota::Platform& platform, BatchOptions options,
 Batcher::~Batcher() { platform_.cancel(flush_timer_); }
 
 void Batcher::hello(std::uint64_t seq, SimTime period) {
-  if (!options_.enabled) {
-    send_(Datagram::hello(self_, seq, period));
-    return;
-  }
   enqueue(Datagram::chunk_hello(seq, period));
 }
 
 void Batcher::data(std::span<const std::uint8_t> frame) {
-  if (!options_.enabled) {
-    send_(Datagram::data(self_, frame));
-    return;
-  }
   enqueue(Datagram::chunk_data(frame));
 }
 
 void Batcher::rel(std::uint64_t seq, std::uint64_t floor,
                   std::span<const std::uint8_t> frame) {
-  auto chunk = Datagram::chunk_rel(seq, floor, frame);
-  if (!options_.enabled) {
-    // No v1 encoding exists for reliable frames; ship a single-chunk
-    // BATCH immediately (the session only enables the reliable channel
-    // together with batching, so this is a test/degraded-mode path).
-    send_(Datagram::batch(self_, {&chunk, 1}));
-    batch_tx_.inc();
-    batch_chunks_.inc();
-    return;
-  }
-  enqueue(std::move(chunk));
+  enqueue(Datagram::chunk_rel(seq, floor, frame));
 }
 
 void Batcher::ack(NodeId peer, std::uint64_t cum) {
   auto chunk = Datagram::chunk_ack(peer, cum);
-  if (!options_.enabled) {
-    send_(Datagram::batch(self_, {&chunk, 1}));
-    batch_tx_.inc();
-    batch_chunks_.inc();
-    return;
-  }
   const auto it = ack_slot_.find(peer);
   if (it != ack_slot_.end()) {
     pending_[it->second] = std::move(chunk);  // newer cum supersedes
@@ -105,12 +81,6 @@ void Batcher::ack(NodeId peer, std::uint64_t cum) {
 
 void Batcher::digest(wire::Bytes body) {
   auto chunk = Datagram::chunk_digest(std::move(body));
-  if (!options_.enabled) {
-    send_(Datagram::batch(self_, {&chunk, 1}));
-    batch_tx_.inc();
-    batch_chunks_.inc();
-    return;
-  }
   if (digest_slot_ != kNoSlot) {
     pending_[digest_slot_] = std::move(chunk);  // newer digest supersedes
     return;

@@ -1,4 +1,4 @@
-// Batcher — the v2 send path's MTU-aware frame coalescer.
+// Batcher — the live send path's MTU-aware frame coalescer.
 //
 // The paper's own cost metric is messages per tuple, and a one-frame-
 // per-datagram transport pays the full envelope + syscall + airtime
@@ -20,15 +20,7 @@
 // Packing is greedy in enqueue order: a chunk that would overflow the
 // current datagram starts the next one; a single chunk larger than the
 // MTU is sent alone and counted (net.batch.oversize) — whether the link
-// then drops it is the link's business (UdpOptions::mtu, the sim's
-// per-link MTU check).
-//
-// Disabled mode (BatchOptions::enabled == false) is the v1 wire,
-// bit-for-bit: hello()/data() emit legacy HELLO/DATA datagrams
-// immediately, no timer, no BATCH framing — this is what keeps the
-// committed sim baselines byte-identical.  rel()/ack()/digest() have no
-// v1 encoding and always use (single-chunk) BATCH datagrams; the
-// session layer only enables those features together with batching.
+// then drops it is the link's business (UdpOptions::mtu).
 //
 // Metrics: net.batch.tx (BATCH datagrams sent), net.batch.chunks
 // (chunks carried), net.batch.flush (flush rounds), net.batch.oversize.
@@ -49,9 +41,10 @@
 namespace tota::net {
 
 struct BatchOptions {
-  /// Master switch for the v2 BATCH framing.  Off = legacy v1 datagrams
-  /// (the default, so existing worlds and baselines are untouched).
-  bool enabled = false;
+  /// Compatibility shim: nothing reads it — every Batcher packs BATCH
+  /// datagrams.  Kept while the benchmark's live_mass workload
+  /// (perfbench) still sets it; remove once that workload stops doing so.
+  bool enabled = true;
   /// Pack limit per datagram, bytes (the DeviceProfile / link MTU).
   /// 0 = unlimited: everything pending goes into one datagram.
   std::size_t mtu = 1400;
@@ -72,7 +65,7 @@ std::vector<wire::Bytes> pack_batches(NodeId sender,
 
 class Batcher {
  public:
-  /// `send` transmits one encoded datagram (BATCH or legacy v1).
+  /// `send` transmits one encoded BATCH datagram.
   using SendFn = std::function<void(wire::Bytes)>;
 
   Batcher(NodeId self, tota::Platform& platform, BatchOptions options,

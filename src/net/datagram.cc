@@ -7,17 +7,6 @@ namespace tota::net {
 
 namespace {
 
-wire::Writer envelope(DatagramKind kind, NodeId sender,
-                      std::size_t body_hint) {
-  wire::Writer w;
-  w.reserve(2 + 1 + 9 + body_hint);
-  w.u8(kMagic);
-  w.u8(kVersion);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.uvarint(sender.value());
-  return w;
-}
-
 /// Whole milliseconds on the wire; sub-millisecond periods round up so
 /// the advertised value stays positive (decode rejects 0).
 std::uint64_t period_ms(SimTime period) {
@@ -81,68 +70,37 @@ Datagram Datagram::decode(std::span<const std::uint8_t> bytes) {
   wire::Reader r(bytes);
   if (r.u8() != kMagic) throw wire::DecodeError("not a TOTA datagram");
   if (r.u8() != kVersion) throw wire::DecodeError("datagram version mismatch");
-  const std::uint8_t kind_byte = r.u8();
+  if (r.u8() != static_cast<std::uint8_t>(DatagramKind::kBatch)) {
+    throw wire::DecodeError("unknown datagram kind");
+  }
 
   Datagram d;
   d.sender = NodeId{r.uvarint()};
   if (!d.sender.valid()) throw wire::DecodeError("datagram without sender");
-  switch (kind_byte) {
-    case static_cast<std::uint8_t>(DatagramKind::kHello):
-      d.kind = DatagramKind::kHello;
-      d.seq = r.uvarint();
-      d.period = decode_period(r);
-      r.expect_done();
-      return d;
-    case static_cast<std::uint8_t>(DatagramKind::kData):
-      d.kind = DatagramKind::kData;
-      // The rest of the datagram is the engine frame, verbatim.
-      d.payload = bytes.subspan(bytes.size() - r.remaining());
-      return d;
-    case static_cast<std::uint8_t>(DatagramKind::kBatch): {
-      d.kind = DatagramKind::kBatch;
-      const std::uint64_t count = r.uvarint();
-      if (count == 0) throw wire::DecodeError("empty BATCH");
-      if (count > kMaxBatchChunks) {
-        throw wire::DecodeError("BATCH chunk count over the cap");
-      }
-      d.chunks.reserve(static_cast<std::size_t>(count));
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const auto ckind = r.u8();
-        const std::uint64_t clen = r.uvarint();
-        if (clen > r.remaining()) {
-          throw wire::DecodeError("truncated BATCH chunk");
-        }
-        const auto body = r.span(static_cast<std::size_t>(clen));
-        if (ckind < 1 ||
-            ckind > static_cast<std::uint8_t>(ChunkKind::kDigest)) {
-          ++d.skipped;  // a future chunk kind: skippable by design
-          continue;
-        }
-        Chunk c;
-        c.kind = static_cast<ChunkKind>(ckind);
-        decode_chunk(c, body);
-        d.chunks.push_back(c);
-      }
-      r.expect_done();  // trailing garbage is corruption, not padding
-      return d;
-    }
-    default:
-      throw wire::DecodeError("unknown datagram kind");
+  const std::uint64_t count = r.uvarint();
+  if (count == 0) throw wire::DecodeError("empty BATCH");
+  if (count > kMaxBatchChunks) {
+    throw wire::DecodeError("BATCH chunk count over the cap");
   }
-}
-
-wire::Bytes Datagram::hello(NodeId sender, std::uint64_t seq, SimTime period) {
-  wire::Writer w = envelope(DatagramKind::kHello, sender, 10);
-  w.uvarint(seq);
-  w.uvarint(period_ms(period));
-  return w.take();
-}
-
-wire::Bytes Datagram::data(NodeId sender,
-                           std::span<const std::uint8_t> frame) {
-  wire::Writer w = envelope(DatagramKind::kData, sender, frame.size());
-  w.raw(frame);
-  return w.take();
+  d.chunks.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto ckind = r.u8();
+    const std::uint64_t clen = r.uvarint();
+    if (clen > r.remaining()) {
+      throw wire::DecodeError("truncated BATCH chunk");
+    }
+    const auto body = r.span(static_cast<std::size_t>(clen));
+    if (ckind < 1 || ckind > static_cast<std::uint8_t>(ChunkKind::kDigest)) {
+      ++d.skipped;  // a future chunk kind: skippable by design
+      continue;
+    }
+    Chunk c;
+    c.kind = static_cast<ChunkKind>(ckind);
+    decode_chunk(c, body);
+    d.chunks.push_back(c);
+  }
+  r.expect_done();  // trailing garbage is corruption, not padding
+  return d;
 }
 
 wire::Bytes Datagram::batch(NodeId sender,
@@ -150,9 +108,14 @@ wire::Bytes Datagram::batch(NodeId sender,
   if (chunks.empty() || chunks.size() > kMaxBatchChunks) {
     throw std::invalid_argument("Datagram::batch: bad chunk count");
   }
-  std::size_t body = 1;
-  for (const auto& c : chunks) body += c.wire_size();
-  wire::Writer w = envelope(DatagramKind::kBatch, sender, body);
+  std::size_t size = batch_overhead(sender);
+  for (const auto& c : chunks) size += c.wire_size();
+  wire::Writer w;
+  w.reserve(size);
+  w.u8(kMagic);
+  w.u8(kVersion);
+  w.u8(static_cast<std::uint8_t>(DatagramKind::kBatch));
+  w.uvarint(sender.value());
   w.uvarint(chunks.size());
   for (const auto& c : chunks) {
     w.u8(static_cast<std::uint8_t>(c.kind));

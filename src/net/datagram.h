@@ -3,22 +3,22 @@
 //
 // The simulator hands engines pre-attributed frames (`on_datagram(from,
 // …)` — the radio knows who transmitted); a real UDP socket does not, so
-// every live datagram carries its own sender identity.  Three kinds:
+// every live datagram carries its own sender identity.  There is one
+// datagram kind, BATCH (kind byte 0x03): a list of chunks — engine
+// frames, discovery beacons, reliable-channel frames and acks,
+// anti-entropy digests — packed into one datagram (net/batch.h).
+// Kinds 0x01 and 0x02 were the retired one-frame-per-datagram HELLO and
+// DATA envelopes; they now decode as "unknown datagram kind", so a peer
+// still speaking them is counted net.frame.bad and never misread.
 //
-//   0x01 HELLO <seq, period_ms>  — discovery beacon (net/discovery.h)
-//   0x02 DATA  <engine frame>    — a wire::Frame envelope, verbatim
-//   0x03 BATCH <chunk list>      — the v2 coalesced envelope: several
-//                                  frames/beacons/control chunks packed
-//                                  into one datagram (net/batch.h)
+// A DATA chunk's body is exactly what Platform::broadcast was given, so
+// the engine/wire layers never learn whether they run on the simulator
+// or on sockets.  Decoding is total: malformed or foreign datagrams
+// (wrong magic, unknown version/kind, truncation, trailing garbage)
+// throw wire::DecodeError and are counted + dropped by the receiver,
+// never UB — a UDP port is open to arbitrary garbage.
 //
-// The DATA body is exactly what Platform::broadcast was given, so the
-// engine/wire layers never learn whether they run on the simulator or on
-// sockets.  Decoding is total: malformed or foreign datagrams (wrong
-// magic, unknown version/kind, truncation, trailing garbage) throw
-// wire::DecodeError and are counted + dropped by the receiver, never UB
-// — a UDP port is open to arbitrary garbage.
-//
-// BATCH grammar (after the shared magic/version/kind/sender header):
+// BATCH grammar (after the magic/version/kind/sender header):
 //
 //   count   uvarint        number of chunks, >= 1
 //   count × chunk:
@@ -28,14 +28,11 @@
 //
 // Chunks are length-prefixed so a decoder can *skip* a chunk kind it
 // does not know (forward compatibility within version 1 of the BATCH
-// envelope; skipped chunks are surfaced via Datagram::skipped).  A
-// pre-BATCH decoder sees kind byte 0x03, throws "unknown datagram
-// kind", and drops the whole datagram as net.frame.bad — old receivers
-// skip v2 traffic cleanly instead of misparsing it.
+// envelope; skipped chunks are surfaced via Datagram::skipped).
 //
 // Chunk bodies:
-//   HELLO  <seq uvarint, period_ms uvarint>      as the HELLO datagram
-//   DATA   <engine frame, verbatim>              as the DATA datagram
+//   HELLO  <seq uvarint, period_ms uvarint>      discovery beacon
+//   DATA   <engine frame, verbatim>              one engine broadcast
 //   REL    <seq uvarint, seq-floor uvarint,      reliable-ordered frame
 //           engine frame, verbatim>              (net/reliable.h); floor
 //                                                is the lowest seq the
@@ -66,7 +63,8 @@ inline constexpr std::uint8_t kMagic = 0xA7;
 /// Bumped on any incompatible envelope change.
 inline constexpr std::uint8_t kVersion = 1;
 
-enum class DatagramKind : std::uint8_t { kHello = 1, kData = 2, kBatch = 3 };
+/// The envelope kind byte; BATCH is the only kind (see above).
+enum class DatagramKind : std::uint8_t { kBatch = 3 };
 
 enum class ChunkKind : std::uint8_t {
   kHello = 1,
@@ -110,34 +108,21 @@ struct EncodedChunk {
 /// and a hostile count cannot make a decoder pre-commit unbounded work.
 inline constexpr std::size_t kMaxBatchChunks = 127;
 
-/// A decoded datagram envelope.  For kData, `payload` views into the
-/// buffer decode() was called on and is valid only while it lives.
+/// A decoded BATCH datagram.  Chunk payloads view into the buffer
+/// decode() was called on and are valid only while it lives.
 struct Datagram {
-  DatagramKind kind = DatagramKind::kHello;
   /// Who sent this datagram (the live stand-in for the radio's
   /// transmitter attribution).
   NodeId sender;
-  /// kHello: sender's beacon sequence number (monotonic per process
-  /// lifetime; a reset signals a restarted node).
-  std::uint64_t seq = 0;
-  /// kHello: sender's advertised beacon period — receivers size their
-  /// expiry deadline from it, so mixed-config networks interoperate.
-  SimTime period;
-  /// kData: the engine frame (wire::Frame envelope), undecoded.
-  std::span<const std::uint8_t> payload;
-  /// kBatch: the decoded chunks, in wire order (unknown kinds omitted).
+  /// The decoded chunks, in wire order (unknown kinds omitted).
   std::vector<Chunk> chunks;
-  /// kBatch: chunks whose kind this decoder did not know and skipped
-  /// over (forward compatibility; receivers count these).
+  /// Chunks whose kind this decoder did not know and skipped over
+  /// (forward compatibility; receivers count these).
   std::size_t skipped = 0;
 
   /// Parses an envelope; throws wire::DecodeError on anything that is
   /// not a well-formed TOTA datagram.
   static Datagram decode(std::span<const std::uint8_t> bytes);
-
-  static wire::Bytes hello(NodeId sender, std::uint64_t seq, SimTime period);
-  static wire::Bytes data(NodeId sender,
-                          std::span<const std::uint8_t> frame);
 
   /// Frames `chunks` (1..kMaxBatchChunks of them) into one BATCH
   /// datagram.

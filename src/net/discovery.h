@@ -23,12 +23,12 @@
 //     one down, one up, no flap suppression to tune.
 //
 // Discovery is deliberately socket-free: it emits HELLO beacons through
-// a callback (the owner encodes them — a legacy HELLO datagram, or a
-// chunk on the next outgoing batch) and is fed decoded HELLOs by its
-// owner (net::NetSession in production, a test harness in
-// tests/test_net.cc), and takes its clock,
-// timers, and randomness from the Platform interface — so the whole
-// state machine runs under the simulator's or the test double's clock.
+// a callback (the owner encodes them — a HELLO chunk on the next
+// outgoing batch) and is fed decoded HELLOs by its owner
+// (net::NetSession in production, a test harness in tests/test_net.cc
+// and tests/test_soak.cc), and takes its clock, timers, and randomness
+// from the Platform interface — so the whole state machine runs under
+// the simulator's or the test double's clock.
 #pragma once
 
 #include <cstdint>
@@ -68,10 +68,9 @@ struct DiscoveryOptions {
 
 class Discovery {
  public:
-  /// Transmits one beacon: the owner encodes it (a legacy HELLO
-  /// datagram via net::Datagram::hello, or a HELLO chunk on the next
-  /// batch via net::Batcher::hello) — discovery only owns the schedule
-  /// and the (seq, period) content.
+  /// Transmits one beacon: the owner encodes it (a HELLO chunk on the
+  /// next batch via net::Batcher::hello) — discovery only owns the
+  /// schedule and the (seq, period) content.
   using BeaconFn = std::function<void(std::uint64_t seq, SimTime period)>;
   using NeighborFn = std::function<void(NodeId)>;
 

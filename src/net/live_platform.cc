@@ -7,21 +7,6 @@
 
 namespace tota::net {
 
-namespace {
-
-SessionOptions session_options(const LiveOptions& options) {
-  SessionOptions s;
-  s.discovery = options.discovery;
-  s.batch = options.batch;
-  s.reliable = options.reliable;
-  s.rel = options.rel;
-  s.digest_period = options.digest_period;
-  s.digest_buckets = options.digest_buckets;
-  return s;
-}
-
-}  // namespace
-
 LivePlatform::LivePlatform(EventLoop& loop, LiveOptions options,
                            obs::Hub* hub)
     : loop_(loop),
@@ -31,7 +16,7 @@ LivePlatform::LivePlatform(EventLoop& loop, LiveOptions options,
                              : 0x70A7A000u ^ options.id.value()),
       transport_(options.transport, hub_.metrics),
       session_(
-          options.id, *this, session_options(options),
+          options.id, *this, options,
           [this](wire::Bytes datagram) { transport_.send(datagram); },
           hub_.metrics) {
   if (!options_.id.valid()) {

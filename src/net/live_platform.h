@@ -3,9 +3,9 @@
 // The production-shaped twin of emu::ShardPlatform: where that binds a
 // Middleware to the discrete-event simulator, this binds one to a
 // net::EventLoop (timers + readiness), a net::UdpTransport (the shared
-// broadcast channel), and a net::NetSession (the whole v2 datagram
-// path: discovery beacons, MTU-aware batching, the reliable control
-// channel, anti-entropy digests).  The engine/wire/tuples layers run
+// broadcast channel), and a net::NetSession (the whole datagram path:
+// discovery beacons, MTU-aware batching, the reliable control channel,
+// anti-entropy digests).  The engine/wire/tuples layers run
 // unmodified on either — that is the point of the Platform seam.
 //
 // Differences from the simulator, all deliberate:
@@ -38,20 +38,14 @@ class Middleware;
 
 namespace tota::net {
 
-struct LiveOptions {
+/// One live node: the session knobs (net/session.h — discovery,
+/// batching, the reliable control channel, the digest cadence) plus
+/// what only a socket-backed node has.
+struct LiveOptions : SessionOptions {
   /// This node's identity on the wire (must be nonzero and unique per
   /// group; collisions make two processes one schizophrenic node).
   NodeId id;
   UdpOptions transport;
-  DiscoveryOptions discovery;
-  /// v2 wire features (net/session.h): MTU-aware batching, the reliable
-  /// control channel, the anti-entropy digest cadence.  All default off
-  /// — the default wire is v1, byte-for-byte.
-  BatchOptions batch;
-  bool reliable = false;
-  ReliableOptions rel;
-  SimTime digest_period = SimTime::zero();
-  std::uint32_t digest_buckets = 32;
   /// Reported by position(); live nodes without a real location sensor
   /// just stand still wherever they are configured.
   Vec2 position{};

@@ -28,14 +28,9 @@ MassLiveWorld::MassLiveWorld(MassLiveOptions options)
   nodes_.reserve(static_cast<std::size_t>(options_.count));
   for (int i = 0; i < options_.count; ++i) {
     LiveOptions live;
+    static_cast<SessionOptions&>(live) = options_;
     live.id = NodeId{options_.base_id + static_cast<std::uint64_t>(i)};
     live.transport = options_.transport;
-    live.discovery = options_.discovery;
-    live.batch = options_.batch;
-    live.reliable = options_.reliable;
-    live.rel = options_.rel;
-    live.digest_period = options_.digest_period;
-    live.digest_buckets = options_.digest_buckets;
     live.fault = options_.fault;
     live.seed = options_.seed == 0
                     ? 0

@@ -33,24 +33,18 @@
 
 namespace tota::net {
 
-struct MassLiveOptions {
+/// The session knobs (net/session.h) are shared by every node.  Mass
+/// worlds want batching with a flush delay and a digest cadence on: a
+/// flood of N same-instant re-propagations overflows receive buffers no
+/// matter how large, and anti-entropy is the designed repair for the
+/// frames that drown.
+struct MassLiveOptions : SessionOptions {
   /// How many nodes to host; wire ids are base_id .. base_id + count - 1.
   int count = 3;
   std::uint64_t base_id = 1;
   /// Transport template (mode/group/port/mtu/drain budget), shared by
   /// every node — they form one broadcast channel.
   UdpOptions transport;
-  DiscoveryOptions discovery;
-  /// v2 wire features, shared by every node (see LiveOptions).  Mass
-  /// worlds want batching and a digest cadence on: a flood of N
-  /// same-instant re-propagations overflows receive buffers no matter
-  /// how large, and anti-entropy is the designed repair for the frames
-  /// that drown.
-  BatchOptions batch;
-  bool reliable = false;
-  ReliableOptions rel;
-  SimTime digest_period = SimTime::zero();
-  std::uint32_t digest_buckets = 32;
   /// Receive-path adversity, applied per node (each node's injector
   /// forks its own Rng stream off the node's seeded platform).
   FaultPlan fault;

@@ -143,31 +143,12 @@ void NetSession::on_raw(std::span<const std::uint8_t> bytes) {
     return;
   }
 
-  switch (d.kind) {
-    case DatagramKind::kHello:
-      discovery_.on_hello(d.sender, d.seq, d.period);
-      return;
-    case DatagramKind::kData:
-      if (d.sender == self_) {
-        data_echo_.inc();  // our own broadcast, looped back by the medium
-        return;
-      }
-      data_rx_.inc();
-      if (middleware_ != nullptr) {
-        middleware_->on_datagram(d.sender, d.payload);
-      }
-      return;
-    case DatagramKind::kBatch:
-      if (d.sender == self_) {
-        data_echo_.inc();  // one echo per datagram, not per chunk
-        return;
-      }
-      if (d.skipped > 0) {
-        frame_skip_.inc(static_cast<std::int64_t>(d.skipped));
-      }
-      for (const Chunk& chunk : d.chunks) route_chunk(d.sender, chunk);
-      return;
+  if (d.sender == self_) {
+    data_echo_.inc();  // our own broadcast, looped back by the medium
+    return;
   }
+  if (d.skipped > 0) frame_skip_.inc(static_cast<std::int64_t>(d.skipped));
+  for (const Chunk& chunk : d.chunks) route_chunk(d.sender, chunk);
 }
 
 }  // namespace tota::net

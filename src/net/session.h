@@ -1,4 +1,4 @@
-// NetSession — the v2 datagram path of one node, socket-free.
+// NetSession — the datagram path of one live node, socket-free.
 //
 // Everything between the middleware and the raw bytes of the broadcast
 // channel lives here: beacon-based neighbour presence (net::Discovery),
@@ -9,17 +9,18 @@
 // in-memory channel — the session cannot tell the difference, because
 // it only ever touches a SendFn and decoded datagrams fed to on_raw().
 //
-// Receive routing (one datagram in, possibly many effects out):
-//   HELLO            → discovery (presence, expiry re-arm)
-//   DATA             → middleware (engine frame), own echoes dropped
-//   BATCH            → per chunk:
-//     HELLO chunk      → discovery, same as a legacy HELLO
-//     DATA chunk       → middleware, same as a legacy DATA
-//     REL chunk        → reliable channel (dedup, reorder, ack) which
-//                        delivers in-order frames to the middleware
-//     ACK chunk        → reliable channel, when addressed to this node
-//     DIGEST chunk     → middleware's anti-entropy diff
-//     unknown chunk    → skipped by the decoder (net.frame.skip)
+// Receive routing: every datagram is a BATCH (net/datagram.h); our own
+// echoes are dropped once per datagram, the rest is routed per chunk:
+//   HELLO chunk      → discovery (presence, expiry re-arm)
+//   DATA chunk       → middleware (engine frame)
+//   REL chunk        → reliable channel (dedup, reorder, ack) which
+//                      delivers in-order frames to the middleware
+//   ACK chunk        → reliable channel, when addressed to this node
+//   DIGEST chunk     → middleware's anti-entropy diff
+//   unknown chunk    → skipped by the decoder (net.frame.skip)
+// Anything that does not decode — foreign bytes, corruption, the
+// retired one-frame-per-datagram HELLO/DATA kinds — counts
+// net.frame.bad and is dropped.
 //
 // Send side: engine broadcasts become DATA chunks on the batcher;
 // broadcast_reliable upgrades to the reliable channel when enabled
@@ -29,11 +30,10 @@
 // the store digest — so the steady-state background traffic is one
 // datagram per beacon period, not four.
 //
-// Feature switches are independent: batching off + reliable off is the
-// v1 wire bit-for-bit.  The reliable *receiver* is always on — a node
-// with reliability disabled still deduplicates and acks REL traffic
-// from neighbours that have it enabled; `reliable` only gates whether
-// this node's own control frames use the channel.
+// The reliable *receiver* is always on — a node with reliability
+// disabled still deduplicates and acks REL traffic from neighbours that
+// have it enabled; `reliable` only gates whether this node's own control
+// frames use the channel.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +56,11 @@ class Middleware;
 
 namespace tota::net {
 
+/// The session knobs, declared once: LiveOptions and MassLiveOptions
+/// derive from this struct.
 struct SessionOptions {
   DiscoveryOptions discovery;
-  /// v2 coalescing (off = legacy one-frame-per-datagram wire).
+  /// Frame coalescing: MTU, chunk cap, flush delay.
   BatchOptions batch;
   /// Send RETRACT/PROBE control frames over the reliable channel.
   bool reliable = false;

@@ -25,26 +25,6 @@ using tota::testing::FakePlatform;
 
 // --- datagram envelope ----------------------------------------------------
 
-TEST(Datagram, HelloRoundTrips) {
-  const auto bytes =
-      Datagram::hello(NodeId{7}, 42, SimTime::from_millis(500));
-  const Datagram d = Datagram::decode(bytes);
-  EXPECT_EQ(d.kind, DatagramKind::kHello);
-  EXPECT_EQ(d.sender, NodeId{7});
-  EXPECT_EQ(d.seq, 42u);
-  EXPECT_EQ(d.period, SimTime::from_millis(500));
-}
-
-TEST(Datagram, DataRoundTripsPayloadVerbatim) {
-  const wire::Bytes frame = {0x01, 0xAB, 0xCD, 0x00, 0xEF};
-  const auto bytes = Datagram::data(NodeId{3}, frame);
-  const Datagram d = Datagram::decode(bytes);
-  EXPECT_EQ(d.kind, DatagramKind::kData);
-  EXPECT_EQ(d.sender, NodeId{3});
-  ASSERT_EQ(d.payload.size(), frame.size());
-  EXPECT_TRUE(std::equal(frame.begin(), frame.end(), d.payload.begin()));
-}
-
 TEST(Datagram, RejectsGarbage) {
   // Wrong magic (foreign traffic on our port).
   EXPECT_THROW(Datagram::decode(wire::Bytes{0x00, 0x01, 0x01, 0x07}),
@@ -59,12 +39,14 @@ TEST(Datagram, RejectsGarbage) {
   EXPECT_THROW(Datagram::decode(wire::Bytes{kMagic, kVersion}),
                wire::DecodeError);
   EXPECT_THROW(Datagram::decode(wire::Bytes{}), wire::DecodeError);
-  // HELLO must not have trailing bytes.
-  auto hello = Datagram::hello(NodeId{1}, 1, SimTime::from_millis(100));
-  hello.push_back(0x00);
-  EXPECT_THROW(Datagram::decode(hello), wire::DecodeError);
+  // A BATCH must not have trailing bytes.
+  const EncodedChunk hello =
+      Datagram::chunk_hello(1, SimTime::from_millis(100));
+  auto batch = Datagram::batch(NodeId{1}, {&hello, 1});
+  batch.push_back(0x00);
+  EXPECT_THROW(Datagram::decode(batch), wire::DecodeError);
   // Sender id 0 is reserved as invalid.
-  EXPECT_THROW(Datagram::decode(wire::Bytes{kMagic, kVersion, 0x02, 0x00}),
+  EXPECT_THROW(Datagram::decode(wire::Bytes{kMagic, kVersion, 0x03, 0x00}),
                wire::DecodeError);
 }
 
@@ -82,9 +64,10 @@ class DiscoveryTest : public ::testing::Test {
     discovery_ = std::make_unique<Discovery>(
         NodeId{1}, platform_, opts,
         [this](std::uint64_t seq, SimTime period) {
-          // Encode like the legacy (unbatched) session does, so the
-          // wire-shape assertions below keep covering the v1 HELLO.
-          sent_.push_back(net::Datagram::hello(NodeId{1}, seq, period));
+          // One HELLO chunk per datagram, so the wire-shape assertions
+          // below see each beacon on its own.
+          const EncodedChunk hello = Datagram::chunk_hello(seq, period);
+          sent_.push_back(Datagram::batch(NodeId{1}, {&hello, 1}));
           send_times_.push_back(platform_.now());
         },
         metrics_);
@@ -291,8 +274,11 @@ TEST_F(DiscoveryTest, HellosCarryIncreasingSeqAndAdvertisedPeriod) {
   const Datagram first = Datagram::decode(sent_[0]);
   const Datagram second = Datagram::decode(sent_[1]);
   EXPECT_EQ(first.sender, NodeId{1});
-  EXPECT_EQ(first.seq + 1, second.seq);
-  EXPECT_EQ(first.period, kPeriod);
+  ASSERT_EQ(first.chunks.size(), 1u);
+  ASSERT_EQ(second.chunks.size(), 1u);
+  EXPECT_EQ(first.chunks[0].kind, ChunkKind::kHello);
+  EXPECT_EQ(first.chunks[0].seq + 1, second.chunks[0].seq);
+  EXPECT_EQ(first.chunks[0].period, kPeriod);
 }
 
 // --- event loop -----------------------------------------------------------
@@ -701,7 +687,6 @@ MassLiveOptions mass_options(int count, std::uint16_t port_salt) {
   o.transport.rcvbuf = 4 << 20;
   o.discovery.beacon_period = SimTime::from_millis(40);
   o.discovery.expiry_missed_beacons = 6;
-  o.batch.enabled = true;
   o.batch.flush_delay = SimTime::from_millis(2);
   o.digest_period = SimTime::from_millis(80);
   o.reliable = true;

@@ -1,17 +1,18 @@
-// Transport v2 suite: the BATCH grammar, the MTU-aware batcher, the
+// Transport suite: the BATCH grammar, the MTU-aware batcher, the
 // reliable-ordered control channel, and the anti-entropy digests —
-// plus the end-to-end soaks the v2 path exists for.
+// plus the end-to-end soaks these features exist for.
 //
 // Four layers of coverage:
 //
 //   1. Wire robustness — Datagram::decode fuzzed at every truncation
-//      offset of every datagram kind (a UDP port is open to arbitrary
-//      garbage; decode must throw or return, never misbehave), trailing
-//      garbage rejected and counted, the BATCH skip-unknown-chunk
-//      forward-compatibility contract pinned byte-by-byte.
+//      offset of a BATCH carrying every chunk kind (a UDP port is open
+//      to arbitrary garbage; decode must throw or return, never
+//      misbehave), trailing garbage rejected and counted, the retired
+//      HELLO/DATA datagram kinds dropped as bad frames, the BATCH
+//      skip-unknown-chunk forward-compatibility contract pinned
+//      byte-by-byte.
 //
-//   2. Component units — pack_batches splitting, Batcher coalescing
-//      (and its disabled mode's byte-identity with the v1 wire),
+//   2. Component units — pack_batches splitting, Batcher coalescing,
 //      ReliableChannel's full state machine (ordering, dedup, floor
 //      resync, window backpressure, backoff expiry, peer departure),
 //      StoreDigest algebra, and the idempotence primitives behind
@@ -81,11 +82,14 @@ wire::Bytes sample_batch(NodeId sender) {
   return net::Datagram::batch(sender, chunks);
 }
 
-/// Every strict prefix of a HELLO or BATCH datagram must throw — both
-/// grammars end with an expect_done().  (DATA is different by design:
-/// its payload is "the rest of the datagram", so a truncated DATA can
-/// still be a well-formed envelope; the engine's frame decoder rejects
-/// the payload later.)
+/// A BATCH datagram carrying one HELLO chunk — a bare discovery beacon.
+wire::Bytes hello_batch(NodeId sender, std::uint64_t seq, SimTime period) {
+  const net::EncodedChunk hello = net::Datagram::chunk_hello(seq, period);
+  return net::Datagram::batch(sender, {&hello, 1});
+}
+
+/// Every strict prefix of a BATCH datagram must throw: every chunk is
+/// length-prefixed and the grammar ends with an expect_done().
 void expect_all_prefixes_throw(const wire::Bytes& datagram) {
   for (std::size_t len = 0; len < datagram.size(); ++len) {
     EXPECT_THROW(
@@ -95,32 +99,8 @@ void expect_all_prefixes_throw(const wire::Bytes& datagram) {
   }
 }
 
-TEST(DatagramFuzz, EveryHelloTruncationThrows) {
-  expect_all_prefixes_throw(
-      net::Datagram::hello(NodeId{77}, 300, SimTime::from_millis(500)));
-}
-
 TEST(DatagramFuzz, EveryBatchTruncationThrows) {
   expect_all_prefixes_throw(sample_batch(NodeId{300}));
-}
-
-TEST(DatagramFuzz, EveryDataTruncationThrowsOrShortens) {
-  const wire::Bytes frame = bytes_of({1, 2, 3, 4, 5, 6, 7, 8});
-  const wire::Bytes datagram = net::Datagram::data(NodeId{5}, frame);
-  int decoded = 0;
-  for (std::size_t len = 0; len < datagram.size(); ++len) {
-    try {
-      const net::Datagram d =
-          net::Datagram::decode(std::span(datagram.data(), len));
-      // A truncated DATA that still parses must only ever yield a
-      // shorter payload — never bytes that were not on the wire.
-      ASSERT_EQ(d.kind, net::DatagramKind::kData);
-      ASSERT_LT(d.payload.size(), frame.size());
-      ++decoded;
-    } catch (const wire::DecodeError&) {
-    }
-  }
-  EXPECT_GT(decoded, 0);  // the envelope really is length-agnostic
 }
 
 TEST(DatagramFuzz, EveryByteFlipThrowsOrDecodes) {
@@ -141,8 +121,7 @@ TEST(DatagramFuzz, EveryByteFlipThrowsOrDecodes) {
 }
 
 TEST(DatagramFuzz, TrailingGarbageRejected) {
-  wire::Bytes hello =
-      net::Datagram::hello(NodeId{1}, 1, SimTime::from_millis(100));
+  wire::Bytes hello = hello_batch(NodeId{1}, 1, SimTime::from_millis(100));
   hello.push_back(0x00);
   EXPECT_THROW(net::Datagram::decode(hello), wire::DecodeError);
 
@@ -161,7 +140,7 @@ TEST(DatagramFuzz, ForeignAndMalformedEnvelopesRejected) {
                                                0x09, 1, 1, 1})),
                wire::DecodeError);
   EXPECT_THROW(net::Datagram::decode(bytes_of({net::kMagic, net::kVersion,
-                                               0x01, 0, 1, 1})),
+                                               0x03, 0, 1, 1})),
                wire::DecodeError);  // sender id 0 is invalid
   EXPECT_THROW(net::Datagram::decode({}), wire::DecodeError);
 }
@@ -169,7 +148,6 @@ TEST(DatagramFuzz, ForeignAndMalformedEnvelopesRejected) {
 TEST(DatagramBatch, RoundtripsEveryChunkKind) {
   const wire::Bytes datagram = sample_batch(NodeId{42});
   const net::Datagram d = net::Datagram::decode(datagram);
-  ASSERT_EQ(d.kind, net::DatagramKind::kBatch);
   EXPECT_EQ(d.sender, NodeId{42});
   EXPECT_EQ(d.skipped, 0u);
   ASSERT_EQ(d.chunks.size(), 5u);
@@ -315,7 +293,6 @@ std::vector<net::EncodedChunk> data_chunks(int n, std::size_t body_size) {
 
 TEST(PackBatches, SplitsAtTheMtuPreservingOrder) {
   net::BatchOptions options;
-  options.enabled = true;
   // Overhead for NodeId{1} is 5 bytes; each 10-byte chunk costs 12 on
   // the wire, so an MTU of 30 fits exactly two chunks per datagram.
   options.mtu = net::Datagram::batch_overhead(NodeId{1}) + 2 * 12 + 1;
@@ -334,7 +311,6 @@ TEST(PackBatches, SplitsAtTheMtuPreservingOrder) {
 
 TEST(PackBatches, HonorsMaxChunksWithUnlimitedMtu) {
   net::BatchOptions options;
-  options.enabled = true;
   options.mtu = 0;  // unlimited
   options.max_chunks = 3;
   const auto out = pack_batches(NodeId{1}, data_chunks(7, 4), options);
@@ -347,7 +323,6 @@ TEST(PackBatches, OversizeChunkGoesAloneAndIsCounted) {
   obs::MetricsRegistry metrics;
   obs::Counter& oversize = metrics.counter("net.batch.oversize");
   net::BatchOptions options;
-  options.enabled = true;
   options.mtu = 40;
   auto chunks = data_chunks(1, 4);
   auto big = data_chunks(1, 100);  // alone it exceeds the MTU
@@ -374,36 +349,8 @@ struct BatcherRig {
   net::Batcher batcher;
 };
 
-TEST(Batcher, DisabledModeIsTheV1WireBitForBit) {
-  BatcherRig rig({});  // enabled = false
-  const wire::Bytes frame = bytes_of({9, 8, 7});
-  rig.batcher.hello(5, SimTime::from_millis(500));
-  rig.batcher.data(frame);
-  // Emitted immediately — no flush timer pending — and byte-identical
-  // to the legacy encoders (this is what keeps old captures, old
-  // decoders, and the committed sim baselines working unchanged).
-  EXPECT_EQ(rig.platform.pending_scheduled(), 0u);
-  ASSERT_EQ(rig.sent.size(), 2u);
-  EXPECT_EQ(rig.sent[0],
-            net::Datagram::hello(NodeId{1}, 5, SimTime::from_millis(500)));
-  EXPECT_EQ(rig.sent[1], net::Datagram::data(NodeId{1}, frame));
-}
-
-TEST(Batcher, DisabledModeStillFramesControlChunksAsBatch) {
-  BatcherRig rig({});
-  rig.batcher.rel(3, 1, bytes_of({0xAA}));
-  ASSERT_EQ(rig.sent.size(), 1u);  // immediate single-chunk BATCH
-  const net::Datagram d = net::Datagram::decode(rig.sent[0]);
-  ASSERT_EQ(d.kind, net::DatagramKind::kBatch);
-  ASSERT_EQ(d.chunks.size(), 1u);
-  EXPECT_EQ(d.chunks[0].kind, net::ChunkKind::kRel);
-  EXPECT_EQ(d.chunks[0].seq, 3u);
-  EXPECT_EQ(d.chunks[0].floor, 1u);
-}
-
 TEST(Batcher, CoalescesOneEventInstantIntoOneDatagram) {
   net::BatchOptions options;
-  options.enabled = true;
   BatcherRig rig(options);
   rig.batcher.hello(1, SimTime::from_millis(500));
   rig.batcher.data(bytes_of({1}));
@@ -424,7 +371,6 @@ TEST(Batcher, CoalescesOneEventInstantIntoOneDatagram) {
 
 TEST(Batcher, NewerAckAndDigestSupersedePendingOnes) {
   net::BatchOptions options;
-  options.enabled = true;
   BatcherRig rig(options);
   rig.batcher.ack(NodeId{7}, 1);
   rig.batcher.ack(NodeId{9}, 4);
@@ -924,7 +870,7 @@ TEST(EngineRetract, DuplicateRetractIsIdempotent) {
 
 /// tota::Platform over a shared sim::EventQueue whose broadcast seam
 /// routes through the node's NetSession — the session is what turns
-/// engine frames into v1/v2 datagrams.  The pointer is set right after
+/// engine frames into datagrams.  The pointer is set right after
 /// the session is constructed (the session itself never broadcasts
 /// through the Platform, so the window is safe).
 class SessionPlatform final : public Platform {
@@ -972,11 +918,11 @@ net::DiscoveryOptions fast_discovery() {
   return o;
 }
 
-/// N full v2 stacks (Middleware + NetSession) on a line topology over an
+/// N full live stacks (Middleware + NetSession) on a line topology over an
 /// in-memory broadcast channel with per-directed-link fault injection —
 /// the soak harness of the transport layer.  Unlike tests/test_soak.cc
-/// (which speaks the v1 wire by hand), every datagram here is produced
-/// and consumed by NetSession, so batching, the reliable channel, and
+/// (which wires Discovery and the engine by hand), every datagram here
+/// is produced and consumed by NetSession, so batching, the reliable channel, and
 /// the digest exchange run exactly as they would under LivePlatform.
 class TransportWorld {
  public:
@@ -1097,11 +1043,9 @@ class TransportWorld {
 };
 
 /// True when the (well-formed — the harness produced it) datagram
-/// carries any engine frame: a v1 DATA, or a BATCH with a DATA chunk.
+/// carries any engine frame in a DATA chunk.
 bool carries_data(const wire::Bytes& datagram) {
   const net::Datagram d = net::Datagram::decode(datagram);
-  if (d.kind == net::DatagramKind::kData) return true;
-  if (d.kind != net::DatagramKind::kBatch) return false;
   return std::any_of(d.chunks.begin(), d.chunks.end(), [](const auto& c) {
     return c.kind == net::ChunkKind::kData;
   });
@@ -1134,7 +1078,6 @@ struct RetractionResult {
 RetractionResult run_retraction_soak(std::uint64_t seed, bool reliable) {
   TransportConfig config;
   config.session.discovery = fast_discovery();
-  config.session.batch.enabled = reliable;  // the full v2 path
   config.session.reliable = reliable;
   config.fault.drop = 0.3;
 
@@ -1184,7 +1127,7 @@ TEST(TransportSoak, BestEffortBaselineLeaksTheRetraction) {
   for (const std::uint64_t seed : {1, 2, 3}) {
     const RetractionResult r = run_retraction_soak(seed, /*reliable=*/false);
     leaked += r.leaked;
-    EXPECT_EQ(r.rel_tx, 0) << "v1 must not touch the reliable channel";
+    EXPECT_EQ(r.rel_tx, 0) << "best effort must not touch the reliable channel";
   }
   EXPECT_GT(leaked, 0);
 }
@@ -1227,7 +1170,9 @@ TEST(TransportBatch, BatchingCutsDatagramsPerDeliveredTupleTwofold) {
     // A quiet beacon cadence so the measured window is dominated by
     // data traffic, as in the committed BENCH_transport scenario.
     config.session.discovery.beacon_period = SimTime::from_millis(500);
-    config.session.batch.enabled = batching;
+    // Without coalescing every chunk travels alone: one engine frame
+    // per datagram.
+    if (!batching) config.session.batch.max_chunks = 1;
 
     TransportWorld world(7, kSoakNodes, config);
     world.start();
@@ -1254,8 +1199,9 @@ TEST(TransportBatch, BatchingCutsDatagramsPerDeliveredTupleTwofold) {
     }
   }
   // Same tuples delivered everywhere, at least 2x fewer datagrams —
-  // the ISSUE's acceptance ratio, here as a regression floor.
-  EXPECT_GE(cost[0], 2 * cost[1]) << "v1=" << cost[0] << " v2=" << cost[1];
+  // the acceptance ratio of the batcher, here as a regression floor.
+  EXPECT_GE(cost[0], 2 * cost[1])
+      << "unbatched=" << cost[0] << " batched=" << cost[1];
 }
 
 // --- 4c. the partition-heal digest soak ------------------------------------
@@ -1267,7 +1213,6 @@ TEST(TransportSync, DigestsHealASilentHoleInODiffFrames) {
 
   TransportConfig config;
   config.session.discovery = fast_discovery();
-  config.session.batch.enabled = true;
   config.session.digest_period = SimTime::from_millis(500);
   config.session.digest_buckets = 64;
 
@@ -1329,8 +1274,7 @@ TEST(NetSession, CorruptAndForeignDatagramsCountFrameBad) {
       [&](wire::Bytes d) { sent.push_back(std::move(d)); }, metrics);
 
   session.on_raw(bytes_of({0xDE, 0xAD, 0xBE, 0xEF}));  // foreign traffic
-  wire::Bytes padded =
-      net::Datagram::hello(NodeId{2}, 1, SimTime::from_millis(100));
+  wire::Bytes padded = hello_batch(NodeId{2}, 1, SimTime::from_millis(100));
   padded.push_back(0x00);  // trailing garbage
   session.on_raw(padded);
   wire::Bytes truncated = sample_batch(NodeId{2});
@@ -1349,12 +1293,68 @@ TEST(NetSession, CorruptAndForeignDatagramsCountFrameBad) {
   EXPECT_EQ(metrics.get("net.data.rx"), 0);
 }
 
+TEST(NetSession, RetiredHelloAndDataDatagramsAreDroppedAsBad) {
+  // Kinds 1 and 2 were the one-frame-per-datagram HELLO and DATA
+  // envelopes.  A peer still speaking them must be dropped cleanly —
+  // one net.frame.bad per datagram, no discovery or engine upcall —
+  // never misread.
+  tuples::register_standard_tuples();
+  FakePlatform platform;
+  obs::Hub hub;
+  net::SessionOptions options;
+  options.discovery = fast_discovery();
+  net::NetSession session(
+      NodeId{1}, platform, options, [](wire::Bytes) {}, hub.metrics);
+  Middleware mw(NodeId{1}, platform, {}, &hub);
+  session.attach(&mw);
+  session.start();
+
+  // A well-formed engine frame, as node 2's engine broadcasts it.
+  FakePlatform source_platform;
+  obs::Hub source_hub;
+  Middleware source(NodeId{2}, source_platform, {}, &source_hub);
+  source.inject(std::make_unique<tuples::GradientTuple>("old-peer"));
+  ASSERT_EQ(source_platform.broadcasts.size(), 1u);
+  const wire::Bytes frame = source_platform.broadcasts[0];
+
+  const auto retired = [](std::uint8_t kind) {
+    wire::Writer w;
+    w.u8(net::kMagic);
+    w.u8(net::kVersion);
+    w.u8(kind);
+    w.uvarint(2);  // sender
+    return w;
+  };
+  wire::Writer hello = retired(1);
+  hello.uvarint(5);    // beacon seq
+  hello.uvarint(100);  // period, ms
+  session.on_raw(hello.take());
+  EXPECT_EQ(hub.metrics.get("net.frame.bad"), 1);
+  EXPECT_EQ(hub.metrics.get("net.hello.rx"), 0);
+  EXPECT_FALSE(session.discovery().knows(NodeId{2}));
+
+  wire::Writer data = retired(2);
+  data.raw(frame);
+  session.on_raw(data.take());
+  EXPECT_EQ(hub.metrics.get("net.frame.bad"), 2);
+  EXPECT_EQ(hub.metrics.get("net.data.rx"), 0);
+  EXPECT_EQ(mw.space().size(), 0u);
+
+  // The same beacon and frame as BATCH chunks do get through.
+  session.on_raw(hello_batch(NodeId{2}, 5, SimTime::from_millis(100)));
+  const net::EncodedChunk chunk = net::Datagram::chunk_data(frame);
+  session.on_raw(net::Datagram::batch(NodeId{2}, {&chunk, 1}));
+  EXPECT_EQ(hub.metrics.get("net.frame.bad"), 2);
+  EXPECT_TRUE(session.discovery().knows(NodeId{2}));
+  EXPECT_EQ(hub.metrics.get("net.data.rx"), 1);
+  EXPECT_EQ(mw.space().size(), 1u);
+}
+
 TEST(NetSession, StopQuiescesEveryTimerAndDropsPendingTraffic) {
   FakePlatform platform;
   obs::MetricsRegistry metrics;
   net::SessionOptions options;
   options.discovery = fast_discovery();
-  options.batch.enabled = true;
   options.reliable = true;
   std::vector<wire::Bytes> sent;
   net::NetSession session(
@@ -1365,8 +1365,7 @@ TEST(NetSession, StopQuiescesEveryTimerAndDropsPendingTraffic) {
   platform.run_scheduled();  // the first beacon's flush goes out
   // A neighbour, so broadcast_reliable has a target to wait on and the
   // retransmit timer arms.
-  session.on_raw(
-      net::Datagram::hello(NodeId{2}, 1, SimTime::from_millis(100)));
+  session.on_raw(hello_batch(NodeId{2}, 1, SimTime::from_millis(100)));
   session.broadcast(bytes_of({1, 2, 3}));
   session.broadcast_reliable(bytes_of({4, 5, 6}));
   EXPECT_GT(session.batcher().pending(), 0u);
