@@ -132,7 +132,7 @@ void BM_QueryPlanPredicate(benchmark::State& state) {
   Pattern p = Pattern::of_type(tuples::GradientTuple::kTag);
   p.where("hopcount", Pred::le(4));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(space.peek(p));
+    benchmark::DoNotOptimize(space.read(p));
   }
 }
 BENCHMARK(BM_QueryPlanPredicate)->Arg(128)->Arg(1024);
@@ -185,9 +185,9 @@ void BM_ContinuousQueryRescan(benchmark::State& state) {
     g->set_uid(churn);
     g->content().set("source", NodeId{7}).set("hopcount", 2);
     space.put(std::move(g), NodeId{1}, true, SimTime::zero());
-    benchmark::DoNotOptimize(space.peek(p));
+    benchmark::DoNotOptimize(space.read(p));
     space.erase(churn);
-    benchmark::DoNotOptimize(space.peek(p));
+    benchmark::DoNotOptimize(space.read(p));
   }
 }
 BENCHMARK(BM_ContinuousQueryRescan)->Arg(128)->Arg(1024);

@@ -197,7 +197,7 @@ RunResult run_one(std::uint32_t shards, int side,
     Pattern p = Pattern::of_type(tuples::GradientTuple::kTag);
     p.eq("name", "field" + std::to_string(i % 4))
         .where("hopcount", Pred::le(24));
-    pred_matches += world.mw(nodes[i]).space().peek(p).size();
+    pred_matches += world.mw(nodes[i]).space().read(p).size();
   }
   const double pred_ms = ms_since(t_pred);
   r.pred_matches = static_cast<double>(pred_matches);

@@ -35,9 +35,9 @@ import run  # noqa: E402
 SEED = 7
 # workload -> (passes, {metric: ceiling})
 GATES = {
-    "grid_flood": (2, {"engine.rx_allocs": 3.35, "sim.broadcast_allocs": 5.0}),
-    "grid_churn": (1, {"engine.rx_allocs": 0.7, "sim.broadcast_allocs": 5.0}),
-    "app_query": (1, {"engine.rx_allocs": 26.5, "space.read_allocs": 9.0}),
+    "grid_flood": (2, {"engine.rx_allocs": 3.1, "sim.broadcast_allocs": 5.0}),
+    "grid_churn": (1, {"engine.rx_allocs": 0.61, "sim.broadcast_allocs": 5.0}),
+    "app_query": (1, {"engine.rx_allocs": 25.7, "space.read_allocs": 1.0}),
 }
 REPEATED_COUNTS = ("engine.", "radio.")
 

@@ -86,7 +86,7 @@ bool ContentStore::is_home(Vec2 target) const {
   Pattern beacons = Pattern::of_type(tuples::GradientTuple::kTag);
   beacons.eq("name", kBeaconName);
   const NodeId self = mw_.self();
-  for (const Tuple* t : mw_.space().peek(beacons)) {
+  for (const TupleHandle& t : mw_.space().read(beacons)) {
     const auto& field = static_cast<const tuples::GradientTuple&>(*t);
     if (field.source() == self) continue;
     if (!field.content().has("origin_pos")) continue;
@@ -151,7 +151,7 @@ void ContentStore::get(const std::string& key, GetCallback callback,
 }
 
 std::size_t ContentStore::stored_keys() const {
-  return mw_.space().peek(Pattern::of_type(tuples::DataTuple::kTag)).size();
+  return mw_.space().read(Pattern::of_type(tuples::DataTuple::kTag)).size();
 }
 
 }  // namespace tota::apps

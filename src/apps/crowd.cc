@@ -30,10 +30,10 @@ void CrowdNavigator::schedule_next() {
 std::optional<int> CrowdNavigator::destination_hops() const {
   Pattern dest;
   dest.eq("name", params_.destination).exists("hopcount");
-  const auto field = mw_.space().peek(dest);
+  const auto field = mw_.space().read(dest);
   if (field.empty()) return std::nullopt;
   int best = 1 << 20;
-  for (const Tuple* t : field) {
+  for (const TupleHandle& t : field) {
     best = std::min(best,
                     static_cast<int>(t->content().at("hopcount").as_int()));
   }
@@ -47,7 +47,7 @@ int CrowdNavigator::crowd_nearby() const {
   presence.eq("name", kPresenceField)
       .where("source", Pred::ne(mw_.self()))
       .where("hopcount", Pred::le(params_.avoid_radius_hops));
-  return static_cast<int>(mw_.space().peek(presence).size());
+  return static_cast<int>(mw_.space().read(presence).size());
 }
 
 bool CrowdNavigator::arrived() const {
@@ -66,7 +66,7 @@ void CrowdNavigator::control_step() {
   // Attraction: descend the destination field (toward its origin).
   Pattern dest;
   dest.eq("name", params_.destination).exists("hopcount");
-  for (const Tuple* t : mw_.space().peek(dest)) {
+  for (const TupleHandle& t : mw_.space().read(dest)) {
     if (!t->content().has("origin_pos")) continue;
     const Vec2 toward =
         (t->content().at("origin_pos").as_vec2() - here).normalized();
@@ -81,7 +81,7 @@ void CrowdNavigator::control_step() {
       .where("source", Pred::ne(mw_.self()))
       .where("hopcount", Pred::le(params_.avoid_radius_hops))
       .exists("origin_pos");
-  for (const Tuple* t : mw_.space().peek(presence)) {
+  for (const TupleHandle& t : mw_.space().read(presence)) {
     const auto& field = static_cast<const tuples::GradientTuple&>(*t);
     const int hops = field.hopcount();
     const Vec2 away =

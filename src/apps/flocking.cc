@@ -38,7 +38,7 @@ Pattern peer_fields(NodeId self) {
 }  // namespace
 
 std::size_t FlockingController::visible_peers() const {
-  return mw_.space().peek(peer_fields(mw_.self())).size();
+  return mw_.space().read(peer_fields(mw_.self())).size();
 }
 
 void FlockingController::control_step() {
@@ -48,13 +48,13 @@ void FlockingController::control_step() {
   // peer lets far-peer attraction cancel near-peer repulsion and the
   // flock jams short of the target spacing.
   int nearest_hop = 1 << 20;
-  for (const Tuple* t : mw_.space().peek(peer_fields(mw_.self()))) {
+  for (const TupleHandle& t : mw_.space().read(peer_fields(mw_.self()))) {
     const auto& field = static_cast<const tuples::FlockTuple&>(*t);
     nearest_hop = std::min(nearest_hop, field.hopcount());
   }
   Vec2 force{};
   int peers = 0;
-  for (const Tuple* t : mw_.space().peek(peer_fields(mw_.self()))) {
+  for (const TupleHandle& t : mw_.space().read(peer_fields(mw_.self()))) {
     const auto& field = static_cast<const tuples::FlockTuple&>(*t);
     if (field.hopcount() != nearest_hop) continue;
     if (!field.content().has("origin_pos")) continue;

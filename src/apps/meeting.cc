@@ -33,9 +33,9 @@ Pattern MeetingAgent::peer_fields() const {
 }
 
 bool MeetingAgent::arrived() const {
-  const auto peers = mw_.space().peek(peer_fields());
+  const auto peers = mw_.space().read(peer_fields());
   if (peers.empty()) return false;
-  for (const Tuple* t : peers) {
+  for (const TupleHandle& t : peers) {
     const auto& field = static_cast<const tuples::GradientTuple&>(*t);
     if (field.hopcount() > params_.arrive_hops) return false;
   }
@@ -50,7 +50,7 @@ void MeetingAgent::control_step() {
   const Vec2 here = mw_.platform().position();
   Vec2 force{};
   int peers = 0;
-  for (const Tuple* t : mw_.space().peek(peer_fields())) {
+  for (const TupleHandle& t : mw_.space().read(peer_fields())) {
     const auto& field = static_cast<const tuples::GradientTuple&>(*t);
     if (!field.content().has("origin_pos")) continue;
     const Vec2 origin = field.content().at("origin_pos").as_vec2();

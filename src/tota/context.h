@@ -32,7 +32,7 @@ class SpaceOps {
   virtual ~SpaceOps() = default;
 
   /// Removes and returns local tuples matching `pattern`.
-  virtual std::vector<std::unique_ptr<Tuple>> take_local(
+  virtual std::vector<std::shared_ptr<const Tuple>> take_local(
       const Pattern& pattern) = 0;
 };
 

@@ -58,8 +58,7 @@ Context Engine::make_context(NodeId from, int hop) const {
                  self};
 }
 
-std::vector<std::unique_ptr<Tuple>> Engine::take_local(
-    const Pattern& pattern) {
+std::vector<TupleHandle> Engine::take_local(const Pattern& pattern) {
   auto removed = space_.take(pattern);
   for (const auto& tuple : removed) {
     bus_.publish(
@@ -130,16 +129,21 @@ void Engine::process(std::unique_ptr<Tuple> tuple, NodeId from,
 
   tuple->apply_effects(ctx);  // step 5
 
+  // The copy is final now.  A stored copy becomes the shared replica, and
+  // this handle keeps it alive and unchanged for steps 6 and 7 even if a
+  // reaction replaces or removes the replica reentrantly.
+  TupleHandle replica;
   if (store) {
     // Replicas of non-maintained tuples record no upstream dependency, so
     // link loss never retracts them (a delivered message outlives its
     // path).
     const NodeId parent =
         (local || !tuple->maintained()) ? NodeId{} : from;
-    space_.put(tuple->clone(), parent, propagate, platform_.now());
+    replica = std::move(tuple);
+    space_.put(replica, parent, propagate, platform_.now());
     hold_down_.disarm(uid);  // a strictly better value ends the hold early
     metrics_.store.inc();
-    trace(obs::Stage::kStore, uid, tuple->hop());
+    trace(obs::Stage::kStore, uid, replica->hop());
     record_repair(uid);
   } else if (existing != nullptr) {
     // An update talked the rule out of storing here (e.g. the content
@@ -150,12 +154,12 @@ void Engine::process(std::unique_ptr<Tuple> tuple, NodeId from,
         Event{EventKind::kTupleRemoved, removed.get(), platform_.now()});
   }
 
+  const Tuple& copy = replica != nullptr ? *replica : *tuple;
   if (may_observe) {  // step 6
-    bus_.publish(
-        Event{EventKind::kTupleArrived, tuple.get(), platform_.now()});
+    bus_.publish(Event{EventKind::kTupleArrived, &copy, platform_.now()});
   }
 
-  if (propagate) send_tuple(*tuple);  // step 7
+  if (propagate) send_tuple(copy);  // step 7
 }
 
 void Engine::send_tuple(const Tuple& tuple) {

@@ -7,7 +7,7 @@
 //
 //   wire::Frame               (wire/frame.h)        frame envelope
 //   TupleSpace                (tuple_space.h)       indexed replica store
-//                                                   (type/parent/propagated
+//                                                   (type/propagated
 //                                                   indexes, uid order)
 //   NeighborValueTable        (neighbor_table.h)    justification oracle
 //   HoldDownTable             (hold_down.h)         anti-count-to-infinity
@@ -37,7 +37,8 @@
 // asks the stored replica's class whether the tuple is maintained.  The
 // rest of the body is decoded once, and only for a copy that survives
 // step 0.  Most delivered copies of a flood are duplicates, so most
-// frames are never decoded past their header.
+// frames are never decoded past their header.  Nor is the decoded copy
+// cloned: a stored copy becomes the shared replica after step 5.
 //
 // Self-maintenance uses *value justification*: because every propagation
 // is a broadcast, a node overhears the replica values its neighbours
@@ -96,8 +97,7 @@ class Engine final : public SpaceOps {
 
   /// SpaceOps: removal that fires kTupleRemoved, available to effectful
   /// tuples through Context::ops.
-  std::vector<std::unique_ptr<Tuple>> take_local(
-      const Pattern& pattern) override;
+  std::vector<TupleHandle> take_local(const Pattern& pattern) override;
 
   // --- application-facing (used by the Middleware facade) ---------------
 

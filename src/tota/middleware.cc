@@ -36,16 +36,15 @@ TupleUid Middleware::inject(std::unique_ptr<Tuple> tuple) {
   return engine_.inject(std::move(tuple));
 }
 
-std::vector<std::unique_ptr<Tuple>> Middleware::read(
-    const Pattern& pattern) const {
+std::vector<TupleHandle> Middleware::read(const Pattern& pattern) const {
   // The access filter runs inside the space's match loop, so denied
-  // tuples are never cloned.
+  // tuples never reach the result.
   return space_.read(pattern, [this](const Tuple& t) {
     return t.permits(AccessOp::kObserve, self());
   });
 }
 
-std::unique_ptr<Tuple> Middleware::read_one(const Pattern& pattern) const {
+TupleHandle Middleware::read_one(const Pattern& pattern) const {
   // Early-exits at the first observable match instead of materializing
   // the full match set.
   return space_.read_one(pattern, [this](const Tuple& t) {
@@ -53,16 +52,11 @@ std::unique_ptr<Tuple> Middleware::read_one(const Pattern& pattern) const {
   });
 }
 
-std::vector<std::unique_ptr<Tuple>> Middleware::take(const Pattern& pattern) {
+std::vector<TupleHandle> Middleware::take(const Pattern& pattern) {
   // Only extractable tuples leave the space; protected matches stay put.
-  std::vector<TupleUid> uids;
-  for (const Tuple* t : space_.peek(pattern)) {
-    if (t->permits(AccessOp::kExtract, self())) uids.push_back(t->uid());
-  }
-  std::vector<std::unique_ptr<Tuple>> out;
-  out.reserve(uids.size());
-  for (const TupleUid& uid : uids) out.push_back(space_.erase(uid));
-  return out;
+  return space_.take(pattern, [this](const Tuple& t) {
+    return t.permits(AccessOp::kExtract, self());
+  });
 }
 
 SubscriptionId Middleware::subscribe(Pattern pattern,

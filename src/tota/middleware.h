@@ -1,7 +1,7 @@
 // The TOTA API (paper Sec. 4.3) — the middleware facade of one node.
 //
 //   inject(tuple)                  put a tuple on the air
-//   read(template)                 copies of matching local tuples
+//   read(template)                 matching local tuples (shared handles)
 //   take(template)                 extract matching local tuples
 //                                  (the paper's `delete`; renamed because
 //                                  `delete` is a C++ keyword)
@@ -46,18 +46,19 @@ class Middleware {
   /// uid (useful for tests and tracing; applications normally ignore it).
   TupleUid inject(std::unique_ptr<Tuple> tuple);
 
-  /// Copies of local tuples matching `pattern` (the paper's `read`).
-  [[nodiscard]] std::vector<std::unique_ptr<Tuple>> read(
-      const Pattern& pattern) const;
+  /// Local tuples matching `pattern` (the paper's `read`), as shared
+  /// immutable handles: each stays valid, with the content it was read
+  /// with, however the space changes afterwards.
+  [[nodiscard]] std::vector<TupleHandle> read(const Pattern& pattern) const;
 
   /// First local match, or nullptr.
-  [[nodiscard]] std::unique_ptr<Tuple> read_one(const Pattern& pattern) const;
+  [[nodiscard]] TupleHandle read_one(const Pattern& pattern) const;
 
   /// Extracts and returns local tuples matching `pattern` (the paper's
   /// `delete`).  Removal is local: replicas on other nodes are untouched,
   /// exactly as in the paper (use a modifier tuple for distributed
   /// deletion).
-  std::vector<std::unique_ptr<Tuple>> take(const Pattern& pattern);
+  std::vector<TupleHandle> take(const Pattern& pattern);
 
   /// Associates `reaction` with events whose tuple matches `pattern`.
   SubscriptionId subscribe(Pattern pattern, EventBus::Reaction reaction,

@@ -24,18 +24,16 @@ Pattern& Pattern::type(std::string tag) {
   return *this;
 }
 
-Pattern& Pattern::eq(std::string field, wire::Value value) {
-  fields_.push_back({std::move(field), Pred::eq(std::move(value))});
-  return *this;
+Pattern& Pattern::eq(std::string_view field, wire::Value value) {
+  return where(field, Pred::eq(std::move(value)));
 }
 
-Pattern& Pattern::exists(std::string field) {
-  fields_.push_back({std::move(field), Pred::exists()});
-  return *this;
+Pattern& Pattern::exists(std::string_view field) {
+  return where(field, Pred::exists());
 }
 
-Pattern& Pattern::where(std::string field, Pred pred) {
-  fields_.push_back({std::move(field), std::move(pred)});
+Pattern& Pattern::where(std::string_view field, Pred pred) {
+  fields_.push_back({wire::Atom(field), std::move(pred)});
   return *this;
 }
 
@@ -90,7 +88,7 @@ void Pattern::encode(wire::Writer& w) const {
   if (propagated_) w.boolean(*propagated_);
   w.uvarint(fields_.size());
   for (const auto& c : fields_) {
-    w.string(c.name);
+    w.string(c.name.str());
     c.pred.encode(w);
   }
 }
@@ -108,8 +106,8 @@ Pattern Pattern::decode(wire::Reader& r) {
   if (n > kMaxFields) throw wire::DecodeError("pattern too wide");
   p.fields_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name = r.string();
-    p.fields_.push_back({std::move(name), Pred::decode(r)});
+    const wire::Atom name(r.string_view());
+    p.fields_.push_back({name, Pred::decode(r)});
   }
   return p;
 }
@@ -140,7 +138,8 @@ std::string Pattern::str() const {
   };
   for (const auto& c : fields_) {
     sep();
-    out += c.name + c.pred.str();
+    out += c.name.str();
+    out += c.pred.str();
   }
   if (parent_) {
     sep();

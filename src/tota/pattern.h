@@ -23,6 +23,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/ids.h"
@@ -36,9 +37,11 @@ class Tuple;
 
 class Pattern {
  public:
-  /// One field constraint: the field must exist and satisfy `pred`.
+  /// One field constraint: the field must exist and satisfy `pred`.  The
+  /// name is interned when the pattern is built, so matching compares
+  /// atoms.
   struct FieldConstraint {
-    std::string name;
+    wire::Atom name;
     Pred pred;
     friend bool operator==(const FieldConstraint&,
                            const FieldConstraint&) = default;
@@ -53,13 +56,13 @@ class Pattern {
   Pattern& type(std::string tag);
 
   /// Field must exist and equal `value` — sugar for where(f, Pred::eq).
-  Pattern& eq(std::string field, wire::Value value);
+  Pattern& eq(std::string_view field, wire::Value value);
 
   /// Field must merely exist (any value) — a Linda formal.
-  Pattern& exists(std::string field);
+  Pattern& exists(std::string_view field);
 
   /// Field must exist and satisfy `pred`.
-  Pattern& where(std::string field, Pred pred);
+  Pattern& where(std::string_view field, Pred pred);
 
   /// Replica metadata: only replicas received from `parent`.
   Pattern& from_parent(NodeId parent);

@@ -23,10 +23,12 @@ Plan compile(const Pattern& pattern, const TupleSpace& space) {
 
   // Earlier options win ties, so the order here encodes walk cost.
   if (pattern.type_tag()) {
-    const std::size_t n = space.type_count(*pattern.type_tag());
-    if (n <= plan.candidates) {
+    const TupleSpace::TypeBucketRef bucket =
+        space.type_bucket(*pattern.type_tag());
+    plan.type_bucket = bucket.index;
+    if (bucket.size <= plan.candidates) {
       plan.path = AccessPath::kTypeIndex;
-      plan.candidates = n;
+      plan.candidates = bucket.size;
     }
   }
   // Only propagated==true has an index; ==false is residual-only.

@@ -7,9 +7,9 @@
 // indexed: always a residual check).  `compile` looks at the actual
 // bucket sizes of the target space and picks the path with the fewest
 // candidates, then marks which constraints remain to be checked per
-// candidate (the residual).  Plans are per-query and cost a scan of the
-// node's few type tags — the store can change arbitrarily between
-// queries.
+// candidate (the residual).  Plans are per-query and cost one scan of
+// the node's few type tags, whose result the executor reuses — the store
+// can change arbitrarily between queries.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +38,8 @@ struct Plan {
   /// Candidates the chosen path will touch (exact: index sizes are known
   /// at compile time; the store is not mutated while a query runs).
   std::size_t candidates = 0;
+  /// The pattern's type bucket, priced here and walked for kTypeIndex.
+  std::size_t type_bucket = 0;
   // Residual constraints — whatever the access path doesn't imply.
   bool check_type = false;
   bool check_parent = false;

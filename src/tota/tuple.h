@@ -75,6 +75,8 @@ class Tuple {
 
   // --- content C ------------------------------------------------------------
 
+  /// The mutable form is for tuples not yet stored: a stored replica is
+  /// reached only through a TupleHandle and never changes.
   [[nodiscard]] const wire::Record& content() const { return content_; }
   [[nodiscard]] wire::Record& content() { return content_; }
 
@@ -148,9 +150,10 @@ class Tuple {
                                             wire::Reader& r);
 
   /// Deep copy preserving the dynamic type.  Concrete subclasses
-  /// override with a copy-construction one-liner — on the receive path
-  /// the engine clones a copy only when it stores a replica of it.  The
-  /// base fallback round-trips through the wire format: always correct
+  /// override with a copy-construction one-liner; stored replicas are
+  /// shared, not copied, so the engine clones only to re-evaluate a
+  /// source replica (copy-on-write).  The base fallback round-trips
+  /// through the wire format: always correct
   /// (every propagation-relevant field is serialized, as decode must
   /// rebuild the full state) but it pays a full encode+decode.
   [[nodiscard]] virtual std::unique_ptr<Tuple> clone() const;
@@ -170,6 +173,9 @@ class Tuple {
   wire::Record content_;
   AccessPolicy access_;
 };
+
+/// A shared immutable tuple, as the tuple space stores and reads return.
+using TupleHandle = std::shared_ptr<const Tuple>;
 
 /// Process-wide registry mapping type tags to factories.
 wire::TypeRegistry<Tuple>& tuple_registry();

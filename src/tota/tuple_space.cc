@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "tota/query.h"
-
 namespace tota {
 
 SpaceMetrics::SpaceMetrics(obs::MetricsRegistry& registry)
@@ -90,8 +88,8 @@ void TupleSpace::set_propagated(const TupleUid& uid, bool propagated) {
   if (!propagated && present) propagated_.erase(it);
 }
 
-void TupleSpace::put(std::unique_ptr<Tuple> tuple, NodeId parent,
-                     bool propagated, SimTime now) {
+void TupleSpace::put(TupleHandle tuple, NodeId parent, bool propagated,
+                     SimTime now) {
   const TupleUid uid = tuple->uid();
   std::string tag = tuple->type_tag();
   const auto pos = locate(uid);
@@ -129,7 +127,7 @@ const TupleSpace::Entry* TupleSpace::find(const TupleUid& uid) const {
   return it == entries_.end() || it->uid != uid ? nullptr : it->entry.get();
 }
 
-std::unique_ptr<Tuple> TupleSpace::erase(const TupleUid& uid) {
+TupleHandle TupleSpace::erase(const TupleUid& uid) {
   const auto it = locate(uid);
   if (it == entries_.end() || it->uid != uid) return nullptr;
   // Notified while the entry is still intact and indexed, so listeners
@@ -142,13 +140,13 @@ std::unique_ptr<Tuple> TupleSpace::erase(const TupleUid& uid) {
   return tuple;
 }
 
-std::size_t TupleSpace::type_count(const std::string& tag) const {
+TupleSpace::TypeBucketRef TupleSpace::type_bucket(
+    const std::string& tag) const {
   const std::size_t b = bucket_index(tag);
-  return b == by_type_.size() ? 0 : by_type_[b].members.size();
+  return {b, b == by_type_.size() ? 0 : by_type_[b].members.size()};
 }
 
-template <typename Fn>
-void TupleSpace::match(const Pattern& pattern, Fn&& fn) const {
+query::Plan TupleSpace::plan(const Pattern& pattern) const {
   const query::Plan plan = query::compile(pattern, *this);
   if (metrics_ != nullptr) {
     metrics_->naive_candidates.inc(
@@ -166,7 +164,12 @@ void TupleSpace::match(const Pattern& pattern, Fn&& fn) const {
     }
     metrics_->plan_candidates.inc(static_cast<std::int64_t>(plan.candidates));
   }
+  return plan;
+}
 
+template <typename Fn>
+void TupleSpace::match(const Pattern& pattern, const query::Plan& plan,
+                       Fn&& fn) const {
   // Residual checks run per candidate against the cached tag and entry
   // metadata — no virtual call anywhere on this path.
   const auto consider = [&](const Entry& entry) -> bool {
@@ -186,7 +189,7 @@ void TupleSpace::match(const Pattern& pattern, Fn&& fn) const {
 
   switch (plan.path) {
     case query::AccessPath::kTypeIndex: {
-      const std::size_t b = bucket_index(*pattern.type_tag());
+      const std::size_t b = plan.type_bucket;
       if (b == by_type_.size()) return;
       walk([&] { return by_type_[b].members.size(); },
            [&](std::size_t i) { return by_type_[b].members[i].second; },
@@ -208,64 +211,39 @@ void TupleSpace::match(const Pattern& pattern, Fn&& fn) const {
   }
 }
 
-std::vector<std::unique_ptr<Tuple>> TupleSpace::read(
-    const Pattern& pattern) const {
-  std::vector<std::unique_ptr<Tuple>> out;
-  match(pattern, [&out](const Entry& entry) {
-    out.push_back(entry.tuple->clone());
+std::vector<TupleHandle> TupleSpace::read(const Pattern& pattern,
+                                          const Filter& accept) const {
+  const query::Plan p = plan(pattern);
+  std::vector<TupleHandle> out;
+  match(pattern, p, [&](const Entry& entry) {
+    if (accept && !accept(*entry.tuple)) return true;
+    // The plan's candidate count bounds the matches: one allocation.
+    if (out.empty()) out.reserve(p.candidates);
+    out.push_back(entry.tuple);
     return true;
   });
   return out;
 }
 
-std::vector<std::unique_ptr<Tuple>> TupleSpace::read(
-    const Pattern& pattern,
-    const std::function<bool(const Tuple&)>& accept) const {
-  std::vector<std::unique_ptr<Tuple>> out;
-  match(pattern, [&out, &accept](const Entry& entry) {
-    if (accept(*entry.tuple)) out.push_back(entry.tuple->clone());
-    return true;
+TupleHandle TupleSpace::read_one(const Pattern& pattern,
+                                 const Filter& accept) const {
+  TupleHandle out;
+  match(pattern, plan(pattern), [&](const Entry& entry) {
+    if (accept && !accept(*entry.tuple)) return true;  // keep looking
+    out = entry.tuple;
+    return false;  // first (lowest-uid) accepted match wins
   });
   return out;
 }
 
-std::unique_ptr<Tuple> TupleSpace::read_one(const Pattern& pattern) const {
-  std::unique_ptr<Tuple> out;
-  match(pattern, [&out](const Entry& entry) {
-    out = entry.tuple->clone();
-    return false;  // first (lowest-uid) match wins
-  });
-  return out;
-}
-
-std::unique_ptr<Tuple> TupleSpace::read_one(
-    const Pattern& pattern,
-    const std::function<bool(const Tuple&)>& accept) const {
-  std::unique_ptr<Tuple> out;
-  match(pattern, [&out, &accept](const Entry& entry) {
-    if (!accept(*entry.tuple)) return true;  // keep looking
-    out = entry.tuple->clone();
-    return false;
-  });
-  return out;
-}
-
-std::vector<const Tuple*> TupleSpace::peek(const Pattern& pattern) const {
-  std::vector<const Tuple*> out;
-  match(pattern, [&out](const Entry& entry) {
-    out.push_back(entry.tuple.get());
-    return true;
-  });
-  return out;
-}
-
-std::vector<std::unique_ptr<Tuple>> TupleSpace::take(const Pattern& pattern) {
+std::vector<TupleHandle> TupleSpace::take(const Pattern& pattern,
+                                          const Filter& accept) {
   std::vector<TupleUid> uids;
-  match(pattern, [&uids](const Entry& entry) {
-    uids.push_back(entry.tuple->uid());
+  match(pattern, plan(pattern), [&](const Entry& entry) {
+    if (!accept || accept(*entry.tuple)) uids.push_back(entry.tuple->uid());
     return true;
   });
-  std::vector<std::unique_ptr<Tuple>> out;
+  std::vector<TupleHandle> out;
   out.reserve(uids.size());
   for (const auto& uid : uids) out.push_back(erase(uid));
   return out;
@@ -282,7 +260,7 @@ void TupleSpace::for_each(const std::function<void(const Entry&)>& fn) const {
 void TupleSpace::for_matching(
     const Pattern& pattern,
     const std::function<bool(const Entry&)>& fn) const {
-  match(pattern, fn);
+  match(pattern, plan(pattern), fn);
 }
 
 }  // namespace tota

@@ -26,6 +26,10 @@
 // (Pattern::from_parent) have no index; they are a residual check on
 // each candidate.
 //
+// Replicas are immutable and shared: reads hand out TupleHandles to the
+// stored objects, which keep their content after the space replaces or
+// removes them.
+//
 // Invariants (asserted by the property tests in tests/test_tuple_space.cc):
 // every entry appears in exactly one by_type_ bucket (under its cached
 // type_tag) and in propagated_ iff its flag is set; indexed queries
@@ -44,6 +48,7 @@
 #include "common/ids.h"
 #include "obs/metrics.h"
 #include "tota/pattern.h"
+#include "tota/query.h"
 #include "tota/tuple.h"
 
 namespace tota {
@@ -81,7 +86,7 @@ struct SpaceMetrics {
 class TupleSpace {
  public:
   struct Entry {
-    std::unique_ptr<Tuple> tuple;
+    TupleHandle tuple;
     /// tuple->type_tag(), cached at put() so queries and index
     /// maintenance never re-derive it through the virtual call.
     std::string type_tag;
@@ -117,41 +122,32 @@ class TupleSpace {
   void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Stores or replaces the replica for tuple->uid().
-  void put(std::unique_ptr<Tuple> tuple, NodeId parent, bool propagated,
-           SimTime now);
+  void put(TupleHandle tuple, NodeId parent, bool propagated, SimTime now);
 
   /// Replica for `uid`, or nullptr.
   [[nodiscard]] const Entry* find(const TupleUid& uid) const;
 
   /// Removes the replica for `uid`; returns it (empty if absent).
-  std::unique_ptr<Tuple> erase(const TupleUid& uid);
+  TupleHandle erase(const TupleUid& uid);
 
-  /// Copies of all stored tuples matching `pattern` (the paper's `read`).
-  [[nodiscard]] std::vector<std::unique_ptr<Tuple>> read(
-      const Pattern& pattern) const;
+  /// Passes every match when empty; otherwise the matches it rejects
+  /// (e.g. an access-control check) are left out.  Pattern-level counters
+  /// (space.query.*) do not depend on it.
+  using Filter = std::function<bool(const Tuple&)>;
 
-  /// Copies of matches `accept` approves (e.g. an access-control check);
-  /// rejected matches are never cloned.  Pattern-level counters
-  /// (space.query.*) are identical to the unfiltered read's.
-  [[nodiscard]] std::vector<std::unique_ptr<Tuple>> read(
-      const Pattern& pattern,
-      const std::function<bool(const Tuple&)>& accept) const;
+  /// Handles to the stored tuples matching `pattern` (the paper's
+  /// `read`).  One allocation at most: the result vector.
+  [[nodiscard]] std::vector<TupleHandle> read(const Pattern& pattern,
+                                              const Filter& accept = {}) const;
 
   /// First match, if any — the common single-tuple lookup.  Early-exits
-  /// on the first (lowest-uid) match.
-  [[nodiscard]] std::unique_ptr<Tuple> read_one(const Pattern& pattern) const;
+  /// on the first (lowest-uid) accepted match and allocates nothing.
+  [[nodiscard]] TupleHandle read_one(const Pattern& pattern,
+                                     const Filter& accept = {}) const;
 
-  /// First match `accept` approves (e.g. an access-control check),
-  /// cloned; still early-exits at the first accepted match.
-  [[nodiscard]] std::unique_ptr<Tuple> read_one(
-      const Pattern& pattern,
-      const std::function<bool(const Tuple&)>& accept) const;
-
-  /// Non-owning views of matches; valid only until the space next mutates.
-  [[nodiscard]] std::vector<const Tuple*> peek(const Pattern& pattern) const;
-
-  /// Removes and returns all matches (the paper's `delete`).
-  std::vector<std::unique_ptr<Tuple>> take(const Pattern& pattern);
+  /// Removes and returns the matches (the paper's `delete`).
+  std::vector<TupleHandle> take(const Pattern& pattern,
+                                const Filter& accept = {});
 
   /// Uids of replicas flagged for re-propagation.  O(flagged).
   [[nodiscard]] std::vector<TupleUid> propagated_uids() const;
@@ -173,8 +169,13 @@ class TupleSpace {
   // --- planner surface (tota/query.cc) -------------------------------------
   // Secondary-index sizes, so `query::compile` can price access paths.
 
-  /// Replicas stored under type tag `tag`.
-  [[nodiscard]] std::size_t type_count(const std::string& tag) const;
+  /// `tag`'s type bucket (an index valid for the life of the space) and
+  /// its replica count, 0 when the tag has no bucket.
+  struct TypeBucketRef {
+    std::size_t index = 0;
+    std::size_t size = 0;
+  };
+  [[nodiscard]] TypeBucketRef type_bucket(const std::string& tag) const;
   /// Replicas flagged for re-propagation.
   [[nodiscard]] std::size_t propagated_count() const {
     return propagated_.size();
@@ -205,12 +206,14 @@ class TupleSpace {
   /// Adds/removes `uid` to/from propagated_.
   void set_propagated(const TupleUid& uid, bool propagated);
 
-  /// Compiles `pattern` into an access plan (tota/query.h) and runs
-  /// `fn(entry)` over the plan's candidates in uid order, applying
+  /// Compiles `pattern` into an access plan (tota/query.h) and counts
+  /// the plan under space.*.
+  [[nodiscard]] query::Plan plan(const Pattern& pattern) const;
+  /// Runs `fn(entry)` over `plan`'s candidates in uid order, applying
   /// residual constraints per candidate, until `fn` returns false.  Only
   /// matching entries reach `fn`.
   template <typename Fn>
-  void match(const Pattern& pattern, Fn&& fn) const;
+  void match(const Pattern& pattern, const query::Plan& plan, Fn&& fn) const;
 
   std::vector<Slot> entries_;
   /// Buckets are never removed (a node sees a handful of tags), so a

@@ -28,10 +28,10 @@ class AdvertTuple final : public FieldTuple {
 
   [[nodiscard]] std::string description() const { return name(); }
   [[nodiscard]] Vec2 location() const {
-    return content().at("location").as_vec2();
+    return content().at(kLocationField).as_vec2();
   }
   [[nodiscard]] int distance() const {
-    return static_cast<int>(content().at("distance").as_int());
+    return static_cast<int>(content().at(kDistanceField).as_int());
   }
 
   [[nodiscard]] std::string type_tag() const override { return kTag; }
@@ -41,9 +41,13 @@ class AdvertTuple final : public FieldTuple {
 
  protected:
   void update_fields(const Context& ctx) override {
-    if (ctx.hop == 0) content().set("location", ctx.position);
-    content().set("distance", ctx.hop);  // the paper's field name
+    if (ctx.hop == 0) content().set(kLocationField, ctx.position);
+    content().set(kDistanceField, ctx.hop);  // the paper's field name
   }
+
+ private:
+  inline static const wire::Atom kLocationField{"location"};
+  inline static const wire::Atom kDistanceField{"distance"};
 };
 
 }  // namespace tota::tuples

@@ -8,6 +8,31 @@
 
 namespace tota::tuples {
 
+namespace {
+
+// Field names, interned at start-up (see FieldTuple).
+const wire::Atom kAggOpField{"agg_op"};
+const wire::Atom kAggValueField{"agg_field"};
+const wire::Atom kAggHalfLifeField{"agg_hl"};
+
+/// AggReportTuple's content fields.
+struct ReportFields {
+  wire::Atom agg_origin{"agg_origin"};
+  wire::Atom agg_seq{"agg_seq"};
+  wire::Atom reporter{"reporter"};
+  wire::Atom via{"via"};
+  wire::Atom tree_hop{"tree_hop"};
+  wire::Atom sum{"sum"};
+  wire::Atom cnt{"cnt"};
+  wire::Atom min{"min"};
+  wire::Atom max{"max"};
+  wire::Atom stamp{"stamp"};
+  wire::Atom rseq{"rseq"};
+};
+const ReportFields kReport;
+
+}  // namespace
+
 const char* to_string(AggOp op) {
   switch (op) {
     case AggOp::kCount: return "count";
@@ -101,13 +126,14 @@ std::optional<double> AggSummary::result(AggOp op) const {
 
 // --- AggregationTuple -------------------------------------------------------
 
+
 AggregationTuple::AggregationTuple(std::string name, AggOp op, int scope)
     : QueryTuple(std::move(name), scope) {
-  content().set("agg_op", std::string(tuples::to_string(op)));
+  content().set(kAggOpField, std::string(tuples::to_string(op)));
 }
 
 AggregationTuple& AggregationTuple::over(std::string value_field) {
-  content().set("agg_field", std::move(value_field));
+  content().set(kAggValueField, std::move(value_field));
   return *this;
 }
 
@@ -117,24 +143,24 @@ AggregationTuple& AggregationTuple::matching(const Pattern& contributes) {
 }
 
 AggregationTuple& AggregationTuple::with_half_life(SimTime half_life) {
-  content().set("agg_hl", half_life.micros());
+  content().set(kAggHalfLifeField, half_life.micros());
   return *this;
 }
 
 AggOp AggregationTuple::op() const {
-  const wire::Value* v = content().find("agg_op");
+  const wire::Value* v = content().find(kAggOpField);
   if (v == nullptr) return AggOp::kCount;
   const auto op = agg_op_from_string(v->as_string());
   return op.value_or(AggOp::kCount);
 }
 
 std::string AggregationTuple::value_field() const {
-  const wire::Value* v = content().find("agg_field");
+  const wire::Value* v = content().find(kAggValueField);
   return v != nullptr ? v->as_string() : std::string();
 }
 
 SimTime AggregationTuple::half_life() const {
-  const wire::Value* v = content().find("agg_hl");
+  const wire::Value* v = content().find(kAggHalfLifeField);
   return v != nullptr ? SimTime(v->as_int()) : SimTime::zero();
 }
 
@@ -143,42 +169,66 @@ SimTime AggregationTuple::half_life() const {
 std::unique_ptr<AggReportTuple> AggReportTuple::make(
     const TupleUid& agg, NodeId reporter, NodeId via, int tree_hop,
     const AggSummary& s, std::uint64_t rseq) {
+  const ReportFields& f = kReport;
   auto t = std::make_unique<AggReportTuple>();
   auto& c = t->content();
-  c.set("agg_origin", agg.origin());
-  c.set("agg_seq", static_cast<std::int64_t>(agg.sequence()));
-  c.set("reporter", reporter);
-  c.set("via", via);
-  c.set("tree_hop", tree_hop);
-  c.set("sum", s.sum);
-  c.set("cnt", s.count);
+  c.set(f.agg_origin, agg.origin());
+  c.set(f.agg_seq, static_cast<std::int64_t>(agg.sequence()));
+  c.set(f.reporter, reporter);
+  c.set(f.via, via);
+  c.set(f.tree_hop, tree_hop);
+  c.set(f.sum, s.sum);
+  c.set(f.cnt, s.count);
   if (s.has_extrema) {
-    c.set("min", s.min);
-    c.set("max", s.max);
+    c.set(f.min, s.min);
+    c.set(f.max, s.max);
   }
-  c.set("stamp", s.stamp.micros());
-  c.set("rseq", static_cast<std::int64_t>(rseq));
+  c.set(f.stamp, s.stamp.micros());
+  c.set(f.rseq, static_cast<std::int64_t>(rseq));
   return t;
 }
 
 TupleUid AggReportTuple::agg_uid() const {
-  return TupleUid(content().at("agg_origin").as_node(),
-                  static_cast<std::uint64_t>(content().at("agg_seq").as_int()));
+  return TupleUid(
+      content().at(kReport.agg_origin).as_node(),
+      static_cast<std::uint64_t>(content().at(kReport.agg_seq).as_int()));
+}
+
+NodeId AggReportTuple::reporter() const {
+  return content().at(kReport.reporter).as_node();
+}
+
+NodeId AggReportTuple::via() const {
+  return content().at(kReport.via).as_node();
+}
+
+int AggReportTuple::tree_hop() const {
+  return static_cast<int>(content().at(kReport.tree_hop).as_int());
 }
 
 AggSummary AggReportTuple::summary() const {
+  const ReportFields& f = kReport;
   AggSummary s;
-  s.sum = content().at("sum").as_number();
-  s.count = content().at("cnt").as_number();
-  const wire::Value* mn = content().find("min");
-  const wire::Value* mx = content().find("max");
+  s.sum = content().at(f.sum).as_number();
+  s.count = content().at(f.cnt).as_number();
+  const wire::Value* mn = content().find(f.min);
+  const wire::Value* mx = content().find(f.max);
   if (mn != nullptr && mx != nullptr) {
     s.min = mn->as_number();
     s.max = mx->as_number();
     s.has_extrema = true;
   }
-  s.stamp = SimTime(content().at("stamp").as_int());
+  s.stamp = SimTime(content().at(f.stamp).as_int());
   return s;
+}
+
+Pattern AggReportTuple::predecessors() const {
+  const ReportFields& f = kReport;
+  Pattern prev = Pattern::of_type(kTag);
+  prev.eq("agg_origin", content().at(f.agg_origin))
+      .eq("agg_seq", content().at(f.agg_seq))
+      .eq("reporter", content().at(f.reporter));
+  return prev;
 }
 
 bool AggReportTuple::decide_enter(const Context& ctx) {
@@ -190,17 +240,14 @@ bool AggReportTuple::decide_enter(const Context& ctx) {
     // strictly monotone per reporter — two zero-delay flushes can share
     // a clock microsecond, hence the rseq tie-break — so an arrival
     // older than the stored copy is late noise: refuse it at the door.
-    Pattern prev = Pattern::of_type(kTag);
-    prev.eq("agg_origin", content().at("agg_origin"))
-        .eq("agg_seq", content().at("agg_seq"))
-        .eq("reporter", content().at("reporter"));
-    const std::int64_t my_stamp = content().at("stamp").as_int();
-    const wire::Value* my_rseq_v = content().find("rseq");
+    const ReportFields& f = kReport;
+    const std::int64_t my_stamp = content().at(f.stamp).as_int();
+    const wire::Value* my_rseq_v = content().find(f.rseq);
     const std::int64_t my_rseq = my_rseq_v != nullptr ? my_rseq_v->as_int() : 0;
-    for (const Tuple* stored : ctx.space.peek(prev)) {
-      const wire::Value* stamp = stored->content().find("stamp");
+    for (const TupleHandle& stored : ctx.space.read(predecessors())) {
+      const wire::Value* stamp = stored->content().find(f.stamp);
       if (stamp == nullptr) continue;
-      const wire::Value* rseq = stored->content().find("rseq");
+      const wire::Value* rseq = stored->content().find(f.rseq);
       const std::int64_t their_rseq = rseq != nullptr ? rseq->as_int() : 0;
       if (std::pair(stamp->as_int(), their_rseq) >
           std::pair(my_stamp, my_rseq)) {
@@ -222,11 +269,7 @@ void AggReportTuple::apply_effects(const Context& ctx) {
   // One live report per (aggregation, reporter) at any node: this runs
   // before the new copy is stored, so taking every match removes exactly
   // the predecessor(s).
-  Pattern prev = Pattern::of_type(kTag);
-  prev.eq("agg_origin", content().at("agg_origin"))
-      .eq("agg_seq", content().at("agg_seq"))
-      .eq("reporter", content().at("reporter"));
-  ctx.ops->take_local(prev);
+  ctx.ops->take_local(predecessors());
 }
 
 }  // namespace tota::tuples

@@ -156,15 +156,11 @@ class AggReportTuple final : public Tuple {
 
   /// Uid of the AggregationTuple this report folds into.
   [[nodiscard]] TupleUid agg_uid() const;
-  [[nodiscard]] NodeId reporter() const {
-    return content().at("reporter").as_node();
-  }
+  [[nodiscard]] NodeId reporter() const;
   /// Designated parent — the only neighbour that folds this report.
-  [[nodiscard]] NodeId via() const { return content().at("via").as_node(); }
+  [[nodiscard]] NodeId via() const;
   /// The reporter's hop in the aggregation tree.
-  [[nodiscard]] int tree_hop() const {
-    return static_cast<int>(content().at("tree_hop").as_int());
-  }
+  [[nodiscard]] int tree_hop() const;
   [[nodiscard]] AggSummary summary() const;
 
   // --- propagation rule: one hop out, replace in place ------------------
@@ -180,6 +176,11 @@ class AggReportTuple final : public Tuple {
   [[nodiscard]] std::unique_ptr<Tuple> clone() const override {
     return std::make_unique<AggReportTuple>(*this);
   }
+
+ private:
+  /// Matches this report's stored predecessors: same aggregation, same
+  /// reporter.
+  [[nodiscard]] Pattern predecessors() const;
 };
 
 }  // namespace tota::tuples

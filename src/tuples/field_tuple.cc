@@ -7,7 +7,7 @@ namespace tota::tuples {
 
 FieldTuple::FieldTuple(std::string name, int scope) {
   set_scope(scope);
-  content().set("name", std::move(name));
+  content().set(kNameField, std::move(name));
 }
 
 void FieldTuple::set_scope(int scope) {
@@ -24,12 +24,12 @@ bool FieldTuple::decide_enter(const Context& ctx) {
 
 void FieldTuple::change_content(const Context& ctx) {
   if (ctx.hop == 0) {
-    content().set("source", ctx.self);
+    content().set(kSourceField, ctx.self);
     // Source position, re-stamped whenever the (possibly mobile) source
     // re-announces; lets agents turn hop-space fields into directions.
-    content().set("origin_pos", ctx.position);
+    content().set(kOriginPosField, ctx.position);
   }
-  content().set("hopcount", ctx.hop);
+  content().set(kHopcountField, ctx.hop);
   update_fields(ctx);
 }
 

@@ -39,13 +39,13 @@ class FieldTuple : public Tuple {
   // --- content accessors ---------------------------------------------------
 
   [[nodiscard]] std::string name() const {
-    return content().at("name").as_string();
+    return content().at(kNameField).as_string();
   }
   [[nodiscard]] NodeId source() const {
-    return content().at("source").as_node();
+    return content().at(kSourceField).as_node();
   }
   [[nodiscard]] int hopcount() const {
-    return static_cast<int>(content().at("hopcount").as_int());
+    return static_cast<int>(content().at(kHopcountField).as_int());
   }
 
   [[nodiscard]] int scope() const { return scope_; }
@@ -64,6 +64,13 @@ class FieldTuple : public Tuple {
   /// Subclass extension point: maintain derived content fields; runs after
   /// source/hopcount are updated for this node.
   virtual void update_fields(const Context& ctx);
+
+  // The content fields above.  Like every field name the tuple classes
+  // use, interned at start-up, before a frame can fill the name table.
+  inline static const wire::Atom kNameField{"name"};
+  inline static const wire::Atom kSourceField{"source"};
+  inline static const wire::Atom kHopcountField{"hopcount"};
+  inline static const wire::Atom kOriginPosField{"origin_pos"};
 
   void encode_extra(wire::Writer& w) const override;
   void decode_extra(wire::Reader& r) override;

@@ -25,7 +25,7 @@ class FlockTuple final : public FieldTuple {
       : FieldTuple("FLOCK", scope), target_distance_(target_distance) {}
 
   [[nodiscard]] int val() const {
-    return static_cast<int>(content().at("val").as_int());
+    return static_cast<int>(content().at(kValField).as_int());
   }
   [[nodiscard]] int target_distance() const { return target_distance_; }
 
@@ -37,7 +37,7 @@ class FlockTuple final : public FieldTuple {
  protected:
   void update_fields(const Context& ctx) override {
     const int x = target_distance_;
-    content().set("val", ctx.hop <= x ? x - ctx.hop : ctx.hop - x);
+    content().set(kValField, ctx.hop <= x ? x - ctx.hop : ctx.hop - x);
   }
 
   void encode_extra(wire::Writer& w) const override {
@@ -53,6 +53,8 @@ class FlockTuple final : public FieldTuple {
   }
 
  private:
+  inline static const wire::Atom kValField{"val"};
+
   int target_distance_ = 1;
 };
 

@@ -39,14 +39,19 @@ class FloodTuple final : public FieldTuple {
   FloodTuple() = default;
   FloodTuple(std::string name, wire::Value payload)
       : FieldTuple(std::move(name), kUnbounded) {
-    content().set("payload", std::move(payload));
+    content().set(kPayloadField, std::move(payload));
   }
 
-  [[nodiscard]] wire::Value payload() const { return content().at("payload"); }
+  [[nodiscard]] wire::Value payload() const {
+    return content().at(kPayloadField);
+  }
   [[nodiscard]] std::string type_tag() const override { return kTag; }
   [[nodiscard]] std::unique_ptr<Tuple> clone() const override {
     return std::make_unique<FloodTuple>(*this);
   }
+
+ private:
+  inline static const wire::Atom kPayloadField{"payload"};
 };
 
 }  // namespace tota::tuples

@@ -6,24 +6,37 @@
 
 namespace tota::tuples {
 
+namespace {
+
+const wire::Atom kHopcountField{"hopcount"};
+
+/// Smallest hopcount among the local replicas `pattern` matches.
+std::optional<int> lowest_hopcount(const Context& ctx, const Pattern& pattern) {
+  std::optional<int> best;
+  ctx.space.for_matching(pattern, [&](const TupleSpace::Entry& entry) {
+    const int h =
+        static_cast<int>(entry.tuple->content().at(kHopcountField).as_int());
+    if (!best || h < *best) best = h;
+    return true;
+  });
+  return best;
+}
+
+}  // namespace
+
 MessageTuple::MessageTuple(NodeId receiver, std::string payload,
                            std::string structure_name, bool strict)
     : structure_name_(std::move(structure_name)), strict_(strict) {
   content()
-      .set("receiver", receiver)
-      .set("payload", std::move(payload));
+      .set(kReceiverField, receiver)
+      .set(kPayloadField, std::move(payload));
 }
 
 std::optional<int> MessageTuple::structure_value(const Context& ctx) const {
   Pattern pattern;
   pattern.eq("source", receiver()).exists("hopcount");
   if (!structure_name_.empty()) pattern.eq("name", structure_name_);
-  std::optional<int> best;
-  for (const Tuple* t : ctx.space.peek(pattern)) {
-    const int h = static_cast<int>(t->content().at("hopcount").as_int());
-    if (!best || h < *best) best = h;
-  }
-  return best;
+  return lowest_hopcount(ctx, pattern);
 }
 
 bool MessageTuple::decide_enter(const Context& ctx) {
@@ -40,7 +53,7 @@ bool MessageTuple::decide_enter(const Context& ctx) {
 }
 
 void MessageTuple::change_content(const Context& ctx) {
-  if (ctx.hop == 0) content().set("sender", ctx.self);
+  if (ctx.hop == 0) content().set(kSenderField, ctx.self);
   const auto here = structure_value(ctx);
   if (here) best_ = *here;
 }
@@ -71,19 +84,14 @@ void MessageTuple::decode_extra(wire::Reader& r) {
 AnswerTuple::AnswerTuple(NodeId home, std::string query_what,
                          std::string payload)
     : MessageTuple(home, std::move(payload)) {
-  content().set("what", std::move(query_what));
+  content().set(kWhatField, std::move(query_what));
 }
 
 std::optional<int> AnswerTuple::structure_value(const Context& ctx) const {
   // Descend specifically the enquirer's query field.
   Pattern pattern = Pattern::of_type(QueryTuple::kTag);
   pattern.eq("source", receiver()).exists("hopcount");
-  std::optional<int> best;
-  for (const Tuple* t : ctx.space.peek(pattern)) {
-    const int h = static_cast<int>(t->content().at("hopcount").as_int());
-    if (!best || h < *best) best = h;
-  }
-  return best;
+  return lowest_hopcount(ctx, pattern);
 }
 
 }  // namespace tota::tuples

@@ -42,13 +42,13 @@ class MessageTuple : public Tuple {
                std::string structure_name = {}, bool strict = false);
 
   [[nodiscard]] NodeId sender() const {
-    return content().at("sender").as_node();
+    return content().at(kSenderField).as_node();
   }
   [[nodiscard]] NodeId receiver() const {
-    return content().at("receiver").as_node();
+    return content().at(kReceiverField).as_node();
   }
   [[nodiscard]] std::string payload() const {
-    return content().at("payload").as_string();
+    return content().at(kPayloadField).as_string();
   }
 
   [[nodiscard]] std::string type_tag() const override { return kTag; }
@@ -85,6 +85,11 @@ class MessageTuple : public Tuple {
     return structure_name_;
   }
 
+  inline static const wire::Atom kSenderField{"sender"};
+  inline static const wire::Atom kReceiverField{"receiver"};
+  inline static const wire::Atom kPayloadField{"payload"};
+  inline static const wire::Atom kWhatField{"what"};
+
  private:
   std::string structure_name_;
   int best_ = -1;
@@ -103,7 +108,7 @@ class AnswerTuple final : public MessageTuple {
   AnswerTuple(NodeId home, std::string query_what, std::string payload);
 
   [[nodiscard]] std::string query_what() const {
-    return content().at("what").as_string();
+    return content().at(kWhatField).as_string();
   }
 
   [[nodiscard]] std::string type_tag() const override { return kTag; }

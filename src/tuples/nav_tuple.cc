@@ -18,8 +18,8 @@ bool NavTuple::decide_enter(const Context& ctx) {
 }
 
 void NavTuple::change_content(const Context& ctx) {
-  if (ctx.hop == 0) content().set("source", ctx.self);
-  content().set("hopcount", ctx.hop);  // the reply trail's structure
+  if (ctx.hop == 0) content().set(kSourceField, ctx.self);
+  content().set(kHopcountField, ctx.hop);  // the reply trail's structure
   best_ = distance(ctx.position, target());
 }
 

@@ -35,14 +35,14 @@ class NavTuple : public Tuple {
     return content().at("key").as_string();
   }
   [[nodiscard]] Vec2 target() const {
-    return content().at("target").as_vec2();
+    return content().at(kTargetField).as_vec2();
   }
   [[nodiscard]] std::string purpose() const {
     return content().at("purpose").as_string();
   }
   /// The requesting node (stamped at injection).
   [[nodiscard]] NodeId requester() const {
-    return content().at("source").as_node();
+    return content().at(kSourceField).as_node();
   }
 
   [[nodiscard]] std::string type_tag() const override { return kTag; }
@@ -65,6 +65,10 @@ class NavTuple : public Tuple {
   void decode_extra(wire::Reader& r) override;
 
  private:
+  inline static const wire::Atom kTargetField{"target"};
+  inline static const wire::Atom kSourceField{"source"};
+  inline static const wire::Atom kHopcountField{"hopcount"};
+
   double best_ = -1.0;  // metric distance at the last relay; <0 at start
 };
 

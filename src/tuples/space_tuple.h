@@ -27,10 +27,10 @@ class SpaceTuple final : public FieldTuple {
       : FieldTuple(std::move(name), kUnbounded), radius_m_(radius_m) {}
 
   [[nodiscard]] Vec2 origin() const {
-    return content().at("origin_pos").as_vec2();
+    return content().at(kOriginPosField).as_vec2();
   }
   [[nodiscard]] double distance_m() const {
-    return content().at("distance_m").as_double();
+    return content().at(kDistanceMField).as_double();
   }
   [[nodiscard]] double radius_m() const { return radius_m_; }
 
@@ -53,8 +53,8 @@ class SpaceTuple final : public FieldTuple {
 
  protected:
   void update_fields(const Context& ctx) override {
-    if (ctx.hop == 0) content().set("origin_pos", ctx.position);
-    content().set("distance_m", distance(ctx.position, origin()));
+    if (ctx.hop == 0) content().set(kOriginPosField, ctx.position);
+    content().set(kDistanceMField, distance(ctx.position, origin()));
   }
 
   void encode_extra(wire::Writer& w) const override {
@@ -71,6 +71,8 @@ class SpaceTuple final : public FieldTuple {
   }
 
  private:
+  inline static const wire::Atom kDistanceMField{"distance_m"};
+
   double radius_m_ = 0.0;
 };
 
@@ -91,7 +93,7 @@ class DirectionTuple final : public FieldTuple {
         cos_half_angle_(std::cos(half_angle_rad)) {}
 
   [[nodiscard]] Vec2 origin() const {
-    return content().at("origin_pos").as_vec2();
+    return content().at(kOriginPosField).as_vec2();
   }
 
   [[nodiscard]] std::string type_tag() const override { return kTag; }
@@ -109,7 +111,7 @@ class DirectionTuple final : public FieldTuple {
 
  protected:
   void update_fields(const Context& ctx) override {
-    if (ctx.hop == 0) content().set("origin_pos", ctx.position);
+    if (ctx.hop == 0) content().set(kOriginPosField, ctx.position);
   }
 
   void encode_extra(wire::Writer& w) const override {

@@ -5,42 +5,49 @@
 
 namespace tota::wire {
 
-Record& Record::set(std::string_view name, Value value) {
+Record& Record::set(Atom name, Value value) {
   for (auto& f : fields_) {
     if (f.name == name) {
       f.value = std::move(value);
       return *this;
     }
   }
-  fields_.push_back({std::string(name), std::move(value)});
+  fields_.push_back({name, std::move(value)});
   return *this;
 }
 
-bool Record::has(std::string_view name) const {
-  for (const auto& f : fields_) {
-    if (f.name == name) return true;
-  }
-  return false;
+Record& Record::set(std::string_view name, Value value) {
+  return set(Atom(name), std::move(value));
+}
+
+const Value& Record::at(Atom name) const {
+  if (const Value* v = find(name)) return *v;
+  throw std::out_of_range("record has no field '" + std::string(name.str()) +
+                          "'");
 }
 
 const Value& Record::at(std::string_view name) const {
-  for (const auto& f : fields_) {
-    if (f.name == name) return f.value;
-  }
+  if (const Value* v = find(name)) return *v;
   throw std::out_of_range("record has no field '" + std::string(name) + "'");
 }
 
-const Value* Record::find(std::string_view name) const {
+const Value* Record::find(Atom name) const {
   for (const auto& f : fields_) {
     if (f.name == name) return &f.value;
   }
   return nullptr;
 }
 
+const Value* Record::find(std::string_view name) const {
+  // A name nobody interned is in no record.
+  const std::optional<Atom> atom = Atom::find(name);
+  return atom ? find(*atom) : nullptr;
+}
+
 void Record::encode(Writer& w) const {
   w.uvarint(fields_.size());
   for (const auto& f : fields_) {
-    w.string(f.name);
+    w.string(f.name.str());
     f.value.encode(w);
   }
 }
@@ -56,8 +63,8 @@ Record Record::decode(Reader& r) {
   rec.fields_.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(n, r.remaining() / 2)));
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name = r.string();
-    rec.fields_.push_back({std::move(name), Value::decode(r)});
+    const Atom name(r.string_view());
+    rec.fields_.push_back({name, Value::decode(r)});
   }
   return rec;
 }
@@ -66,7 +73,8 @@ std::string Record::str() const {
   std::string out = "(";
   for (std::size_t i = 0; i < fields_.size(); ++i) {
     if (i > 0) out += ", ";
-    out += fields_[i].name + "=" + fields_[i].value.str();
+    out += fields_[i].name.str();
+    out += "=" + fields_[i].value.str();
   }
   out += ")";
   return out;
@@ -75,7 +83,7 @@ std::string Record::str() const {
 std::size_t Record::hash() const {
   std::size_t h = fields_.size();
   for (const auto& f : fields_) {
-    h = h * 1000003 + std::hash<std::string>{}(f.name);
+    h = h * 1000003 + f.name.hash();
     h = h * 1000003 + f.value.hash();
   }
   return h;

@@ -3,7 +3,9 @@
 //
 // Field names make application code and pattern matching readable
 // ("hopcount" rather than "field 2") while the wire format stays compact
-// (names are short strings, encoded once per record).
+// (names are short strings, encoded once per record).  In memory a name
+// is an interned wire::Atom, so a lookup by Atom is an integer scan; the
+// string_view overloads resolve the name first and never intern it.
 #pragma once
 
 #include <initializer_list>
@@ -12,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "wire/atom.h"
 #include "wire/value.h"
 
 namespace tota::wire {
@@ -20,7 +23,7 @@ namespace tota::wire {
 class Record {
  public:
   struct Field {
-    std::string name;
+    Atom name;
     Value value;
     friend bool operator==(const Field&, const Field&) = default;
   };
@@ -28,14 +31,20 @@ class Record {
   Record() = default;
   Record(std::initializer_list<Field> fields) : fields_(fields) {}
 
-  /// Appends a field; returns *this for chaining.
+  /// Sets the named field, appending it if absent; returns *this for
+  /// chaining.  The string form interns the name.
+  Record& set(Atom name, Value value);
   Record& set(std::string_view name, Value value);
 
-  [[nodiscard]] bool has(std::string_view name) const;
+  [[nodiscard]] bool has(std::string_view name) const {
+    return find(name) != nullptr;
+  }
   /// Value of the named field; throws std::out_of_range if absent.
+  [[nodiscard]] const Value& at(Atom name) const;
   [[nodiscard]] const Value& at(std::string_view name) const;
   /// The named field's value, or nullptr if absent.  Points into the
   /// record: valid until the record is next modified.
+  [[nodiscard]] const Value* find(Atom name) const;
   [[nodiscard]] const Value* find(std::string_view name) const;
 
   /// Positional access.

@@ -8,6 +8,7 @@
 
 #include "fake_platform.h"
 #include "tota/engine.h"
+#include "wire/atom.h"
 #include "tuples/all.h"
 
 namespace {
@@ -409,10 +410,10 @@ TEST_F(EngineTest, ModifierTupleDeletesMatchesViaOps) {
 
   Pattern doomed;
   doomed.eq("name", "doomed");
-  EXPECT_TRUE(space_.peek(doomed).empty());
+  EXPECT_TRUE(space_.read(doomed).empty());
   Pattern kept;
   kept.eq("name", "kept");
-  EXPECT_EQ(space_.peek(kept).size(), 1u);
+  EXPECT_EQ(space_.read(kept).size(), 1u);
 }
 
 TEST_F(EngineTest, PassthroughMemoryIsBounded) {
@@ -637,6 +638,128 @@ TEST_F(EngineTest, DecodeFailureMetricRecorded) {
   Engine engine(NodeId{3}, platform_, space_, bus_, {}, &hub);
   engine.on_datagram(NodeId{5}, wire::Bytes{99});
   EXPECT_EQ(hub.metrics.get("engine.decode_fail"), 1);
+}
+
+// --- shared replicas ----------------------------------------------------------
+
+TEST_F(EngineTest, ReadHandleOutlivesRetractionAndHoldDown) {
+  GradientTuple remote("field");
+  remote.set_uid(TupleUid{NodeId{9}, 1});
+  remote.set_hop(4);
+  engine_.on_datagram(NodeId{5}, tuple_frame(remote));
+  const TupleHandle held =
+      space_.read_one(Pattern::of_type(GradientTuple::kTag));
+  ASSERT_NE(held, nullptr);
+
+  engine_.on_neighbor_down(NodeId{5});  // retracts; hold-down at hop 5
+  ASSERT_EQ(space_.find(remote.uid()), nullptr);
+  EXPECT_EQ(held.use_count(), 1);  // only the reader keeps it alive
+  engine_.on_datagram(NodeId{6}, tuple_frame(remote));
+  ASSERT_EQ(space_.find(remote.uid()), nullptr);  // held down
+
+  platform_.run_scheduled();  // hold-down expires
+  engine_.on_datagram(NodeId{6}, tuple_frame(remote));
+  remote.set_hop(0);  // then a better copy supersedes the reinstall
+  engine_.on_datagram(NodeId{7}, tuple_frame(remote));
+  ASSERT_NE(space_.find(remote.uid()), nullptr);
+  EXPECT_EQ(space_.find(remote.uid())->tuple->hop(), 1);
+
+  EXPECT_NE(space_.find(remote.uid())->tuple, held);
+  EXPECT_EQ(held->hop(), 5);
+  EXPECT_EQ(held->content().at("hopcount").as_int(), 5);
+  EXPECT_EQ(held->content().at("name").as_string(), "field");
+}
+
+TEST_F(EngineTest, ReentrantReplaceDuringPublishKeepsTheBroadcastBytes) {
+  // A kTupleArrived reaction that makes the engine replace the very
+  // replica being processed — here by receiving a better copy of the
+  // same uid — must not change what step 7 then sends: the outer copy.
+  GradientTuple remote("field");
+  remote.set_uid(TupleUid{NodeId{9}, 1});
+  remote.set_hop(1);
+  const wire::Bytes better = tuple_frame(remote);
+  remote.set_hop(5);
+  bool replaced = false;
+  bus_.subscribe(
+      Pattern::of_type(GradientTuple::kTag),
+      [&](const Event&) {
+        if (replaced) return;
+        replaced = true;
+        engine_.on_datagram(NodeId{6}, better);
+      },
+      static_cast<int>(EventKind::kTupleArrived));
+
+  engine_.on_datagram(NodeId{5}, tuple_frame(remote));
+  ASSERT_TRUE(replaced);
+  EXPECT_EQ(space_.find(remote.uid())->tuple->hop(), 2);
+
+  // The outer copy as it left step 5: hop 6, hopcount stamped to 6.
+  GradientTuple outer = remote;
+  outer.set_hop(6);
+  outer.content().set("hopcount", 6);
+  remote.set_hop(2);
+  remote.content().set("hopcount", 2);
+  ASSERT_EQ(platform_.broadcasts.size(), 2u);
+  EXPECT_EQ(platform_.broadcasts[0], tuple_frame(remote));  // inner
+  EXPECT_EQ(platform_.broadcasts[1], tuple_frame(outer));   // outer
+}
+
+// --- field-name table cap ----------------------------------------------------
+
+/// Feeds an engine TUPLE frames whose bodies each name kPerFrame fields
+/// never seen before, up to the name table's cap and past it.  Returns 0
+/// when every expectation held, else the number of the one that failed.
+int flood_name_table() {
+  tuples::register_standard_tuples();
+  FakePlatform platform;
+  TupleSpace space;
+  EventBus bus;
+  Engine engine{NodeId{1}, platform, space, bus};
+  constexpr std::size_t kPerFrame = 4096;  // the record decoder's limit
+  std::uint64_t seq = 0;
+  std::size_t next_name = 0;
+  const auto hostile_frame = [&] {
+    const TupleUid uid{NodeId{9}, ++seq};
+    return wire::Frame::tuple([&](wire::Writer& w) {
+      TupleHeader{GradientTuple::kTag, uid, 0}.write(w);
+      AccessPolicy().encode(w);
+      w.uvarint(kPerFrame);
+      for (std::size_t i = 0; i < kPerFrame; ++i) {
+        w.string("hostile." + std::to_string(next_name++));
+        wire::Value(1).encode(w);
+      }
+      w.svarint(GradientTuple::kUnbounded);
+    });
+  };
+
+  // While the new names fit, such frames are ordinary tuples.
+  while (wire::Atom::count() + kPerFrame <= wire::Atom::kMaxAtoms) {
+    engine.on_datagram(NodeId{5}, hostile_frame());
+    if (engine.decode_failures() != 0) return 1;
+  }
+  const std::size_t stored = space.size();
+  if (stored == 0) return 2;
+
+  // Past the cap each one is a decode failure, and the table stays full.
+  for (int i = 0; i < 3; ++i) engine.on_datagram(NodeId{5}, hostile_frame());
+  if (engine.decode_failures() != 3) return 3;
+  if (wire::Atom::count() != wire::Atom::kMaxAtoms) return 4;
+  if (space.size() != stored) return 5;
+
+  // Copies that use known names still decode.
+  GradientTuple remote("field");
+  remote.set_uid(TupleUid{NodeId{8}, 1});
+  engine.on_datagram(NodeId{5}, tuple_frame(remote));
+  if (engine.decode_failures() != 3) return 6;
+  if (space.find(remote.uid()) == nullptr) return 7;
+  return 0;
+}
+
+TEST(FieldNameCapDeathTest, FramesPastTheCapAreDecodeFailures) {
+  // In a child process: filling the process-wide table would starve the
+  // other tests of this binary.
+  EXPECT_EXIT(std::exit(flood_name_table()), ::testing::ExitedWithCode(0),
+              "");
 }
 
 // --- BoundedUidFifo --------------------------------------------------------

@@ -1,6 +1,8 @@
 // Tests for the Middleware facade: the paper's API surface semantics.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "fake_platform.h"
 #include "tota/middleware.h"
 #include "tuples/all.h"
@@ -26,12 +28,18 @@ TEST_F(MiddlewareTest, InjectReturnsUidAndStores) {
   EXPECT_EQ(mw_.space().size(), 1u);
 }
 
-TEST_F(MiddlewareTest, ReadReturnsCopiesNotViews) {
+TEST_F(MiddlewareTest, ReadReturnsSharedImmutableHandles) {
+  static_assert(std::is_const_v<TupleHandle::element_type>,
+                "a read must not hand out a mutable replica");
   mw_.inject(std::make_unique<GradientTuple>("f"));
-  auto copies = mw_.read(Pattern{});
-  ASSERT_EQ(copies.size(), 1u);
-  copies[0]->content().set("name", "tampered");
-  EXPECT_EQ(mw_.read_one(Pattern{})->content().at("name").as_string(), "f");
+  const auto handles = mw_.read(Pattern{});
+  ASSERT_EQ(handles.size(), 1u);
+  // The handle is the stored replica itself, not a copy of it...
+  EXPECT_EQ(handles[0], mw_.read_one(Pattern{}));
+  // ...and it outlives the replica's removal with its content intact.
+  EXPECT_EQ(mw_.take(Pattern{}).size(), 1u);
+  EXPECT_TRUE(mw_.space().empty());
+  EXPECT_EQ(handles[0]->content().at("name").as_string(), "f");
 }
 
 TEST_F(MiddlewareTest, ReadOneNullWhenNoMatch) {

@@ -660,7 +660,7 @@ TEST(LivePlatform, GradientCrossesRealSockets) {
       Pattern::of_type(tuples::GradientTuple::kTag).eq("name", "live-field");
 
   // Poll until node 2 holds the replica (or a generous deadline).
-  std::unique_ptr<Tuple> replica;
+  TupleHandle replica;
   for (int i = 0; i < 40 && replica == nullptr; ++i) {
     loop.run_for(SimTime::from_millis(50));
     replica = mb.read_one(p);

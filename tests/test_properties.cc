@@ -475,7 +475,7 @@ TEST_P(PlannerProperty, CompiledPlansEqualNaiveFullScan) {
     if (op % 40 != 0) continue;
     for (const Pattern& pattern : probe_patterns(rng)) {
       std::vector<TupleUid> planned;
-      for (const Tuple* t : space.peek(pattern)) {
+      for (const TupleHandle& t : space.read(pattern)) {
         planned.push_back(t->uid());
       }
       EXPECT_EQ(planned, naive_matches(space, pattern))

@@ -59,18 +59,30 @@ TEST_F(TupleSpaceTest, EraseReturnsTuple) {
   EXPECT_EQ(space_.erase(TupleUid{NodeId{1}, 1}), nullptr);
 }
 
-TEST_F(TupleSpaceTest, ReadReturnsClones) {
+TEST_F(TupleSpaceTest, ReadHandleKeepsItsContentAfterReplaceAndTake) {
+  const TupleUid uid{NodeId{1}, 1};
   space_.put(make_tuple(NodeId{1}, 1, "a", 0), NodeId{}, false,
              SimTime::zero());
-  auto results = space_.read(Pattern{});
-  ASSERT_EQ(results.size(), 1u);
-  // Mutating the copy must not affect the stored replica.
-  results[0]->content().set("name", "mutated");
-  EXPECT_EQ(space_.find(TupleUid{NodeId{1}, 1})
-                ->tuple->content()
-                .at("name")
-                .as_string(),
-            "a");
+  const auto read = space_.read(Pattern{});
+  const TupleHandle one = space_.read_one(Pattern{});
+  ASSERT_EQ(read.size(), 1u);
+  ASSERT_NE(one, nullptr);
+
+  // A replacement installs a new object; the handles keep the old one.
+  space_.put(make_tuple(NodeId{1}, 1, "b", 0), NodeId{}, false,
+             SimTime::zero());
+  EXPECT_EQ(space_.find(uid)->tuple->content().at("name").as_string(), "b");
+  EXPECT_EQ(read[0]->content().at("name").as_string(), "a");
+  EXPECT_EQ(one->content().at("name").as_string(), "a");
+
+  // Taking the replica leaves a handle to it readable after the space
+  // let go.
+  const TupleHandle replaced = space_.read_one(Pattern{});
+  EXPECT_EQ(space_.take(Pattern{}).size(), 1u);
+  EXPECT_TRUE(space_.empty());
+  EXPECT_EQ(replaced.use_count(), 1);
+  EXPECT_EQ(replaced->content().at("name").as_string(), "b");
+  EXPECT_EQ(one->uid(), uid);
 }
 
 TEST_F(TupleSpaceTest, ReadFiltersByPattern) {
@@ -96,12 +108,15 @@ TEST_F(TupleSpaceTest, ReadOneReturnsFirstInUidOrder) {
   EXPECT_EQ(space_.read_one(Pattern::of_type("no.such")), nullptr);
 }
 
-TEST_F(TupleSpaceTest, PeekReturnsViews) {
+TEST_F(TupleSpaceTest, ReadSharesTheStoredReplica) {
   space_.put(make_tuple(NodeId{1}, 1, "a", 0), NodeId{}, false,
              SimTime::zero());
-  const auto views = space_.peek(Pattern{});
-  ASSERT_EQ(views.size(), 1u);
-  EXPECT_EQ(views[0], space_.find(TupleUid{NodeId{1}, 1})->tuple.get());
+  const TupleSpace::Entry* entry = space_.find(TupleUid{NodeId{1}, 1});
+  const auto handles = space_.read(Pattern{});
+  ASSERT_EQ(handles.size(), 1u);
+  EXPECT_EQ(handles[0], entry->tuple);
+  EXPECT_EQ(space_.read_one(Pattern{}), entry->tuple);
+  EXPECT_EQ(entry->tuple.use_count(), 2);  // the store's and `handles`
 }
 
 TEST_F(TupleSpaceTest, TakeRemovesMatches) {
@@ -186,8 +201,8 @@ TEST_F(TupleSpaceTest, ReplaceMovesEntryBetweenIndexes) {
   msg->set_uid(TupleUid{NodeId{1}, 1});
   space_.put(std::move(msg), NodeId{3}, false, SimTime::zero());
 
-  EXPECT_TRUE(space_.peek(Pattern::of_type(GradientTuple::kTag)).empty());
-  ASSERT_EQ(space_.peek(Pattern::of_type(tuples::MessageTuple::kTag)).size(),
+  EXPECT_TRUE(space_.read(Pattern::of_type(GradientTuple::kTag)).empty());
+  ASSERT_EQ(space_.read(Pattern::of_type(tuples::MessageTuple::kTag)).size(),
             1u);
   EXPECT_TRUE(matching_uids(space_, parent_is(NodeId{2})).empty());
   EXPECT_EQ(matching_uids(space_, parent_is(NodeId{3})),
@@ -217,21 +232,21 @@ TEST_F(TupleSpaceTest, BoundMetricsCountIndexedAndScanQueries) {
   space_.put(make_tuple(NodeId{2}, 1, "b", 0), NodeId{}, true,
              SimTime::zero());
 
-  (void)space_.peek(Pattern::of_type(GradientTuple::kTag));
+  (void)space_.read(Pattern::of_type(GradientTuple::kTag));
   EXPECT_EQ(registry.get("space.query.indexed"), 1);
   EXPECT_EQ(registry.get("space.query.candidates"), 2);
   EXPECT_EQ(registry.get("space.query.matches"), 2);
 
   Pattern untyped;
   untyped.eq("name", "a");
-  (void)space_.peek(untyped);
+  (void)space_.read(untyped);
   EXPECT_EQ(registry.get("space.query.scan"), 1);
   EXPECT_EQ(registry.get("space.query.candidates"), 4);
   EXPECT_EQ(registry.get("space.query.matches"), 3);
   EXPECT_EQ(registry.get("space.query.naive_candidates"), 4);
 
   // A typed query for an absent tag touches zero candidates.
-  (void)space_.peek(Pattern::of_type(tuples::MessageTuple::kTag));
+  (void)space_.read(Pattern::of_type(tuples::MessageTuple::kTag));
   EXPECT_EQ(registry.get("space.query.indexed"), 2);
   EXPECT_EQ(registry.get("space.query.candidates"), 4);
 }
@@ -335,7 +350,7 @@ TEST_F(TupleSpaceTest, PlanCountersRecordPathAndResidual) {
 
   Pattern typed = Pattern::of_type(GradientTuple::kTag);
   typed.eq("name", "a");
-  (void)space_.peek(typed);
+  (void)space_.read(typed);
   EXPECT_EQ(registry.get("space.plan.type_index"), 1);
   EXPECT_EQ(registry.get("space.plan.candidates"), 4);
   EXPECT_EQ(registry.get("space.plan.residual_evals"), 4);
@@ -351,11 +366,11 @@ TEST_F(TupleSpaceTest, PlanCountersRecordPathAndResidual) {
 
   Pattern prop;
   prop.propagated_only();
-  (void)space_.peek(prop);
+  (void)space_.read(prop);
   EXPECT_EQ(registry.get("space.plan.propagated_index"), 1);
   EXPECT_EQ(registry.get("space.plan.candidates"), 9);
 
-  (void)space_.peek(Pattern{});
+  (void)space_.read(Pattern{});
   EXPECT_EQ(registry.get("space.plan.full_scan"), 2);
   // Legacy counters keep their historical meaning alongside.
   EXPECT_EQ(registry.get("space.query.indexed"), 2);
@@ -466,9 +481,9 @@ TEST_F(TupleSpaceTest, EntryAddressSurvivesGrowthAndReplacement) {
   space_.put(std::move(msg), NodeId{6}, false, SimTime::zero());
   EXPECT_EQ(space_.find(held), entry);
   EXPECT_EQ(entry->type_tag, tuples::MessageTuple::kTag);
-  EXPECT_TRUE(space_.peek(Pattern::of_type(GradientTuple::kTag)).empty());
-  EXPECT_EQ(space_.peek(Pattern::of_type(tuples::MessageTuple::kTag)),
-            (std::vector<const Tuple*>{entry->tuple.get()}));
+  EXPECT_TRUE(space_.read(Pattern::of_type(GradientTuple::kTag)).empty());
+  EXPECT_EQ(space_.read(Pattern::of_type(tuples::MessageTuple::kTag)),
+            (std::vector<TupleHandle>{entry->tuple}));
   EXPECT_TRUE(space_.propagated_uids().empty());
 }
 
@@ -547,10 +562,10 @@ void check_against_model(std::uint64_t seed, std::uint64_t origins,
       if (rng.below(3) == 0) p.from_parent(NodeId{rng.below(5)});
       if (rng.below(3) == 0) p.propagated_only(rng.below(2) == 0);
       if (p.parent() || p.propagated()) ++meta_queries;
-      const auto got = space.peek(p);
+      const auto got = space.read(p);
       std::vector<TupleUid> got_uids;
       got_uids.reserve(got.size());
-      for (const Tuple* t : got) got_uids.push_back(t->uid());
+      for (const TupleHandle& t : got) got_uids.push_back(t->uid());
       ASSERT_EQ(matching_uids(space, p), got_uids) << "step " << step;
 
       std::vector<TupleUid> want_uids;

@@ -3,9 +3,14 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <new>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "wire/atom.h"
 #include "wire/buffer.h"
 #include "wire/record.h"
 #include "wire/registry.h"
@@ -252,8 +257,8 @@ TEST(RecordTest, FindAndHas) {
 TEST(RecordTest, PreservesFieldOrder) {
   Record r;
   r.set("z", 1).set("a", 2);
-  EXPECT_EQ(r.field(0).name, "z");
-  EXPECT_EQ(r.field(1).name, "a");
+  EXPECT_EQ(r.field(0).name.str(), "z");
+  EXPECT_EQ(r.field(1).name.str(), "a");
 }
 
 TEST(RecordTest, RoundTrip) {
@@ -307,6 +312,105 @@ TEST(RecordTest, StrMentionsFields) {
   Record r;
   r.set("k", 7);
   EXPECT_EQ(r.str(), "(k=7)");
+}
+
+TEST(RecordTest, EncodeIsByteIdenticalToTheStringKeyedFormat) {
+  // Golden bytes of the format as it was before names were interned:
+  // field count, then per field its name as a length-prefixed string and
+  // its value.  Interning must not change a byte.
+  Record r;
+  r.set("name", "field")
+      .set("hopcount", 3)
+      .set("source", NodeId{9})
+      .set("origin_pos", Vec2{1.5, -2.0})
+      .set("payload", std::vector<std::uint8_t>{1, 2});
+  const Bytes golden{
+      0x05, 0x04, 0x6e, 0x61, 0x6d, 0x65, 0x04, 0x05, 0x66, 0x69, 0x65,
+      0x6c, 0x64, 0x08, 0x68, 0x6f, 0x70, 0x63, 0x6f, 0x75, 0x6e, 0x74,
+      0x01, 0x06, 0x06, 0x73, 0x6f, 0x75, 0x72, 0x63, 0x65, 0x05, 0x09,
+      0x0a, 0x6f, 0x72, 0x69, 0x67, 0x69, 0x6e, 0x5f, 0x70, 0x6f, 0x73,
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x07, 0x70, 0x61, 0x79, 0x6c,
+      0x6f, 0x61, 0x64, 0x07, 0x02, 0x01, 0x02};
+  Writer w;
+  r.encode(w);
+  EXPECT_EQ(w.bytes(), golden);
+  Reader rd(golden);
+  EXPECT_EQ(Record::decode(rd), r);
+}
+
+TEST(AtomTest, EqualNamesShareOneAtom) {
+  const Atom a("atom.test.same");
+  const std::string copy = "atom.test.same";
+  EXPECT_EQ(Atom(copy), a);
+  EXPECT_EQ(a.str(), "atom.test.same");
+  EXPECT_FALSE(Atom("atom.test.other") == a);
+}
+
+TEST(AtomTest, FindNeverInterns) {
+  const std::size_t before = Atom::count();
+  EXPECT_FALSE(Atom::find("atom.test.never-interned").has_value());
+  EXPECT_EQ(Atom::count(), before);
+  // Records look names up the same way: a miss adds nothing either.
+  Record r;
+  EXPECT_EQ(r.find("atom.test.never-interned"), nullptr);
+  EXPECT_FALSE(r.has("atom.test.never-interned"));
+  EXPECT_EQ(Atom::count(), before);
+  const Atom added("atom.test.interned-now");
+  EXPECT_EQ(Atom::count(), before + 1);
+  EXPECT_EQ(Atom::find("atom.test.interned-now"), added);
+}
+
+TEST(AtomTest, HashIsTheNameStringHash) {
+  // Record::hash mixes field-name hashes; keeping them the string hashes
+  // keeps every hash the same as before interning.
+  const std::string name = "atom.test.hash";
+  EXPECT_EQ(Atom(name).hash(), std::hash<std::string>{}(name));
+}
+
+TEST(AtomTest, ConcurrentDecodesAgreeOnAtoms) {
+  // Four threads decode records at once.  Each record carries names all
+  // threads share and names only that thread uses, some of them new to
+  // the table, so lookups race with insertions (run under TSan in CI).
+  constexpr int kThreads = 4;
+  constexpr int kNames = 200;
+  const auto name = [](const std::string& scope, int i) {
+    return "atom.race." + scope + "." + std::to_string(i);
+  };
+  std::vector<Bytes> bodies(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    Writer w;
+    w.uvarint(2 * kNames);
+    for (int i = 0; i < kNames; ++i) {
+      w.string(name("shared", i));
+      Value(i).encode(w);
+      w.string(name(std::to_string(t), i));
+      Value(t).encode(w);
+    }
+    bodies[t] = w.take();
+  }
+
+  std::vector<Record> decoded(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Reader r(bodies[t]);
+      decoded[t] = Record::decode(r);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(decoded[t].size(), static_cast<std::size_t>(2 * kNames));
+    for (int i = 0; i < kNames; ++i) {
+      const Record::Field& shared = decoded[t].field(2 * i);
+      const Record::Field& own = decoded[t].field(2 * i + 1);
+      EXPECT_EQ(shared.name, decoded[0].field(2 * i).name);
+      EXPECT_EQ(shared.name.str(), name("shared", i));
+      EXPECT_EQ(own.name, Atom(name(std::to_string(t), i)));
+      EXPECT_EQ(decoded[t].at(name("shared", i)).as_int(), i);
+    }
+  }
 }
 
 struct Animal {
