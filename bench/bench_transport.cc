@@ -24,7 +24,6 @@
 // broadcast channel with per-directed-link fault injection.  Everything
 // runs on virtual time from seeded Rngs, so BENCH_transport.json is
 // bit-for-bit deterministic.
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -214,10 +213,12 @@ class TransportWorld {
 
 /// True when the (well-formed) datagram carries any engine frame.
 bool carries_data(const wire::Bytes& datagram) {
-  const net::Datagram d = net::Datagram::decode(datagram);
-  return std::any_of(d.chunks.begin(), d.chunks.end(), [](const auto& c) {
-    return c.kind == net::ChunkKind::kData;
-  });
+  net::BatchReader r(datagram);
+  net::Chunk c;
+  while (r.next(c)) {
+    if (c.kind == net::ChunkKind::kData) return true;
+  }
+  return false;
 }
 
 constexpr int kNodes = 6;
@@ -249,7 +250,7 @@ int main() {
     // batch re-broadcasts its 20 reactions as one datagram.
     world.at(SimTime::from_millis(1001), [&] {
       for (int t = 0; t < kTuples; ++t) {
-        world.inject(0, "t" + std::to_string(t));
+        world.inject(0, std::string("t") + std::to_string(t));
       }
     });
     world.run_until(SimTime::from_seconds(3));
@@ -346,7 +347,9 @@ int main() {
     TransportWorld world(11, kNodes4, config);
     world.start();
     world.run_until(SimTime::from_millis(500));
-    for (int t = 0; t < kSeeded; ++t) world.inject(0, "s" + std::to_string(t));
+    for (int t = 0; t < kSeeded; ++t) {
+      world.inject(0, std::string("s") + std::to_string(t));
+    }
     world.run_until(SimTime::from_seconds(2));
     // The silent hole: link 1→2 eats every DATA-carrying datagram while
     // two fresh tuples flood; HELLOs keep flowing, so no link event
@@ -358,7 +361,7 @@ int main() {
     });
     world.at(SimTime::from_millis(2100), [&] {
       for (int t = 0; t < kHoles; ++t) {
-        world.inject(0, "h" + std::to_string(t));
+        world.inject(0, std::string("h") + std::to_string(t));
       }
     });
     world.at(SimTime::from_seconds(3), [&] { world.set_drop_filter(nullptr); });

@@ -13,6 +13,12 @@ fixed number of passes — and checks:
     read (`space.read_allocs`);
   * every output check of the driver passed (`failed` is 0).
 
+The live workload (live_mass) runs once, traced, for a few rounds: its
+counters follow wall-clock timing, so only its ceilings and output checks
+are gated.  `net.batch.coalesce` (chunks per datagram) measures how much
+standing control traffic rides each datagram.  Exit 77 from the driver
+(no loopback UDP) skips it.
+
 Wall-clock metrics are not gated: they measure the host as much as the
 code, and perfbench/compare.py judges them over paired runs instead.
 
@@ -39,19 +45,29 @@ GATES = {
     "grid_churn": (1, {"engine.rx_allocs": 0.61, "sim.broadcast_allocs": 5.0}),
     "app_query": (1, {"engine.rx_allocs": 25.7, "space.read_allocs": 1.0}),
 }
+# live workload -> (timed rounds, {metric: ceiling})
+LIVE_GATES = {
+    "live_mass": (3, {"net.batch.coalesce": 14}),
+}
 REPEATED_COUNTS = ("engine.", "radio.")
+SKIPPED = 77
 
 
 def traced_run(binary, workload, passes):
-    """One traced run: (result metrics by name, counters, failed ops)."""
+    """One traced run: (result metrics by name, counters, failed ops), or
+    None when the driver skipped the workload."""
     with tempfile.TemporaryDirectory() as d:
         counts_path = os.path.join(d, "counts.json")
+        args = [binary, "--workload", workload, "--seed", str(SEED),
+                "--seconds", "1", "--passes", str(passes), "--trace", "1",
+                "--out-dir", d, "--counts-out", counts_path]
         proc = subprocess.run(
-            [binary, "--workload", workload, "--seed", str(SEED),
-             "--seconds", "1", "--passes", str(passes), "--trace", "1",
-             "--out-dir", d, "--counts-out", counts_path],
-            check=True, cwd=ROOT, stdout=subprocess.PIPE,
+            args, cwd=ROOT, stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL, text=True, timeout=600)
+        if proc.returncode == SKIPPED:
+            return None
+        if proc.returncode != 0:
+            raise subprocess.CalledProcessError(proc.returncode, args)
         result = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
         with open(counts_path) as f:
             counts = json.load(f)
@@ -75,8 +91,14 @@ def check(binary, workload, passes, ceilings):
         if m1[name] != m2.get(name):
             errors.append(f"{workload}: {name} not repeatable: "
                           f"{m1[name]} vs {m2.get(name)}")
+    return errors + check_ceilings(workload, m1, ceilings)
+
+
+def check_ceilings(workload, metrics, ceilings):
+    """Prints each gated metric; returns the failures."""
+    errors = []
     for name, ceiling in ceilings.items():
-        value = m1[name]
+        value = metrics[name]
         verdict = "ok" if value <= ceiling else "OVER"
         print(f"{workload:11s} {name:22s} {value:10.4f} <= {ceiling:<5} "
               f"{verdict}")
@@ -86,11 +108,24 @@ def check(binary, workload, passes, ceilings):
     return errors
 
 
+def check_live(binary, workload, rounds, ceilings):
+    """One traced live run: output checks and ceilings, or a skip."""
+    run_result = traced_run(binary, workload, rounds)
+    if run_result is None:
+        print(f"{workload:11s} skipped (no loopback UDP)")
+        return []
+    metrics, _, failed = run_result
+    errors = [f"{workload}: {failed} output checks failed"] if failed else []
+    return errors + check_ceilings(workload, metrics, ceilings)
+
+
 def main():
     binary = run.build()
     errors = []
     for workload, (passes, ceilings) in GATES.items():
         errors += check(binary, workload, passes, ceilings)
+    for workload, (rounds, ceilings) in LIVE_GATES.items():
+        errors += check_live(binary, workload, rounds, ceilings)
     for e in errors:
         print(f"FAIL  {e}", file=sys.stderr)
     if errors:

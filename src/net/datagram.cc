@@ -66,41 +66,43 @@ void decode_chunk(Chunk& c, std::span<const std::uint8_t> body) {
 
 }  // namespace
 
-Datagram Datagram::decode(std::span<const std::uint8_t> bytes) {
-  wire::Reader r(bytes);
-  if (r.u8() != kMagic) throw wire::DecodeError("not a TOTA datagram");
-  if (r.u8() != kVersion) throw wire::DecodeError("datagram version mismatch");
-  if (r.u8() != static_cast<std::uint8_t>(DatagramKind::kBatch)) {
+BatchReader::BatchReader(std::span<const std::uint8_t> bytes) : r_(bytes) {
+  if (r_.u8() != kMagic) throw wire::DecodeError("not a TOTA datagram");
+  if (r_.u8() != kVersion) {
+    throw wire::DecodeError("datagram version mismatch");
+  }
+  if (r_.u8() != static_cast<std::uint8_t>(DatagramKind::kBatch)) {
     throw wire::DecodeError("unknown datagram kind");
   }
-
-  Datagram d;
-  d.sender = NodeId{r.uvarint()};
-  if (!d.sender.valid()) throw wire::DecodeError("datagram without sender");
-  const std::uint64_t count = r.uvarint();
-  if (count == 0) throw wire::DecodeError("empty BATCH");
-  if (count > kMaxBatchChunks) {
+  sender_ = NodeId{r_.uvarint()};
+  if (!sender_.valid()) throw wire::DecodeError("datagram without sender");
+  left_ = r_.uvarint();
+  if (left_ == 0) throw wire::DecodeError("empty BATCH");
+  if (left_ > kMaxBatchChunks) {
     throw wire::DecodeError("BATCH chunk count over the cap");
   }
-  d.chunks.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto ckind = r.u8();
-    const std::uint64_t clen = r.uvarint();
-    if (clen > r.remaining()) {
+}
+
+bool BatchReader::next(Chunk& c) {
+  while (left_ > 0) {
+    --left_;
+    const auto ckind = r_.u8();
+    const std::uint64_t clen = r_.uvarint();
+    if (clen > r_.remaining()) {
       throw wire::DecodeError("truncated BATCH chunk");
     }
-    const auto body = r.span(static_cast<std::size_t>(clen));
+    const auto body = r_.span(static_cast<std::size_t>(clen));
     if (ckind < 1 || ckind > static_cast<std::uint8_t>(ChunkKind::kDigest)) {
-      ++d.skipped;  // a future chunk kind: skippable by design
+      ++skipped_;  // a future chunk kind: skippable by design
       continue;
     }
-    Chunk c;
+    c = Chunk{};
     c.kind = static_cast<ChunkKind>(ckind);
     decode_chunk(c, body);
-    d.chunks.push_back(c);
+    return true;
   }
-  r.expect_done();  // trailing garbage is corruption, not padding
-  return d;
+  r_.expect_done();  // trailing garbage is corruption, not padding
+  return false;
 }
 
 wire::Bytes Datagram::batch(NodeId sender,

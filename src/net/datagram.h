@@ -28,7 +28,7 @@
 //
 // Chunks are length-prefixed so a decoder can *skip* a chunk kind it
 // does not know (forward compatibility within version 1 of the BATCH
-// envelope; skipped chunks are surfaced via Datagram::skipped).
+// envelope; skipped chunks are surfaced via BatchReader::skipped).
 //
 // Chunk bodies:
 //   HELLO  <seq uvarint, period_ms uvarint>      discovery beacon
@@ -75,7 +75,7 @@ enum class ChunkKind : std::uint8_t {
 };
 
 /// One decoded chunk of a BATCH datagram.  Span fields view into the
-/// buffer decode() was called on and are valid only while it lives.
+/// buffer BatchReader reads and are valid only while it lives.
 struct Chunk {
   ChunkKind kind = ChunkKind::kData;
   /// kHello: beacon seq.  kRel: reliable-channel seq.
@@ -108,22 +108,32 @@ struct EncodedChunk {
 /// and a hostile count cannot make a decoder pre-commit unbounded work.
 inline constexpr std::size_t kMaxBatchChunks = 127;
 
-/// A decoded BATCH datagram.  Chunk payloads view into the buffer
-/// decode() was called on and are valid only while it lives.
+/// Decodes a BATCH datagram one chunk at a time, in place: chunk
+/// payloads view into `bytes`, and nothing is allocated.  Throws
+/// wire::DecodeError at the first malformed byte, so a receiver that
+/// must reject a whole datagram for one bad chunk walks it twice.
+class BatchReader {
+ public:
+  /// Parses the envelope header.
+  explicit BatchReader(std::span<const std::uint8_t> bytes);
+
+  [[nodiscard]] NodeId sender() const { return sender_; }
+  /// Decodes the next chunk of a known kind into `c`, skipping unknown
+  /// kinds; returns false once the batch is exhausted and holds no
+  /// trailing bytes.
+  bool next(Chunk& c);
+  /// Unknown-kind chunks passed over so far.
+  [[nodiscard]] std::size_t skipped() const { return skipped_; }
+
+ private:
+  wire::Reader r_;
+  NodeId sender_;
+  std::uint64_t left_ = 0;
+  std::size_t skipped_ = 0;
+};
+
+/// The BATCH encoders.
 struct Datagram {
-  /// Who sent this datagram (the live stand-in for the radio's
-  /// transmitter attribution).
-  NodeId sender;
-  /// The decoded chunks, in wire order (unknown kinds omitted).
-  std::vector<Chunk> chunks;
-  /// Chunks whose kind this decoder did not know and skipped over
-  /// (forward compatibility; receivers count these).
-  std::size_t skipped = 0;
-
-  /// Parses an envelope; throws wire::DecodeError on anything that is
-  /// not a well-formed TOTA datagram.
-  static Datagram decode(std::span<const std::uint8_t> bytes);
-
   /// Frames `chunks` (1..kMaxBatchChunks of them) into one BATCH
   /// datagram.
   static wire::Bytes batch(NodeId sender,

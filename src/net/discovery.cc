@@ -1,5 +1,6 @@
 #include "net/discovery.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -61,10 +62,9 @@ void Discovery::send_beacon() {
                                      [this] { send_beacon(); });
 }
 
-void Discovery::arm_expiry(NodeId id, Neighbor& n, SimTime period) {
-  platform_.cancel(n.expiry);
-  n.expiry =
-      platform_.schedule(expiry_after(period), [this, id] { expire(id); });
+void Discovery::arm_expiry(NodeId id, Neighbor& n) {
+  n.expiry = platform_.schedule(n.deadline - platform_.now(),
+                                [this, id] { on_expiry_timer(id); });
 }
 
 void Discovery::on_hello(NodeId from, std::uint64_t seq, SimTime period) {
@@ -98,9 +98,10 @@ void Discovery::on_hello(NodeId from, std::uint64_t seq, SimTime period) {
     restarted = true;
   }
 
-  n.last_heard = platform_.now();
+  // Only the deadline moves; the live timer catches up when it fires.
+  n.deadline = std::max(n.deadline, platform_.now() + expiry_after(period));
   n.last_seq = seq;
-  arm_expiry(from, n, period);
+  if (n.expiry == tota::Platform::kInvalidTimer) arm_expiry(from, n);
   if (!fresh && !restarted) return;
 
   if (restarted) {
@@ -112,9 +113,15 @@ void Discovery::on_hello(NodeId from, std::uint64_t seq, SimTime period) {
   if (up_) up_(from);
 }
 
-void Discovery::expire(NodeId id) {
+void Discovery::on_expiry_timer(NodeId id) {
   const auto it = neighbors_.find(id);
   if (it == neighbors_.end()) return;
+  Neighbor& n = it->second;
+  n.expiry = tota::Platform::kInvalidTimer;
+  if (platform_.now() < n.deadline) {
+    arm_expiry(id, n);  // heard since this timer was armed
+    return;
+  }
   neighbors_.erase(it);
   neighbor_down_.inc();
   neighbors_gauge_.set(static_cast<double>(neighbors_.size()));

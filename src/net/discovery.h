@@ -17,10 +17,10 @@
 //   * Each HELLO advertises the sender's own period; the receiver arms
 //     that neighbour's expiry at k * advertised_period * (1 + jitter),
 //     so nodes with different beacon configs interoperate.
-//   * Expiry is one cancellable platform timer per neighbour, re-armed
-//     on every HELLO (this is what Platform::schedule's TimerId is for);
-//     a node heard again after expiring is simply a fresh neighbour —
-//     one down, one up, no flap suppression to tune.
+//   * A HELLO only moves the neighbour's expiry deadline; its one
+//     platform timer, firing early, re-arms itself for the rest — no
+//     timer churn per HELLO.  A node heard again after expiring is
+//     simply a fresh neighbour — one down, one up, no flap suppression.
 //
 // Discovery is deliberately socket-free: it emits HELLO beacons through
 // a callback (the owner encodes them — a HELLO chunk on the next
@@ -115,14 +115,16 @@ class Discovery {
 
  private:
   struct Neighbor {
-    SimTime last_heard;
+    /// Expires at this instant unless heard again before it.
+    SimTime deadline;
     std::uint64_t last_seq = 0;
     tota::Platform::TimerId expiry = tota::Platform::kInvalidTimer;
   };
 
   void send_beacon();
-  void arm_expiry(NodeId id, Neighbor& n, SimTime period);
-  void expire(NodeId id);
+  /// Schedules `n`'s one expiry timer for its deadline.
+  void arm_expiry(NodeId id, Neighbor& n);
+  void on_expiry_timer(NodeId id);
   /// How long after a HELLO its sender stays present: k late-as-allowed
   /// beacon intervals.
   [[nodiscard]] SimTime expiry_after(SimTime period) const;

@@ -9,8 +9,22 @@ namespace tota::net {
 
 namespace {
 
-Pattern field_pattern(const std::string& name) {
-  return Pattern::of_type(tuples::GradientTuple::kTag).eq("name", name);
+/// Live nodes holding a replica of field `name` whose hop count passes
+/// `keep(node, hop)`.
+template <typename Keep>
+int holders(const MassLiveWorld& w, const std::string& name, Keep keep) {
+  const Pattern p =
+      Pattern::of_type(tuples::GradientTuple::kTag).eq("name", name);
+  int n = 0;
+  for (int i = 0; i < w.count(); ++i) {
+    if (!w.alive(i)) continue;
+    const auto replica = w.mw(i).read_one(p);
+    if (replica != nullptr &&
+        keep(i, replica->content().at("hopcount").as_int())) {
+      ++n;
+    }
+  }
+  return n;
 }
 
 }  // namespace
@@ -45,20 +59,15 @@ MassLiveWorld::~MassLiveWorld() { stop(); }
 bool MassLiveWorld::start() {
   if (started_) return true;
   tuples::register_standard_tuples();
+  started_ = true;
   for (auto& node : nodes_) {
     if (!node->platform.start()) {
       error_ = node->platform.error();
-      for (auto& started : nodes_) {
-        if (started->alive) {
-          started->platform.stop();
-          started->alive = false;
-        }
-      }
+      stop();  // rolls back the nodes already started
       return false;
     }
     node->alive = true;
   }
-  started_ = true;
   return true;
 }
 
@@ -96,30 +105,16 @@ void MassLiveWorld::kill(int i) {
 
 int MassLiveWorld::bfs_exact_holders(const std::string& name,
                                      int source) const {
-  const Pattern p = field_pattern(name);
-  int exact = 0;
-  for (int i = 0; i < count(); ++i) {
-    if (!nodes_[i]->alive) continue;
-    const auto replica = mw(i).read_one(p);
-    if (replica == nullptr) continue;
-    const int want = i == source ? 0 : 1;
-    if (replica->content().at("hopcount").as_int() == want) ++exact;
-  }
-  return exact;
+  return holders(*this, name, [source](int i, std::int64_t hop) {
+    return hop == (i == source ? 0 : 1);
+  });
 }
 
 int MassLiveWorld::wrong_hop_holders(const std::string& name,
                                      int source) const {
-  const Pattern p = field_pattern(name);
-  int wrong = 0;
-  for (int i = 0; i < count(); ++i) {
-    if (!nodes_[i]->alive) continue;
-    const auto replica = mw(i).read_one(p);
-    if (replica == nullptr) continue;
-    const int want = i == source ? 0 : 1;
-    if (replica->content().at("hopcount").as_int() != want) ++wrong;
-  }
-  return wrong;
+  return holders(*this, name, [source](int i, std::int64_t hop) {
+    return hop != (i == source ? 0 : 1);
+  });
 }
 
 bool MassLiveWorld::converged(const std::string& name, int source) const {
@@ -142,13 +137,7 @@ bool MassLiveWorld::mesh_complete() const {
 }
 
 int MassLiveWorld::leaked(const std::string& name) const {
-  const Pattern p = field_pattern(name);
-  int holders = 0;
-  for (int i = 0; i < count(); ++i) {
-    if (!nodes_[i]->alive) continue;
-    if (mw(i).read_one(p) != nullptr) ++holders;
-  }
-  return holders;
+  return holders(*this, name, [](int, std::int64_t) { return true; });
 }
 
 int MassLiveWorld::alive_count() const {

@@ -63,6 +63,14 @@ void ReliableChannel::transmit(InFlight& f) {
 }
 
 void ReliableChannel::send(wire::Bytes frame, std::vector<NodeId> targets) {
+  if (!targets.empty() && window_.size() >= options_.window) {
+    queue_.emplace_back(std::move(frame), std::move(targets));
+    return;
+  }
+  if (admit(std::move(frame), std::move(targets))) rearm_timer();
+}
+
+bool ReliableChannel::admit(wire::Bytes frame, std::vector<NodeId> targets) {
   if (targets.empty()) {
     // Nobody to wait for: one best-effort emission, seq consumed so the
     // stream stays monotonic for receivers that do overhear it.  The
@@ -73,11 +81,7 @@ void ReliableChannel::send(wire::Bytes frame, std::vector<NodeId> targets) {
     const std::uint64_t seq = next_seq_++;
     rel_tx_.inc();
     if (emit_) emit_(seq, fl, frame);
-    return;
-  }
-  if (window_.size() >= options_.window) {
-    queue_.emplace_back(std::move(frame), std::move(targets));
-    return;
+    return false;
   }
   InFlight f;
   f.seq = next_seq_++;
@@ -85,7 +89,7 @@ void ReliableChannel::send(wire::Bytes frame, std::vector<NodeId> targets) {
   f.waiting = std::move(targets);
   window_.push_back(std::move(f));
   transmit(window_.back());
-  rearm_timer();
+  return true;
 }
 
 void ReliableChannel::drain_queue() {
@@ -95,22 +99,7 @@ void ReliableChannel::drain_queue() {
     queue_.pop_front();
     // on_peer_down pruned departed targets from queue_ entries in place,
     // so a queued frame may surface here with nobody left to wait for.
-    // Same read-the-floor-before-the-seq order as send()'s empty-target
-    // branch.
-    if (targets.empty()) {
-      const std::uint64_t fl = floor();
-      const std::uint64_t seq = next_seq_++;
-      rel_tx_.inc();
-      if (emit_) emit_(seq, fl, frame);
-      continue;
-    }
-    InFlight f;
-    f.seq = next_seq_++;
-    f.frame = std::move(frame);
-    f.waiting = std::move(targets);
-    window_.push_back(std::move(f));
-    transmit(window_.back());
-    activated = true;
+    activated |= admit(std::move(frame), std::move(targets));
   }
   if (activated) rearm_timer();
 }
@@ -185,13 +174,6 @@ void ReliableChannel::on_peer_down(NodeId peer) {
   if (retired) {
     drain_queue();
     rearm_timer();
-  }
-}
-
-void ReliableChannel::reack_all() {
-  if (!ack_) return;
-  for (const auto& [peer, rx] : rx_) {
-    if (rx.expected > 0) ack_(peer, rx.expected - 1);
   }
 }
 

@@ -33,9 +33,9 @@
 // (plus any buffered successors); ahead-of-expected frames are buffered
 // up to rx_buffer (net.rel.ooo); behind-expected frames are duplicates
 // from retransmission (net.rel.dup) — dropped, but re-acked so the
-// sender retires them.  Acks are cumulative (expected - 1) and ride the
-// outgoing batches via the AckFn (net/session.h piggybacks them on the
-// next flush and on every beacon).
+// sender retires them.  Acks are cumulative (expected - 1), one per
+// received REL, on the next outgoing batch (AckFn); a lost ack is
+// recovered by the retransmit, whose duplicate is acked again.
 //
 // The channel is transport-free: it emits REL/ACK chunks through
 // callbacks and is fed decoded chunks by its owner, taking clock,
@@ -130,11 +130,6 @@ class ReliableChannel {
   /// returning peer re-synchronizes from the floor.
   void on_peer_down(NodeId peer);
 
-  /// Re-emits the current cumulative ack for every known sender (the
-  /// session calls this on each beacon so acks keep flowing — and keep
-  /// retiring retransmissions — through idle periods).
-  void reack_all();
-
   // --- introspection ---------------------------------------------------
 
   /// Lowest seq still guaranteed to be retransmitted (== next_seq when
@@ -159,6 +154,9 @@ class ReliableChannel {
   };
 
   void transmit(InFlight& f);      // emit + schedule next attempt
+  /// Emits `frame` under the next seq: best-effort once if `targets` is
+  /// empty, else into the window.  True when it entered the window.
+  bool admit(wire::Bytes frame, std::vector<NodeId> targets);
   void drain_queue();              // move queued frames into the window
   void rearm_timer();
   void on_timer();

@@ -83,10 +83,8 @@ void NetSession::broadcast_reliable(wire::Bytes payload) {
 
 void NetSession::on_beacon(std::uint64_t seq, SimTime period) {
   batcher_.hello(seq, period);
-  // Housekeeping rides the same flush as the beacon: standing cumulative
-  // acks keep retiring retransmissions through idle periods, and the
-  // digest goes out on its own slower cadence.
-  rel_->reack_all();
+  // The digest rides the same flush as the beacon, on its own slower
+  // cadence.
   maybe_digest();
 }
 
@@ -135,20 +133,27 @@ void NetSession::route_chunk(NodeId sender, const Chunk& chunk) {
 }
 
 void NetSession::on_raw(std::span<const std::uint8_t> bytes) {
-  Datagram d;
+  // Two allocation-free walks: validate every chunk, so a malformed one
+  // rejects the whole datagram before any chunk has acted; then route.
+  NodeId sender;
+  Chunk chunk;
   try {
-    d = Datagram::decode(bytes);
+    BatchReader check(bytes);
+    while (check.next(chunk)) {
+    }
+    sender = check.sender();
   } catch (const wire::DecodeError&) {
     frame_bad_.inc();  // foreign or corrupt traffic on our channel
     return;
   }
 
-  if (d.sender == self_) {
+  if (sender == self_) {
     data_echo_.inc();  // our own broadcast, looped back by the medium
     return;
   }
-  if (d.skipped > 0) frame_skip_.inc(static_cast<std::int64_t>(d.skipped));
-  for (const Chunk& chunk : d.chunks) route_chunk(d.sender, chunk);
+  BatchReader r(bytes);
+  while (r.next(chunk)) route_chunk(sender, chunk);
+  if (r.skipped() > 0) frame_skip_.inc(static_cast<std::int64_t>(r.skipped()));
 }
 
 }  // namespace tota::net

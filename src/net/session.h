@@ -11,7 +11,7 @@
 //
 // Receive routing: every datagram is a BATCH (net/datagram.h); our own
 // echoes are dropped once per datagram, the rest is routed per chunk:
-//   HELLO chunk      → discovery (presence, expiry re-arm)
+//   HELLO chunk      → discovery (presence, expiry deadline)
 //   DATA chunk       → middleware (engine frame)
 //   REL chunk        → reliable channel (dedup, reorder, ack) which
 //                      delivers in-order frames to the middleware
@@ -25,10 +25,10 @@
 // Send side: engine broadcasts become DATA chunks on the batcher;
 // broadcast_reliable upgrades to the reliable channel when enabled
 // (targets = the neighbour set at call time).  Each discovery beacon
-// also piggybacks housekeeping on the same flush — the reliable
-// channel's cumulative acks (reack_all) and, on its own slower cadence,
-// the store digest — so the steady-state background traffic is one
-// datagram per beacon period, not four.
+// also carries the store digest on the same flush, on its own slower
+// cadence, so the steady-state background traffic is one datagram per
+// beacon period.  Acks are not standing traffic: the reliable channel
+// acks each REL it receives, on the next flush, and nothing else.
 //
 // The reliable *receiver* is always on — a node with reliability
 // disabled still deduplicates and acks REL traffic from neighbours that

@@ -1,5 +1,7 @@
 #include "tota/digest.h"
 
+#include <algorithm>
+
 namespace tota {
 
 namespace {
@@ -41,11 +43,18 @@ void StoreDigest::add(const TupleUid& uid) {
 }
 
 wire::Bytes StoreDigest::encode() const {
+  const auto nonzero = static_cast<std::size_t>(std::count_if(
+      buckets.begin(), buckets.end(), [](std::uint64_t b) { return b != 0; }));
   wire::Writer w;
-  w.reserve(10 + 8 * buckets.size());
+  w.reserve(15 + 10 * nonzero);
   w.uvarint(buckets.size());
   w.uvarint(count);
-  for (const std::uint64_t b : buckets) w.u64(b);
+  w.uvarint(nonzero);
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets[i] == 0) continue;
+    w.uvarint(i);
+    w.u64(buckets[i]);
+  }
   return w.take();
 }
 
@@ -58,9 +67,22 @@ StoreDigest StoreDigest::decode(std::span<const std::uint8_t> bytes) {
   }
   StoreDigest d;
   d.count = r.uvarint();
-  d.buckets.reserve(static_cast<std::size_t>(bucket_count));
-  for (std::uint64_t i = 0; i < bucket_count; ++i) {
-    d.buckets.push_back(r.u64());
+  const std::uint64_t nonzero = r.uvarint();
+  if (nonzero > bucket_count) {
+    throw wire::DecodeError("digest with more entries than buckets");
+  }
+  d.buckets.assign(static_cast<std::size_t>(bucket_count), 0);
+  std::uint64_t next = 0;  // lowest index the next entry may use
+  for (std::uint64_t i = 0; i < nonzero; ++i) {
+    const std::uint64_t index = r.uvarint();
+    if (index < next) throw wire::DecodeError("digest indexes not ascending");
+    if (index >= bucket_count) {
+      throw wire::DecodeError("digest index out of range");
+    }
+    const std::uint64_t hash = r.u64();
+    if (hash == 0) throw wire::DecodeError("digest entry with a zero hash");
+    d.buckets[static_cast<std::size_t>(index)] = hash;
+    next = index + 1;
   }
   r.expect_done();
   return d;

@@ -17,10 +17,17 @@
 // and incremental-friendly, and the mix keeps sequential sequence
 // numbers from clustering in adjacent buckets.
 //
-// Wire format (body of a DIGEST chunk), all little-endian:
-//   bucket_count  uvarint   1..kMaxDigestBuckets
-//   tuple_count   uvarint   informational (sizing resyncs, metrics)
-//   bucket hashes bucket_count × u64
+// Wire format (body of a DIGEST chunk), sparse — only non-zero buckets
+// travel, so a near-empty store costs a few bytes, not 8 per bucket:
+//   bucket_count   uvarint   1..kMaxDigestBuckets
+//   tuple_count    uvarint   informational (sizing resyncs, metrics)
+//   nonzero_count  uvarint   0..bucket_count
+//   nonzero_count × (index uvarint, hash u64 little-endian)
+//                            strictly ascending index < bucket_count,
+//                            hash != 0 (an absent bucket is zero)
+// There is exactly one encoding of each digest: the decoder rejects
+// out-of-order, duplicate or out-of-range indexes and explicit zeros,
+// so encode(decode(x)) == x.
 //
 // Comparing digests with different bucket_counts is meaningless; the
 // receiver rebuilds its own digest at the sender's bucket_count before
@@ -61,7 +68,8 @@ struct StoreDigest {
 
   [[nodiscard]] wire::Bytes encode() const;
   /// Throws wire::DecodeError on malformed input (zero or oversized
-  /// bucket count, truncation, trailing bytes).
+  /// bucket count, a bucket entry breaking the rules above, truncation,
+  /// trailing bytes).
   static StoreDigest decode(std::span<const std::uint8_t> bytes);
 
   friend bool operator==(const StoreDigest&, const StoreDigest&) = default;

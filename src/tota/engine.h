@@ -238,6 +238,8 @@ class Engine final : public SpaceOps {
   MaintenanceStats maintenance_stats_;
   obs::Hub& hub_;
   EngineMetrics metrics_;
+  /// net.sync.resend, registered by the first on_digest (see there).
+  obs::Counter* sync_resend_ = nullptr;
 
   std::vector<NodeId> neighbors_;
   /// Overheard replica values per distributed tuple — the justification

@@ -35,17 +35,21 @@ int Engine::on_digest(NodeId from, const StoreDigest& remote) {
   // Registered on first use, not in EngineMetrics: worlds that never
   // exchange digests must not grow a new metric key (the committed
   // bench baselines are byte-compared).
-  obs::Counter& sync_resend = hub_.metrics.counter("net.sync.resend");
-  const StoreDigest local = digest(
-      static_cast<std::uint32_t>(remote.buckets.size()));
+  if (sync_resend_ == nullptr) {
+    sync_resend_ = &hub_.metrics.counter("net.sync.resend");
+  }
+  const std::vector<TupleUid> uids = space_.propagated_uids();
+  const StoreDigest local = StoreDigest::build(
+      uids, static_cast<std::uint32_t>(remote.buckets.size()));
+  if (local == remote) return 0;  // in sync: the common case
   int resent = 0;
-  for (const TupleUid& uid : space_.propagated_uids()) {
+  for (const TupleUid& uid : uids) {
     const std::size_t b = StoreDigest::bucket_of(uid, local.buckets.size());
     if (local.buckets[b] == remote.buckets[b]) continue;
     const TupleSpace::Entry* entry = space_.find(uid);
     if (entry == nullptr) continue;
     send_tuple(*entry->tuple);
-    sync_resend.inc();
+    sync_resend_->inc();
     ++resent;
   }
   return resent;

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "decoded_batch.h"
 #include "fake_platform.h"
 #include "net/datagram.h"
 #include "net/discovery.h"
@@ -21,32 +23,34 @@
 namespace tota::net {
 namespace {
 
+using tota::testing::decode_batch;
+using tota::testing::DecodedBatch;
 using tota::testing::FakePlatform;
 
 // --- datagram envelope ----------------------------------------------------
 
 TEST(Datagram, RejectsGarbage) {
   // Wrong magic (foreign traffic on our port).
-  EXPECT_THROW(Datagram::decode(wire::Bytes{0x00, 0x01, 0x01, 0x07}),
+  EXPECT_THROW(decode_batch(wire::Bytes{0x00, 0x01, 0x01, 0x07}),
                wire::DecodeError);
   // Wrong version.
-  EXPECT_THROW(Datagram::decode(wire::Bytes{kMagic, 0x63, 0x01, 0x07}),
+  EXPECT_THROW(decode_batch(wire::Bytes{kMagic, 0x63, 0x01, 0x07}),
                wire::DecodeError);
   // Unknown kind.
-  EXPECT_THROW(Datagram::decode(wire::Bytes{kMagic, kVersion, 0x09, 0x07}),
+  EXPECT_THROW(decode_batch(wire::Bytes{kMagic, kVersion, 0x09, 0x07}),
                wire::DecodeError);
   // Truncated.
-  EXPECT_THROW(Datagram::decode(wire::Bytes{kMagic, kVersion}),
+  EXPECT_THROW(decode_batch(wire::Bytes{kMagic, kVersion}),
                wire::DecodeError);
-  EXPECT_THROW(Datagram::decode(wire::Bytes{}), wire::DecodeError);
+  EXPECT_THROW(decode_batch(wire::Bytes{}), wire::DecodeError);
   // A BATCH must not have trailing bytes.
   const EncodedChunk hello =
       Datagram::chunk_hello(1, SimTime::from_millis(100));
   auto batch = Datagram::batch(NodeId{1}, {&hello, 1});
   batch.push_back(0x00);
-  EXPECT_THROW(Datagram::decode(batch), wire::DecodeError);
+  EXPECT_THROW(decode_batch(batch), wire::DecodeError);
   // Sender id 0 is reserved as invalid.
-  EXPECT_THROW(Datagram::decode(wire::Bytes{kMagic, kVersion, 0x03, 0x00}),
+  EXPECT_THROW(decode_batch(wire::Bytes{kMagic, kVersion, 0x03, 0x00}),
                wire::DecodeError);
 }
 
@@ -130,20 +134,48 @@ TEST_F(DiscoveryTest, NeighborExpiresAfterMissedBeacons) {
 TEST_F(DiscoveryTest, SteadyBeaconsNeverExpire) {
   discovery_->start();
   hear(NodeId{2}, 0);
-  // Each fresh HELLO must cancel the previous expiry: simulate five
-  // on-time beacons, then run everything scheduled so far.  Only the
-  // *latest* expiry timer is live; all the cancelled ones are skipped,
-  // but the latest fires (nothing follows it) — so exactly one down.
+  // Each fresh HELLO must push the expiry out: simulate five on-time
+  // beacons; the neighbour stays present throughout.
   for (std::uint64_t s = 1; s <= 5; ++s) {
     platform_.time += kPeriod;
     hear(NodeId{2}, s);
   }
   EXPECT_EQ(ups_.size(), 1u);
   EXPECT_TRUE(downs_.empty());
-  // Five re-arms cancelled five timers; exactly one expiry is pending
-  // among the scheduled actions (plus the beacon chain's next timer).
+  // Exactly one expiry timer is pending among the scheduled actions
+  // (plus the beacon chain's next timer).
   std::size_t live = platform_.pending_scheduled();
   EXPECT_EQ(live, 2u);  // one live expiry + one pending beacon
+}
+
+TEST_F(DiscoveryTest, SteadyHellosScheduleOneExpiryTimerAndCancelNone) {
+  discovery_->start();
+  const std::size_t beacon_timers = platform_.scheduled.size();
+  for (std::uint64_t s = 0; s < 50; ++s) {
+    hear(NodeId{2}, s);
+    platform_.time += kPeriod;
+  }
+  const SimTime last_hello = platform_.time - kPeriod;
+  // One expiry timer for the neighbour's whole life so far, and every
+  // scheduled action still live: no HELLO cancelled or re-created one.
+  EXPECT_EQ(platform_.scheduled.size(), beacon_timers + 1);
+  EXPECT_EQ(platform_.pending_scheduled(), platform_.scheduled.size());
+
+  // That timer fires long before the deadline the last HELLO set, so it
+  // re-arms itself for exactly the rest: k late-as-allowed beacons after
+  // the last HELLO, the instant a cancel-and-reschedule would have used.
+  platform_.run_scheduled();
+  EXPECT_TRUE(downs_.empty());
+  const SimTime deadline = last_hello + SimTime::from_millis(100.0 * 3 * 1.2);
+  const auto rearmed = std::find_if(
+      platform_.scheduled.begin(), platform_.scheduled.end(),
+      [&](const auto& a) { return a.when == deadline; });
+  EXPECT_NE(rearmed, platform_.scheduled.end());
+  // Silence from here on: it expires at that instant.
+  while (downs_.empty() && !platform_.scheduled.empty()) {
+    platform_.run_scheduled();
+  }
+  EXPECT_EQ(downs_, std::vector<NodeId>{NodeId{2}});
 }
 
 TEST_F(DiscoveryTest, FlapEmitsExactlyOneDownAndOneUp) {
@@ -271,8 +303,8 @@ TEST_F(DiscoveryTest, HellosCarryIncreasingSeqAndAdvertisedPeriod) {
   discovery_->start();
   platform_.run_scheduled();
   ASSERT_GE(sent_.size(), 2u);
-  const Datagram first = Datagram::decode(sent_[0]);
-  const Datagram second = Datagram::decode(sent_[1]);
+  const DecodedBatch first = decode_batch(sent_[0]);
+  const DecodedBatch second = decode_batch(sent_[1]);
   EXPECT_EQ(first.sender, NodeId{1});
   ASSERT_EQ(first.chunks.size(), 1u);
   ASSERT_EQ(second.chunks.size(), 1u);

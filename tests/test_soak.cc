@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "decoded_batch.h"
 #include "fake_platform.h"
 #include "net/datagram.h"
 #include "net/discovery.h"
@@ -44,6 +45,8 @@
 namespace tota {
 namespace {
 
+using tota::testing::decode_batch;
+using tota::testing::DecodedBatch;
 using tota::testing::FakePlatform;
 
 // --- FaultInjector unit tests ----------------------------------------------
@@ -489,9 +492,9 @@ class SoakWorld {
 
   void receive(int j, const wire::Bytes& bytes) {
     if (!nodes_[j]->alive) return;
-    net::Datagram d;
+    DecodedBatch d;
     try {
-      d = net::Datagram::decode(bytes);
+      d = decode_batch(bytes);
     } catch (const wire::DecodeError&) {
       return;  // truncated/corrupted past recognition
     }

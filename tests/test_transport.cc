@@ -4,7 +4,7 @@
 //
 // Four layers of coverage:
 //
-//   1. Wire robustness — Datagram::decode fuzzed at every truncation
+//   1. Wire robustness — BATCH decoding fuzzed at every truncation
 //      offset of a BATCH carrying every chunk kind (a UDP port is open
 //      to arbitrary garbage; decode must throw or return, never
 //      misbehave), trailing garbage rejected and counted, the retired
@@ -32,13 +32,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "decoded_batch.h"
 #include "fake_platform.h"
 #include "net/batch.h"
 #include "net/datagram.h"
@@ -56,9 +59,32 @@
 #include "wire/buffer.h"
 #include "wire/frame.h"
 
+namespace {
+
+// Heap allocations made while g_count_allocs is set, so a test can pin
+// the session's receive path at zero.
+bool g_count_allocs = false;
+std::size_t g_allocs = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocs) ++g_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with the
+// operator new at a call site (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace tota {
 namespace {
 
+using tota::testing::decode_batch;
+using tota::testing::DecodedBatch;
 using tota::testing::FakePlatform;
 
 NodeId id_of(int i) { return NodeId{static_cast<std::uint64_t>(i) + 1}; }
@@ -93,7 +119,7 @@ wire::Bytes hello_batch(NodeId sender, std::uint64_t seq, SimTime period) {
 void expect_all_prefixes_throw(const wire::Bytes& datagram) {
   for (std::size_t len = 0; len < datagram.size(); ++len) {
     EXPECT_THROW(
-        net::Datagram::decode(std::span(datagram.data(), len)),
+        decode_batch(std::span(datagram.data(), len)),
         wire::DecodeError)
         << "prefix of length " << len << " of " << datagram.size();
   }
@@ -113,7 +139,7 @@ TEST(DatagramFuzz, EveryByteFlipThrowsOrDecodes) {
       wire::Bytes mutated = datagram;
       mutated[i] ^= flip;
       try {
-        (void)net::Datagram::decode(mutated);
+        (void)decode_batch(mutated);
       } catch (const wire::DecodeError&) {
       }
     }
@@ -123,31 +149,31 @@ TEST(DatagramFuzz, EveryByteFlipThrowsOrDecodes) {
 TEST(DatagramFuzz, TrailingGarbageRejected) {
   wire::Bytes hello = hello_batch(NodeId{1}, 1, SimTime::from_millis(100));
   hello.push_back(0x00);
-  EXPECT_THROW(net::Datagram::decode(hello), wire::DecodeError);
+  EXPECT_THROW(decode_batch(hello), wire::DecodeError);
 
   wire::Bytes batch = sample_batch(NodeId{1});
   batch.push_back(0xA7);
-  EXPECT_THROW(net::Datagram::decode(batch), wire::DecodeError);
+  EXPECT_THROW(decode_batch(batch), wire::DecodeError);
 }
 
 TEST(DatagramFuzz, ForeignAndMalformedEnvelopesRejected) {
   // Wrong magic, wrong version, unknown kind, invalid sender.
-  EXPECT_THROW(net::Datagram::decode(bytes_of({0x00, 1, 1, 1, 1, 1})),
+  EXPECT_THROW(decode_batch(bytes_of({0x00, 1, 1, 1, 1, 1})),
                wire::DecodeError);
-  EXPECT_THROW(net::Datagram::decode(bytes_of({net::kMagic, 99, 1, 1, 1, 1})),
+  EXPECT_THROW(decode_batch(bytes_of({net::kMagic, 99, 1, 1, 1, 1})),
                wire::DecodeError);
-  EXPECT_THROW(net::Datagram::decode(bytes_of({net::kMagic, net::kVersion,
+  EXPECT_THROW(decode_batch(bytes_of({net::kMagic, net::kVersion,
                                                0x09, 1, 1, 1})),
                wire::DecodeError);
-  EXPECT_THROW(net::Datagram::decode(bytes_of({net::kMagic, net::kVersion,
+  EXPECT_THROW(decode_batch(bytes_of({net::kMagic, net::kVersion,
                                                0x03, 0, 1, 1})),
                wire::DecodeError);  // sender id 0 is invalid
-  EXPECT_THROW(net::Datagram::decode({}), wire::DecodeError);
+  EXPECT_THROW(decode_batch({}), wire::DecodeError);
 }
 
 TEST(DatagramBatch, RoundtripsEveryChunkKind) {
   const wire::Bytes datagram = sample_batch(NodeId{42});
-  const net::Datagram d = net::Datagram::decode(datagram);
+  const DecodedBatch d = decode_batch(datagram);
   EXPECT_EQ(d.sender, NodeId{42});
   EXPECT_EQ(d.skipped, 0u);
   ASSERT_EQ(d.chunks.size(), 5u);
@@ -203,7 +229,7 @@ TEST(DatagramBatch, UnknownChunkKindsAreSkippedNotFatal) {
                   {static_cast<std::uint8_t>(net::ChunkKind::kData),
                    bytes_of({0xAB})},
                   {0xEE, bytes_of({})}});
-  const net::Datagram decoded = net::Datagram::decode(d);
+  const DecodedBatch decoded = decode_batch(d);
   EXPECT_EQ(decoded.skipped, 2u);
   ASSERT_EQ(decoded.chunks.size(), 1u);
   EXPECT_EQ(decoded.chunks[0].kind, net::ChunkKind::kData);
@@ -211,7 +237,7 @@ TEST(DatagramBatch, UnknownChunkKindsAreSkippedNotFatal) {
 }
 
 TEST(DatagramBatch, RejectsEmptyAndOversizedChunkCounts) {
-  EXPECT_THROW(net::Datagram::decode(raw_batch(NodeId{1}, {})),
+  EXPECT_THROW(decode_batch(raw_batch(NodeId{1}, {})),
                wire::DecodeError);  // count == 0
 
   wire::Writer w;  // count over kMaxBatchChunks, no bodies needed
@@ -220,7 +246,7 @@ TEST(DatagramBatch, RejectsEmptyAndOversizedChunkCounts) {
   w.u8(static_cast<std::uint8_t>(net::DatagramKind::kBatch));
   w.uvarint(1);
   w.uvarint(net::kMaxBatchChunks + 1);
-  EXPECT_THROW(net::Datagram::decode(w.take()), wire::DecodeError);
+  EXPECT_THROW(decode_batch(w.take()), wire::DecodeError);
 
   std::vector<net::EncodedChunk> none;
   EXPECT_THROW(net::Datagram::batch(NodeId{1}, none), std::invalid_argument);
@@ -240,21 +266,21 @@ TEST(DatagramBatch, RejectsMalformedChunkBodies) {
   };
   const auto rel = static_cast<std::uint8_t>(net::ChunkKind::kRel);
   // A REL floor above its own seq (delta underflows) is corruption.
-  EXPECT_THROW(net::Datagram::decode(
+  EXPECT_THROW(decode_batch(
                    raw_batch(NodeId{1}, {{rel, rel_body(1, 5, {0xAA})}})),
                wire::DecodeError);
   // An empty REL frame carries nothing to deliver reliably.
-  EXPECT_THROW(net::Datagram::decode(
+  EXPECT_THROW(decode_batch(
                    raw_batch(NodeId{1}, {{rel, rel_body(3, 1, {})}})),
                wire::DecodeError);
   // Empty DATA and DIGEST chunks are corruption, not padding.
   EXPECT_THROW(
-      net::Datagram::decode(raw_batch(
+      decode_batch(raw_batch(
           NodeId{1},
           {{static_cast<std::uint8_t>(net::ChunkKind::kData), {}}})),
       wire::DecodeError);
   EXPECT_THROW(
-      net::Datagram::decode(raw_batch(
+      decode_batch(raw_batch(
           NodeId{1},
           {{static_cast<std::uint8_t>(net::ChunkKind::kDigest), {}}})),
       wire::DecodeError);
@@ -263,7 +289,7 @@ TEST(DatagramBatch, RejectsMalformedChunkBodies) {
   ack.uvarint(0);
   ack.uvarint(3);
   EXPECT_THROW(
-      net::Datagram::decode(raw_batch(
+      decode_batch(raw_batch(
           NodeId{1}, {{static_cast<std::uint8_t>(net::ChunkKind::kAck),
                        ack.take()}})),
       wire::DecodeError);
@@ -277,7 +303,7 @@ TEST(DatagramBatch, RejectsMalformedChunkBodies) {
   w.u8(static_cast<std::uint8_t>(net::ChunkKind::kData));
   w.uvarint(200);
   w.u8(0xAA);
-  EXPECT_THROW(net::Datagram::decode(w.take()), wire::DecodeError);
+  EXPECT_THROW(decode_batch(w.take()), wire::DecodeError);
 }
 
 // --- 2a. pack_batches ------------------------------------------------------
@@ -301,7 +327,7 @@ TEST(PackBatches, SplitsAtTheMtuPreservingOrder) {
   int next_tag = 1;
   for (const auto& datagram : out) {
     EXPECT_LE(datagram.size(), options.mtu);
-    const net::Datagram d = net::Datagram::decode(datagram);
+    const DecodedBatch d = decode_batch(datagram);
     for (const auto& chunk : d.chunks) {
       EXPECT_EQ(chunk.payload[0], next_tag++);  // enqueue order held
     }
@@ -315,8 +341,8 @@ TEST(PackBatches, HonorsMaxChunksWithUnlimitedMtu) {
   options.max_chunks = 3;
   const auto out = pack_batches(NodeId{1}, data_chunks(7, 4), options);
   ASSERT_EQ(out.size(), 3u);  // 3 + 3 + 1
-  EXPECT_EQ(net::Datagram::decode(out[0]).chunks.size(), 3u);
-  EXPECT_EQ(net::Datagram::decode(out[2]).chunks.size(), 1u);
+  EXPECT_EQ(decode_batch(out[0]).chunks.size(), 3u);
+  EXPECT_EQ(decode_batch(out[2]).chunks.size(), 1u);
 }
 
 TEST(PackBatches, OversizeChunkGoesAloneAndIsCounted) {
@@ -359,7 +385,7 @@ TEST(Batcher, CoalescesOneEventInstantIntoOneDatagram) {
   EXPECT_EQ(rig.platform.pending_scheduled(), 1u);  // one timer, not three
   rig.platform.run_scheduled();
   ASSERT_EQ(rig.sent.size(), 1u);
-  const net::Datagram d = net::Datagram::decode(rig.sent[0]);
+  const DecodedBatch d = decode_batch(rig.sent[0]);
   ASSERT_EQ(d.chunks.size(), 3u);
   EXPECT_EQ(d.chunks[0].kind, net::ChunkKind::kHello);
   EXPECT_EQ(d.chunks[1].payload[0], 1);
@@ -379,7 +405,7 @@ TEST(Batcher, NewerAckAndDigestSupersedePendingOnes) {
   rig.batcher.digest(bytes_of({0xD2}));  // fresher snapshot of the store
   rig.batcher.flush();
   ASSERT_EQ(rig.sent.size(), 1u);
-  const net::Datagram d = net::Datagram::decode(rig.sent[0]);
+  const DecodedBatch d = decode_batch(rig.sent[0]);
   ASSERT_EQ(d.chunks.size(), 3u);
   EXPECT_EQ(d.chunks[0].peer, NodeId{7});
   EXPECT_EQ(d.chunks[0].cum, 6u);
@@ -391,7 +417,7 @@ TEST(Batcher, NewerAckAndDigestSupersedePendingOnes) {
   rig.batcher.ack(NodeId{7}, 9);
   rig.batcher.flush();
   ASSERT_EQ(rig.sent.size(), 2u);
-  EXPECT_EQ(net::Datagram::decode(rig.sent[1]).chunks[0].cum, 9u);
+  EXPECT_EQ(decode_batch(rig.sent[1]).chunks[0].cum, 9u);
 }
 
 // --- 2c. ReliableChannel ---------------------------------------------------
@@ -475,8 +501,8 @@ TEST(ReliableChannel, EmptyTargetEmissionRoundTripsThroughTheCodec) {
   EXPECT_LE(rig->emitted[0].floor, rig->emitted[0].seq);
   const net::EncodedChunk chunk = net::Datagram::chunk_rel(
       rig->emitted[0].seq, rig->emitted[0].floor, rig->emitted[0].frame);
-  const net::Datagram decoded =
-      net::Datagram::decode(net::Datagram::batch(NodeId{1}, {&chunk, 1}));
+  const DecodedBatch decoded =
+      decode_batch(net::Datagram::batch(NodeId{1}, {&chunk, 1}));
   ASSERT_EQ(decoded.chunks.size(), 1u);
   EXPECT_EQ(decoded.chunks[0].seq, 1u);
   EXPECT_EQ(decoded.chunks[0].floor, 1u);
@@ -627,16 +653,6 @@ TEST(ReliableChannel, RxBufferOverflowDropsEarlyFrames) {
   EXPECT_EQ(rig->delivered.back().second[0], 5);
 }
 
-TEST(ReliableChannel, ReackAllRefreshesEveryKnownStream) {
-  auto rig = rel_rig();
-  rig->channel.on_rel(NodeId{4}, 1, 1, bytes_of({1}));
-  rig->channel.on_rel(NodeId{5}, 1, 1, bytes_of({2}));
-  rig->acked.clear();
-  rig->channel.reack_all();
-  ASSERT_EQ(rig->acked.size(), 2u);  // one standing ack per sender
-  for (const auto& [peer, cum] : rig->acked) EXPECT_EQ(cum, 1u);
-}
-
 TEST(ReliableChannel, PeerDownForgetsTheRxStream) {
   auto rig = rel_rig();
   rig->channel.on_rel(NodeId{4}, 1, 1, bytes_of({1}));
@@ -711,11 +727,13 @@ TEST(StoreDigest, BucketCountIsClampedAndValidated) {
   // decode is stricter than build: a zero or oversized count on the
   // wire is corruption, not a clamping opportunity.
   wire::Writer zero;
-  zero.uvarint(0);
-  zero.uvarint(0);
+  zero.uvarint(0);  // bucket_count
+  zero.uvarint(0);  // tuple_count
+  zero.uvarint(0);  // nonzero_count
   EXPECT_THROW(StoreDigest::decode(zero.take()), wire::DecodeError);
   wire::Writer huge;
   huge.uvarint(kMaxDigestBuckets + 1);
+  huge.uvarint(0);
   huge.uvarint(0);
   EXPECT_THROW(StoreDigest::decode(huge.take()), wire::DecodeError);
 
@@ -723,6 +741,87 @@ TEST(StoreDigest, BucketCountIsClampedAndValidated) {
   truncated.pop_back();
   EXPECT_THROW(StoreDigest::decode(truncated), wire::DecodeError);
   wire::Bytes padded = StoreDigest::build(sample_uids(4), 4).encode();
+  padded.push_back(0);
+  EXPECT_THROW(StoreDigest::decode(padded), wire::DecodeError);
+}
+
+/// A 32-bucket digest with buckets `occupied` set to distinct non-zero
+/// hashes, as a store of that many tuples in distinct buckets folds.
+StoreDigest digest_with(const std::vector<std::size_t>& occupied) {
+  StoreDigest d;
+  d.buckets.assign(32, 0);
+  for (const std::size_t b : occupied) {
+    d.buckets[b] = 0x9E3779B97F4A7C15ull * (b + 1);  // odd: never zero
+  }
+  d.count = occupied.size();
+  return d;
+}
+
+/// A digest body written field by field: bucket_count, tuple_count,
+/// nonzero_count, then the (index, hash) entries as given.
+wire::Bytes digest_bytes(
+    std::uint64_t bucket_count, std::uint64_t nonzero,
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& entries) {
+  wire::Writer w;
+  w.uvarint(bucket_count);
+  w.uvarint(entries.size());
+  w.uvarint(nonzero);
+  for (const auto& [index, hash] : entries) {
+    w.uvarint(index);
+    w.u64(hash);
+  }
+  return w.take();
+}
+
+TEST(StoreDigest, SparseBodyRoundtripsAtEveryOccupancy) {
+  std::vector<std::size_t> all(32);
+  for (std::size_t b = 0; b < 32; ++b) all[b] = b;
+  std::vector<std::size_t> most(all.begin(), all.begin() + 25);
+  for (const auto& occupied : {std::vector<std::size_t>{},
+                               std::vector<std::size_t>{17}, most, all}) {
+    const StoreDigest d = digest_with(occupied);
+    const wire::Bytes body = d.encode();
+    // Header (three one-byte varints) plus 1 + 8 bytes per non-zero
+    // bucket: the body grows with the store, not with bucket_count.
+    EXPECT_EQ(body.size(), 3 + 9 * occupied.size());
+    EXPECT_EQ(StoreDigest::decode(body), d);
+    EXPECT_EQ(StoreDigest::decode(body).encode(), body);
+  }
+}
+
+TEST(StoreDigest, EmptyStoreEncodesToAtMostFourBytes) {
+  EXPECT_LE(StoreDigest::build({}, 32).encode().size(), 4u);
+  EXPECT_LE(StoreDigest::build({}, kMaxDigestBuckets).encode().size(), 4u);
+}
+
+TEST(StoreDigest, EveryTruncationThrows) {
+  const wire::Bytes body = StoreDigest::build(sample_uids(6), 32).encode();
+  for (std::size_t len = 0; len < body.size(); ++len) {
+    EXPECT_THROW(StoreDigest::decode(std::span(body.data(), len)),
+                 wire::DecodeError)
+        << "prefix of length " << len << " of " << body.size();
+  }
+}
+
+TEST(StoreDigest, DecoderAcceptsOnlyTheCanonicalSparseForm) {
+  // The well-formed reference the malformed cases below deviate from.
+  EXPECT_NO_THROW(StoreDigest::decode(digest_bytes(8, 2, {{1, 5}, {6, 7}})));
+  // Indexes must strictly ascend: descending and duplicate are both out.
+  EXPECT_THROW(StoreDigest::decode(digest_bytes(8, 2, {{6, 7}, {1, 5}})),
+               wire::DecodeError);
+  EXPECT_THROW(StoreDigest::decode(digest_bytes(8, 2, {{3, 5}, {3, 7}})),
+               wire::DecodeError);
+  // An index must name a bucket.
+  EXPECT_THROW(StoreDigest::decode(digest_bytes(8, 1, {{8, 5}})),
+               wire::DecodeError);
+  // More entries than buckets is corruption before any entry is read.
+  EXPECT_THROW(StoreDigest::decode(digest_bytes(8, 9, {})),
+               wire::DecodeError);
+  // A zero bucket is absent; writing it out would be a second encoding.
+  EXPECT_THROW(StoreDigest::decode(digest_bytes(8, 1, {{2, 0}})),
+               wire::DecodeError);
+  // Trailing bytes after the last entry.
+  wire::Bytes padded = digest_bytes(8, 1, {{2, 5}});
   padded.push_back(0);
   EXPECT_THROW(StoreDigest::decode(padded), wire::DecodeError);
 }
@@ -1045,7 +1144,7 @@ class TransportWorld {
 /// True when the (well-formed — the harness produced it) datagram
 /// carries any engine frame in a DATA chunk.
 bool carries_data(const wire::Bytes& datagram) {
-  const net::Datagram d = net::Datagram::decode(datagram);
+  const DecodedBatch d = decode_batch(datagram);
   return std::any_of(d.chunks.begin(), d.chunks.end(), [](const auto& c) {
     return c.kind == net::ChunkKind::kData;
   });
@@ -1389,6 +1488,92 @@ TEST(NetSession, StopQuiescesEveryTimerAndDropsPendingTraffic) {
   platform.run_scheduled();
   EXPECT_GT(session.reliable().in_flight(), 0u);
   EXPECT_GT(sent.size(), sent_before);
+}
+
+/// The ACK chunks (peer, cum) of one sent datagram.
+std::vector<std::pair<NodeId, std::uint64_t>> acks_in(const wire::Bytes& d) {
+  std::vector<std::pair<NodeId, std::uint64_t>> acks;
+  for (const net::Chunk& c : decode_batch(d).chunks) {
+    if (c.kind == net::ChunkKind::kAck) acks.emplace_back(c.peer, c.cum);
+  }
+  return acks;
+}
+
+TEST(NetSession, BeaconFlushCarriesAnAckOnlyAfterARelArrived) {
+  FakePlatform platform;
+  obs::MetricsRegistry metrics;
+  net::SessionOptions options;
+  options.discovery = fast_discovery();
+  std::vector<wire::Bytes> sent;
+  net::NetSession session(
+      NodeId{1}, platform, options,
+      [&](wire::Bytes d) { sent.push_back(std::move(d)); }, metrics);
+  const auto rel_from_2 = [](std::uint64_t seq) {
+    const net::EncodedChunk rel =
+        net::Datagram::chunk_rel(seq, 1, bytes_of({0x42}));
+    return net::Datagram::batch(NodeId{2}, {&rel, 1});
+  };
+
+  // Each run_scheduled() flushes the pending beacon's datagram and fires
+  // the next beacon, whose flush waits for the following round.
+  session.start();
+  platform.run_scheduled();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_TRUE(acks_in(sent.back()).empty());
+
+  session.on_raw(rel_from_2(1));
+  platform.run_scheduled();
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(acks_in(sent.back()),
+            (std::vector<std::pair<NodeId, std::uint64_t>>{{NodeId{2}, 1}}));
+
+  // Nothing arrived since: the beacons go out bare, with no standing
+  // re-ack of node 2's stream.
+  for (int beacon = 0; beacon < 3; ++beacon) {
+    platform.run_scheduled();
+    EXPECT_TRUE(acks_in(sent.back()).empty()) << "beacon " << beacon;
+  }
+  EXPECT_EQ(sent.size(), 5u);
+
+  session.on_raw(rel_from_2(2));
+  platform.run_scheduled();
+  EXPECT_EQ(acks_in(sent.back()),
+            (std::vector<std::pair<NodeId, std::uint64_t>>{{NodeId{2}, 2}}));
+}
+
+TEST(NetSession, SteadyStateBeaconBatchIsReceivedWithoutAllocating) {
+  FakePlatform platform;
+  obs::MetricsRegistry metrics;
+  net::SessionOptions options;
+  options.discovery = fast_discovery();
+  options.reliable = true;
+  net::NetSession session(
+      NodeId{1}, platform, options, [](wire::Bytes) {}, metrics);
+  session.start();
+  session.on_raw(hello_batch(NodeId{2}, 1, SimTime::from_millis(100)));
+  ASSERT_TRUE(session.discovery().knows(NodeId{2}));
+
+  // Node 2's next beacon as a 24-chunk BATCH: its HELLO plus cumulative
+  // acks, one for this node's stream and the rest for other senders'.
+  std::vector<net::EncodedChunk> chunks;
+  chunks.push_back(net::Datagram::chunk_hello(2, SimTime::from_millis(100)));
+  chunks.push_back(net::Datagram::chunk_ack(NodeId{1}, 0));
+  for (std::uint64_t peer = 3; chunks.size() < 24; ++peer) {
+    chunks.push_back(net::Datagram::chunk_ack(NodeId{peer}, 7));
+  }
+  const wire::Bytes beacon = net::Datagram::batch(NodeId{2}, chunks);
+  const std::size_t timers = platform.scheduled.size();
+
+  g_allocs = 0;
+  g_count_allocs = true;
+  session.on_raw(beacon);
+  g_count_allocs = false;
+
+  EXPECT_EQ(g_allocs, 0u);
+  EXPECT_EQ(metrics.get("net.hello.rx"), 2);
+  EXPECT_EQ(metrics.get("net.rel.ack_rx"), 1);
+  EXPECT_EQ(metrics.get("net.frame.bad"), 0);
+  EXPECT_EQ(platform.scheduled.size(), timers);  // no expiry re-arm
 }
 
 }  // namespace
