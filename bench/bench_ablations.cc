@@ -159,11 +159,9 @@ int main() {
       }
     }
     const auto tx = world.metrics().get("radio.tx") - before;
-    std::uint64_t retractions = 0;
-    for (const NodeId n : world.nodes()) {
-      const auto& stats = world.mw(n).engine().maintenance_stats();
-      retractions += stats.retractions_started + stats.retractions_cascaded;
-    }
+    const auto retractions = static_cast<std::uint64_t>(
+        world.metrics().get("maint.retract_started") +
+        world.metrics().get("maint.retract_cascaded"));
     std::printf("%-16.0f %-14.0f %-14lld %-16llu\n", hold_ms,
                 repair_s * 1000.0, static_cast<long long>(tx),
                 static_cast<unsigned long long>(retractions));

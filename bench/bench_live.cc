@@ -125,21 +125,13 @@ void section_mass() {
   exp::section("mass-live convergence (" + std::to_string(nodes) +
                " real-socket nodes, one loop)");
 
-  net::MassLiveOptions opts;
-  opts.count = nodes;
+  net::MassLiveOptions opts = net::MassLiveOptions::for_population(nodes);
   opts.transport.mode = net::UdpOptions::Mode::kBroadcast;
   opts.transport.group = "127.255.255.255";
   // PID-derived port: parallel bench runs on one host must not share a
   // channel (same convention as scripts/smoke_net.sh).
   opts.transport.port =
       static_cast<std::uint16_t>(53000 + ::getpid() % 10000);
-  opts.transport.rcvbuf = 4 << 20;
-  opts.discovery.beacon_period = SimTime::from_millis(250);
-  opts.discovery.expiry_missed_beacons = 6;
-  opts.batch.flush_delay = SimTime::from_millis(5);
-  opts.digest_period = SimTime::from_millis(500);
-  opts.reliable = true;
-  opts.maintenance.hold_down = SimTime::from_millis(2000);
   opts.seed = 7;
 
   net::MassLiveWorld world(opts);

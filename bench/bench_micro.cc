@@ -146,14 +146,7 @@ void BM_ContinuousQueryDelta(benchmark::State& state) {
   fill_mixed_space(space, state.range(0));
   space.set_listener([&](TupleSpace::ChangeKind kind,
                          const TupleSpace::Entry& entry) {
-    auto change = EventBus::SpaceChange::kStored;
-    if (kind == TupleSpace::ChangeKind::kReplaced) {
-      change = EventBus::SpaceChange::kReplaced;
-    } else if (kind == TupleSpace::ChangeKind::kErased) {
-      change = EventBus::SpaceChange::kErased;
-    }
-    bus.notify_space(change, entry.type_tag, *entry.tuple, entry.parent,
-                     entry.propagated, SimTime::zero());
+    bus.notify_space(kind, entry, SimTime::zero());
   });
   Pattern p = Pattern::of_type(tuples::GradientTuple::kTag);
   p.where("hopcount", Pred::le(4));

@@ -85,7 +85,6 @@ struct TransportConfig {
 net::DiscoveryOptions fast_discovery() {
   net::DiscoveryOptions o;
   o.beacon_period = SimTime::from_millis(100);
-  o.beacon_jitter = 0.2;
   // Deep enough that drop 0.3 essentially never fakes a death (0.3^12
   // per beacon) — these runs probe the transport under loss, not
   // discovery's churn response.

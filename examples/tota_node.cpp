@@ -56,7 +56,6 @@ struct Cli {
   // Mass-live mode (count > 1).
   int count = 1;
   bool kill_source = false;
-  net::LoopBackend backend = net::LoopBackend::kAuto;
   net::FaultPlan fault;
   std::uint64_t seed = 1;
 };
@@ -77,14 +76,14 @@ void usage(const char* argv0) {
       "  --read-every-ms R  poll period (default 250)\n"
       "  --beacon-ms B      HELLO period (default 500)\n"
       "  --expiry-k K       missed beacons before neighbour expiry (3)\n"
-      "  --jitter J         beacon jitter fraction (default 0.2)\n"
       "  --metrics PATH     write the node's metrics JSON at exit\n"
       "  --probe            only test socket availability (exit 0/2)\n"
-      "mass-live mode (docs/NET.md):\n"
+      "mass-live mode (docs/NET.md); the session settings follow from N\n"
+      "(net::MassLiveOptions::for_population), so --beacon-ms and\n"
+      "--expiry-k are single-node options:\n"
       "  --count N          host N nodes on one loop in this process\n"
       "  --kill-source      after convergence, crash the injecting node\n"
       "                     and require every survivor to retract\n"
-      "  --backend B        event-loop backend: auto|poll|epoll\n"
       "  --seed S           base Rng seed for the mass world (default 1)\n"
       "  --drop P           rx datagram drop probability\n"
       "  --dup P            rx datagram duplication probability\n"
@@ -134,24 +133,12 @@ bool parse_cli(int argc, char** argv, Cli* cli) {
     } else if (arg == "--expiry-k" && (v = need(i))) {
       cli->live.discovery.expiry_missed_beacons =
           static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (arg == "--jitter" && (v = need(i))) {
-      cli->live.discovery.beacon_jitter = std::strtod(v, nullptr);
     } else if (arg == "--metrics" && (v = need(i))) {
       cli->metrics_path = v;
     } else if (arg == "--count" && (v = need(i))) {
       cli->count = static_cast<int>(std::strtol(v, nullptr, 10));
     } else if (arg == "--kill-source") {
       cli->kill_source = true;
-    } else if (arg == "--backend" && (v = need(i))) {
-      if (std::strcmp(v, "poll") == 0) {
-        cli->backend = net::LoopBackend::kPoll;
-      } else if (std::strcmp(v, "epoll") == 0) {
-        cli->backend = net::LoopBackend::kEpoll;
-      } else if (std::strcmp(v, "auto") == 0) {
-        cli->backend = net::LoopBackend::kAuto;
-      } else {
-        return false;
-      }
     } else if (arg == "--seed" && (v = need(i))) {
       cli->seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--drop" && (v = need(i))) {
@@ -169,6 +156,13 @@ bool parse_cli(int argc, char** argv, Cli* cli) {
     }
   }
   if (cli->count < 1) return false;
+  const net::DiscoveryOptions defaults;
+  if (cli->count > 1 &&
+      (cli->live.discovery.beacon_period != defaults.beacon_period ||
+       cli->live.discovery.expiry_missed_beacons !=
+           defaults.expiry_missed_beacons)) {
+    return false;  // mass mode derives both from --count
+  }
   return cli->probe || cli->live.id.valid() || cli->count > 1;
 }
 
@@ -176,37 +170,14 @@ bool parse_cli(int argc, char** argv, Cli* cli) {
 /// Exit 0 = converged (and, with --kill-source, retracted leak-free);
 /// exit 1 = an invariant failed; exit 2 = sockets unavailable (skip).
 int run_mass(const Cli& cli) {
-  net::MassLiveOptions opts;
-  opts.count = cli.count;
+  net::MassLiveOptions opts = net::MassLiveOptions::for_population(cli.count);
   opts.base_id = cli.live.id.valid() ? cli.live.id.value() : 1;
+  // The CLI's address, for_population's receive buffer.
+  const int rcvbuf = opts.transport.rcvbuf;
   opts.transport = cli.live.transport;
-  opts.discovery = cli.live.discovery;
+  opts.transport.rcvbuf = rcvbuf;
   opts.fault = cli.fault;
-  opts.backend = cli.backend;
   opts.seed = cli.seed;
-  // Mass-scale survival kit.  An injection at node 0 triggers N
-  // same-instant re-propagations, each fanned out to N sockets — about
-  // N² datagrams in one burst, which drowns any receive buffer.  So:
-  // big SO_RCVBUF to absorb what fits, MTU batching to cut the datagram
-  // count by ~an order of magnitude, and the anti-entropy digest (one
-  // chunk riding every few beacons) to repair whatever still drowned —
-  // a node that only caught a hop-2 re-propagation hears the hop-1
-  // holder's digest differ and gets the exact value re-sent.
-  if (opts.transport.rcvbuf == 0) opts.transport.rcvbuf = 4 << 20;
-  opts.batch.flush_delay = SimTime::from_millis(5);
-  opts.digest_period = opts.discovery.beacon_period * 2;
-  // RETRACT/PROBE go over the reliable channel: a RETRACT lost in the
-  // post-kill storm leaves cliques of mutually-"justified" stale
-  // replicas that no flood ever repairs (engine_maintenance.cc) — at
-  // N=300 some always drown without at-least-once delivery.
-  opts.reliable = true;
-  // The hold-down must outlast the whole expiry wave.  Beacon jitter
-  // spreads the N nodes' source-expiry instants over roughly a beacon
-  // period; the default 150 ms window reopens early retractors to
-  // digest resends from late holders, which reinstall at hop+1 with a
-  // fresh justification — an anti-entropy/retraction livelock.  Eight
-  // beacon periods comfortably covers expiry (k beacons) plus spread.
-  opts.maintenance.hold_down = opts.discovery.beacon_period * 8;
 
   net::MassLiveWorld world(opts);
   if (!world.start()) {
@@ -310,7 +281,7 @@ int main(int argc, char** argv) {
   }
 
   obs::Hub hub;
-  net::EventLoop loop(cli.backend, &hub.metrics);
+  net::EventLoop loop(net::LoopBackend::kAuto, &hub.metrics);
   net::LivePlatform platform(loop, cli.live, &hub);
 
   if (cli.probe) {

@@ -16,9 +16,13 @@
 #
 # Chaos is on by default (10% drop, 5% duplicate, 5% reorder on every
 # node's receive path, seeded and reproducible); pass CHAOS=0 to soak the
-# clean path.  The beacon period scales with N — presence traffic on a
-# shared channel is O(N^2/period), so 1000 nodes at a 250 ms beacon melts
-# a single kernel long before the middleware is the bottleneck.
+# clean path.  tota_node works the session settings out from N
+# (net::MassLiveOptions::for_population): the beacon period scales as
+# max(250 ms, N^2/300 ms) — presence traffic on a shared channel is
+# O(N^2/period), so 1000 nodes at a 250 ms beacon would melt a single
+# kernel long before the middleware is the bottleneck — and expiry takes
+# 6 missed beacons.  Validated: 300 @ 300ms ~4s, 500 @ 833ms ~13s,
+# 1000 @ 3333ms ~60s, all leak-free under chaos.
 #
 # Exit codes: 0 pass, 1 fail, 77 skip (sockets unavailable — ctest/CI
 # treat 77 as SKIP).
@@ -33,7 +37,7 @@ NODES=${2:-300}
 # get their own shared channel instead of seeing each other's traffic.
 PORT=${3:-$((52000 + $$ % 10000))}
 GROUP=127.255.255.255
-# Phase budget; the beacon period grows as N^2 (below), and expiry
+# Phase budget; the beacon period grows as N^2 (above), and expiry
 # detection is 6 beacons, so big worlds need a longer leash.
 DURATION_MS=${DURATION_MS:-$(( NODES > 500 ? 180000 : 90000 ))}
 CHAOS=${CHAOS:-1}
@@ -52,25 +56,14 @@ if ! "$BIN" --probe --id 9 --mode bcast --group "$GROUP" --port "$PORT" \
   exit 77
 fi
 
-# Presence traffic scales O(N^2/beacon): every beacon is delivered to
-# every socket, so receptions/sec = N^2 / beacon_s.  One kernel+thread
-# sustains ~300k receptions/sec; beacon_ms = N^2/300 keeps the loop
-# under that (250ms floor).  Validated: 300 @ 300ms ~4s, 500 @ 833ms
-# ~13s, 1000 @ 3333ms ~60s, all leak-free under chaos.  expiry-k 6
-# rides out chaos-level beacon loss without false neighbour-down churn
-# (P[6 consecutive drops] ~ 1e-6 at 10%).
-BEACON_MS=$(( NODES * NODES / 300 ))
-(( BEACON_MS >= 250 )) || BEACON_MS=250
-
 args=(--count "$NODES" --mode bcast --group "$GROUP" --port "$PORT"
-      --beacon-ms "$BEACON_MS" --expiry-k 6 --duration-ms "$DURATION_MS"
-      --inject soak --kill-source --seed "$SEED"
+      --duration-ms "$DURATION_MS" --inject soak --kill-source --seed "$SEED"
       --metrics "$DIR/metrics.json")
 if [[ "$CHAOS" == 1 ]]; then
   args+=(--drop 0.1 --dup 0.05 --reorder 0.05)
 fi
 
-echo "mass_live: $NODES nodes, beacon ${BEACON_MS}ms, chaos=$CHAOS, port $PORT"
+echo "mass_live: $NODES nodes, chaos=$CHAOS, port $PORT"
 "$BIN" "${args[@]}" | tee "$DIR/run.out"
 rc=${PIPESTATUS[0]}
 if [[ "$rc" == 2 ]]; then

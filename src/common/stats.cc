@@ -64,17 +64,6 @@ std::string Summary::str() const {
   return buf;
 }
 
-void Counters::add(const std::string& name, std::int64_t delta) {
-  counters_[name] += delta;
-}
-
-std::int64_t Counters::get(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-void Counters::reset() { counters_.clear(); }
-
 std::string Series::str() const {
   std::string out;
   for (const auto& p : points_) {

@@ -1,13 +1,12 @@
 // Lightweight statistics collection for experiments and benchmarks.
 //
-// Counter  — named monotonically increasing tallies (e.g. radio sends).
 // Summary  — running min/max/mean/stddev plus exact quantiles on demand.
 // Series   — (x, y) samples for printing a figure's data line.
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tota {
@@ -40,21 +39,6 @@ class Summary {
   mutable bool sorted_valid_ = true;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
-};
-
-/// Named counters, used by the simulator to tally radio transmissions,
-/// deliveries, drops, and by the middleware for propagation bookkeeping.
-class Counters {
- public:
-  void add(const std::string& name, std::int64_t delta = 1);
-  [[nodiscard]] std::int64_t get(const std::string& name) const;
-  void reset();
-  [[nodiscard]] const std::map<std::string, std::int64_t>& all() const {
-    return counters_;
-  }
-
- private:
-  std::map<std::string, std::int64_t> counters_;
 };
 
 /// An (x, y) data series; one per plotted line of a reproduced figure.

@@ -20,7 +20,8 @@
 // Packing is greedy in enqueue order: a chunk that would overflow the
 // current datagram starts the next one; a single chunk larger than the
 // MTU is sent alone and counted (net.batch.oversize) — whether the link
-// then drops it is the link's business (UdpOptions::mtu).
+// then drops it is the link's business (the kernel, or the simulator's
+// DeviceProfile MTU).
 //
 // Metrics: net.batch.tx (BATCH datagrams sent), net.batch.chunks
 // (chunks carried), net.batch.flush (flush rounds), net.batch.oversize.

@@ -46,7 +46,7 @@ SimTime Discovery::expiry_after(SimTime period) const {
   // truncated) so e.g. 100ms * 3.6 is exactly 360ms.
   const double k = static_cast<double>(options_.expiry_missed_beacons);
   return SimTime(std::llround(static_cast<double>(period.micros()) * k *
-                              (1.0 + options_.beacon_jitter)));
+                              (1.0 + kBeaconJitter)));
 }
 
 void Discovery::send_beacon() {
@@ -57,7 +57,7 @@ void Discovery::send_beacon() {
   // Next beacon at period * (1 ± jitter); the uniform draw comes from
   // the platform's seeded Rng, so the whole schedule is reproducible.
   const double spread =
-      1.0 + options_.beacon_jitter * (2.0 * platform_.rng().uniform() - 1.0);
+      1.0 + kBeaconJitter * (2.0 * platform_.rng().uniform() - 1.0);
   beacon_timer_ = platform_.schedule(options_.beacon_period * spread,
                                      [this] { send_beacon(); });
 }
@@ -72,11 +72,11 @@ void Discovery::on_hello(NodeId from, std::uint64_t seq, SimTime period) {
   hello_rx_.inc();
 
   // An advertised period is a claim by the peer; honour it only up to
-  // max_peer_period, or one hostile/corrupt HELLO advertising a huge
+  // kMaxPeerPeriod, or one hostile/corrupt HELLO advertising a huge
   // period would pin this neighbour entry (and wedge the maintenance
   // that its expiry drives) near-forever.
-  if (period > options_.max_peer_period) {
-    period = options_.max_peer_period;
+  if (period > kMaxPeerPeriod) {
+    period = kMaxPeerPeriod;
     hello_clamped_.inc();
   }
 
@@ -84,7 +84,7 @@ void Discovery::on_hello(NodeId from, std::uint64_t seq, SimTime period) {
   Neighbor& n = it->second;
   bool restarted = false;
   if (!fresh && seq <= n.last_seq) {
-    if (n.last_seq - seq <= options_.restart_seq_window) {
+    if (n.last_seq - seq <= kRestartSeqWindow) {
       // A duplicated or reordered old beacon (trivially produced by UDP
       // or the fault injector): it carries *stale* information and must
       // not refresh the session or re-arm expiry.

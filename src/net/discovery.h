@@ -10,7 +10,7 @@
 // lost beacons in a row are weather; k are a departed node).
 //
 // Mechanics (full state machine in docs/NET.md):
-//   * Beacons are spaced period * (1 ± jitter) with the offset drawn
+//   * Beacons are spaced period * (1 ± kBeaconJitter) with the offset drawn
 //     from the platform's seeded Rng — deterministic per seed, and
 //     desynchronized between nodes so N co-started processes don't
 //     transmit in lockstep bursts.
@@ -47,23 +47,8 @@ namespace tota::net {
 struct DiscoveryOptions {
   /// Nominal HELLO spacing.
   SimTime beacon_period = SimTime::from_millis(500);
-  /// Each interval is period * (1 ± jitter), uniform; also widens the
-  /// expiry deadline so a maximally-late beacon still counts.
-  double beacon_jitter = 0.2;
   /// Consecutive missed HELLOs before a neighbour is declared gone (k).
   int expiry_missed_beacons = 3;
-  /// A HELLO whose seq falls behind the last accepted one by at most
-  /// this many is a reordered/duplicated stale beacon and is ignored
-  /// (net.hello.stale) — it must not refresh the neighbour with old
-  /// information.  A deeper regression means the peer restarted and is
-  /// beaconing from zero again: the old session is torn down and the
-  /// neighbour re-announced (net.hello.restart).
-  std::uint64_t restart_seq_window = 16;
-  /// Upper bound honoured for the peer-advertised beacon period: one
-  /// malformed or hostile HELLO advertising a huge period must not pin
-  /// its neighbour entry near-forever.  Clamped periods count
-  /// net.hello.clamped.
-  SimTime max_peer_period = SimTime::from_seconds(5);
 };
 
 class Discovery {
@@ -77,6 +62,23 @@ class Discovery {
   /// `platform` provides clock/timers/rng; `beacon` transmits one HELLO
   /// beacon.  Registers net.hello.* / net.neighbor.* in `metrics` (must
   /// outlive the discovery).
+  /// Each beacon interval is period * (1 ± kBeaconJitter), uniform; the
+  /// jitter also widens the expiry deadline so a maximally-late beacon
+  /// still counts.
+  static constexpr double kBeaconJitter = 0.2;
+  /// A HELLO whose seq falls behind the last accepted one by at most
+  /// this many is a reordered/duplicated stale beacon and is ignored
+  /// (net.hello.stale) — it must not refresh the neighbour with old
+  /// information.  A deeper regression means the peer restarted and is
+  /// beaconing from zero again: the old session is torn down and the
+  /// neighbour re-announced (net.hello.restart).
+  static constexpr std::uint64_t kRestartSeqWindow = 16;
+  /// Upper bound honoured for the peer-advertised beacon period: one
+  /// malformed or hostile HELLO advertising a huge period must not pin
+  /// its neighbour entry near-forever.  Clamped periods count
+  /// net.hello.clamped.
+  static constexpr SimTime kMaxPeerPeriod = SimTime::from_seconds(5);
+
   Discovery(NodeId self, tota::Platform& platform, DiscoveryOptions options,
             BeaconFn beacon, obs::MetricsRegistry& metrics);
   ~Discovery();

@@ -1,5 +1,7 @@
 #include "net/mass_live.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "tuples/all.h"
@@ -29,6 +31,22 @@ int holders(const MassLiveWorld& w, const std::string& name, Keep keep) {
 
 }  // namespace
 
+MassLiveOptions MassLiveOptions::for_population(int n) {
+  MassLiveOptions o;
+  o.count = n;
+  const std::int64_t beacon_ms =
+      std::max<std::int64_t>(250, std::int64_t{n} * n / 300);
+  o.discovery.beacon_period =
+      SimTime::from_millis(static_cast<double>(beacon_ms));
+  o.discovery.expiry_missed_beacons = 6;
+  o.batch.flush_delay = SimTime::from_millis(5);
+  o.digest_period = o.discovery.beacon_period * 2;
+  o.reliable = true;
+  o.maintenance.hold_down = o.discovery.beacon_period * 8;
+  o.transport.rcvbuf = 4 << 20;
+  return o;
+}
+
 MassLiveWorld::Node::Node(EventLoop& loop, const LiveOptions& options,
                           const MaintenanceOptions& maintenance)
     : platform(loop, options, &hub),
@@ -38,7 +56,7 @@ MassLiveWorld::Node::Node(EventLoop& loop, const LiveOptions& options,
 
 MassLiveWorld::MassLiveWorld(MassLiveOptions options)
     : options_(std::move(options)),
-      loop_(options_.backend, &loop_hub_.metrics) {
+      loop_(LoopBackend::kAuto, &loop_hub_.metrics) {
   nodes_.reserve(static_cast<std::size_t>(options_.count));
   for (int i = 0; i < options_.count; ++i) {
     LiveOptions live;

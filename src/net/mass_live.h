@@ -33,27 +33,43 @@
 
 namespace tota::net {
 
-/// The session knobs (net/session.h) are shared by every node.  Mass
-/// worlds want batching with a flush delay and a digest cadence on: a
-/// flood of N same-instant re-propagations overflows receive buffers no
-/// matter how large, and anti-entropy is the designed repair for the
-/// frames that drown.
+/// The session knobs (net/session.h) are shared by every node;
+/// for_population() works them out from the node count.
 struct MassLiveOptions : SessionOptions {
   /// How many nodes to host; wire ids are base_id .. base_id + count - 1.
   int count = 3;
   std::uint64_t base_id = 1;
-  /// Transport template (mode/group/port/mtu/drain budget), shared by
+  /// Transport template (mode/group/port/drain budget), shared by
   /// every node — they form one broadcast channel.
   UdpOptions transport;
   /// Receive-path adversity, applied per node (each node's injector
   /// forks its own Rng stream off the node's seeded platform).
   FaultPlan fault;
-  /// Readiness backend for the shared loop.
-  LoopBackend backend = LoopBackend::kAuto;
   /// Base seed; node i runs with seed + i (0 falls back to id-derived
   /// per-node seeds, see LiveOptions::seed).
   std::uint64_t seed = 1;
   MaintenanceOptions maintenance;
+
+  /// The settings a world of `n` nodes on one shared channel needs, for
+  /// `count = n` (transport address, fault plan and seed stay at their
+  /// defaults):
+  ///   * beacon period max(250 ms, n²/300 ms) — every beacon reaches
+  ///     every socket, so presence costs n²/period receptions a second,
+  ///     and one loop thread sustains ~300k of them;
+  ///   * expiry after 6 missed beacons — rides out chaos-level beacon
+  ///     loss (P[6 drops in a row] ~ 1e-6 at 10%);
+  ///   * 5 ms batch flush delay, a 4 MiB SO_RCVBUF and a digest every
+  ///     second beacon — an injection triggers n same-instant
+  ///     re-propagations fanned out to n sockets, so batching cuts the
+  ///     datagram count, the buffer absorbs what fits and anti-entropy
+  ///     repairs what still drowned;
+  ///   * RETRACT/PROBE on the reliable channel — a RETRACT lost in the
+  ///     post-kill storm leaves cliques of mutually-"justified" stale
+  ///     replicas that no flood repairs;
+  ///   * hold-down of 8 beacons — it must outlast the whole expiry wave
+  ///     (k beacons plus a beacon of jitter spread), or early retractors
+  ///     reopen to digest resends from late holders and livelock.
+  static MassLiveOptions for_population(int n);
 };
 
 class MassLiveWorld {

@@ -6,10 +6,8 @@
 namespace tota::net {
 
 ReliableChannel::ReliableChannel(tota::Platform& platform,
-                                 ReliableOptions options,
                                  obs::MetricsRegistry& metrics)
     : platform_(platform),
-      options_(options),
       rel_tx_(metrics.counter("net.rel.tx")),
       rel_rtx_(metrics.counter("net.rel.rtx")),
       rel_acked_(metrics.counter("net.rel.acked")),
@@ -19,10 +17,7 @@ ReliableChannel::ReliableChannel(tota::Platform& platform,
       rel_ooo_(metrics.counter("net.rel.ooo")),
       rel_skipped_(metrics.counter("net.rel.skipped")),
       rel_rx_overflow_(metrics.counter("net.rel.rx_overflow")),
-      rel_ack_rx_(metrics.counter("net.rel.ack_rx")) {
-  if (options_.window == 0) options_.window = 1;
-  if (options_.max_attempts < 1) options_.max_attempts = 1;
-}
+      rel_ack_rx_(metrics.counter("net.rel.ack_rx")) {}
 
 ReliableChannel::~ReliableChannel() { platform_.cancel(rtx_timer_); }
 
@@ -44,7 +39,7 @@ std::uint64_t ReliableChannel::expected(NodeId from) const {
 
 SimTime ReliableChannel::jittered(SimTime base) {
   const double spread =
-      1.0 + options_.rtx_jitter * (2.0 * platform_.rng().uniform() - 1.0);
+      1.0 + kRtxJitter * (2.0 * platform_.rng().uniform() - 1.0);
   return base * spread;
 }
 
@@ -53,17 +48,17 @@ void ReliableChannel::transmit(InFlight& f) {
   (f.attempts == 1 ? rel_tx_ : rel_rtx_).inc();
   if (emit_) emit_(f.seq, floor(), f.frame);
   // Backoff for the *next* attempt: initial * backoff^(attempts-1),
-  // capped.  Computed by repeated multiply — max_attempts is small.
-  SimTime wait = options_.rtx_initial;
-  for (int i = 1; i < f.attempts && wait < options_.rtx_cap; ++i) {
-    wait = wait * options_.rtx_backoff;
+  // capped.  Computed by repeated multiply — kMaxAttempts is small.
+  SimTime wait = kRtxInitial;
+  for (int i = 1; i < f.attempts && wait < kRtxCap; ++i) {
+    wait = wait * kRtxBackoff;
   }
-  if (wait > options_.rtx_cap) wait = options_.rtx_cap;
+  if (wait > kRtxCap) wait = kRtxCap;
   f.next_due = platform_.now() + jittered(wait);
 }
 
 void ReliableChannel::send(wire::Bytes frame, std::vector<NodeId> targets) {
-  if (!targets.empty() && window_.size() >= options_.window) {
+  if (!targets.empty() && window_.size() >= kWindow) {
     queue_.emplace_back(std::move(frame), std::move(targets));
     return;
   }
@@ -94,7 +89,7 @@ bool ReliableChannel::admit(wire::Bytes frame, std::vector<NodeId> targets) {
 
 void ReliableChannel::drain_queue() {
   bool activated = false;
-  while (!queue_.empty() && window_.size() < options_.window) {
+  while (!queue_.empty() && window_.size() < kWindow) {
     auto [frame, targets] = std::move(queue_.front());
     queue_.pop_front();
     // on_peer_down pruned departed targets from queue_ entries in place,
@@ -123,7 +118,7 @@ void ReliableChannel::on_timer() {
       ++it;
       continue;
     }
-    if (it->attempts >= options_.max_attempts) {
+    if (it->attempts >= kMaxAttempts) {
       // Bounded reliability: give up, advance the floor past the gap
       // (the next emission's floor tells receivers to stop waiting).
       rel_expired_.inc();
@@ -225,7 +220,7 @@ void ReliableChannel::on_rel(NodeId from, std::uint64_t seq,
     deliver_ready(from, rx);
   } else if (rx.buffered.count(seq) > 0) {
     rel_dup_.inc();  // already buffered ahead
-  } else if (rx.buffered.size() >= options_.rx_buffer) {
+  } else if (rx.buffered.size() >= kRxBuffer) {
     rel_rx_overflow_.inc();  // the sender's retransmit covers it
   } else {
     rel_ooo_.inc();

@@ -13,7 +13,7 @@
 // stream per node, broadcast to all; receivers track it per sender).
 // In-flight frames are retransmitted on a capped exponential backoff
 // with seeded jitter until every targeted neighbour has cumulatively
-// acked the seq, the neighbour goes away, or max_attempts is exhausted
+// acked the seq, the neighbour goes away, or kMaxAttempts is exhausted
 // (net.rel.expired — reliability is bounded, not infinite).  A bounded
 // in-flight window applies backpressure: frames beyond it queue and
 // enter the window as acks free slots.
@@ -31,7 +31,7 @@
 //
 // Receiver side: frames at the expected seq are delivered immediately
 // (plus any buffered successors); ahead-of-expected frames are buffered
-// up to rx_buffer (net.rel.ooo); behind-expected frames are duplicates
+// up to kRxBuffer (net.rel.ooo); behind-expected frames are duplicates
 // from retransmission (net.rel.dup) — dropped, but re-acked so the
 // sender retires them.  Acks are cumulative (expected - 1), one per
 // received REL, on the next outgoing batch (AckFn); a lost ack is
@@ -44,6 +44,7 @@
 // double's, or the live event loop's.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -60,23 +61,6 @@
 
 namespace tota::net {
 
-struct ReliableOptions {
-  /// Most unacked frames in flight; further sends queue behind them.
-  std::size_t window = 32;
-  /// First retransmit after rtx_initial * (1 ± rtx_jitter); each retry
-  /// doubles (rtx_backoff) up to rtx_cap.
-  SimTime rtx_initial = SimTime::from_millis(200);
-  double rtx_backoff = 2.0;
-  SimTime rtx_cap = SimTime::from_seconds(2);
-  double rtx_jitter = 0.25;
-  /// Transmissions per frame (first + retries) before giving up and
-  /// advancing the floor past it (net.rel.expired).
-  int max_attempts = 12;
-  /// Ahead-of-expected frames buffered per sender; beyond it, early
-  /// frames are dropped and covered by the sender's retransmit.
-  std::size_t rx_buffer = 64;
-};
-
 class ReliableChannel {
  public:
   /// Transmits one REL chunk (seq, current floor, frame bytes).
@@ -89,8 +73,22 @@ class ReliableChannel {
   using DeliverFn =
       std::function<void(NodeId from, std::span<const std::uint8_t> frame)>;
 
-  ReliableChannel(tota::Platform& platform, ReliableOptions options,
-                  obs::MetricsRegistry& metrics);
+  /// Most unacked frames in flight; further sends queue behind them.
+  static constexpr std::size_t kWindow = 32;
+  /// First retransmit after kRtxInitial * (1 ± kRtxJitter); each retry
+  /// doubles (kRtxBackoff) up to kRtxCap.
+  static constexpr SimTime kRtxInitial = SimTime::from_millis(200);
+  static constexpr double kRtxBackoff = 2.0;
+  static constexpr SimTime kRtxCap = SimTime::from_seconds(2);
+  static constexpr double kRtxJitter = 0.25;
+  /// Transmissions per frame (first + retries) before giving up and
+  /// advancing the floor past it (net.rel.expired).
+  static constexpr int kMaxAttempts = 12;
+  /// Ahead-of-expected frames buffered per sender; beyond it, early
+  /// frames are dropped and covered by the sender's retransmit.
+  static constexpr std::size_t kRxBuffer = 64;
+
+  ReliableChannel(tota::Platform& platform, obs::MetricsRegistry& metrics);
   ~ReliableChannel();
 
   ReliableChannel(const ReliableChannel&) = delete;
@@ -164,7 +162,6 @@ class ReliableChannel {
   void deliver_ready(NodeId from, RxStream& rx);
 
   tota::Platform& platform_;
-  ReliableOptions options_;
   EmitFn emit_;
   AckFn ack_;
   DeliverFn deliver_;

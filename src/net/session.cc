@@ -15,7 +15,7 @@ NetSession::NetSession(NodeId self, tota::Platform& platform,
       platform_(platform),
       options_(options),
       batcher_(self, platform, options.batch, std::move(send), metrics),
-      rel_(std::make_unique<ReliableChannel>(platform, options.rel, metrics)),
+      rel_(std::make_unique<ReliableChannel>(platform, metrics)),
       discovery_(
           self, platform, options.discovery,
           [this](std::uint64_t seq, SimTime period) { on_beacon(seq, period); },

@@ -64,7 +64,6 @@ struct SessionOptions {
   BatchOptions batch;
   /// Send RETRACT/PROBE control frames over the reliable channel.
   bool reliable = false;
-  ReliableOptions rel;
   /// Anti-entropy digest cadence; zero disables the exchange.  Digests
   /// ride the beacon flush, so the effective period is rounded up to
   /// the next beacon.

@@ -33,7 +33,6 @@ UdpTransport::UdpTransport(UdpOptions options, obs::MetricsRegistry& metrics)
       send_err_(metrics.counter("net.udp.send_err")),
       rx_err_(metrics.counter("net.udp.rx_err")),
       rx_trunc_(metrics.counter("net.udp.rx_trunc")),
-      mtu_drop_(metrics.counter("net.mtu_drop")),
       drain_yield_(metrics.counter("net.udp.drain_yield")) {}
 
 UdpTransport::~UdpTransport() { close(); }
@@ -150,12 +149,6 @@ void UdpTransport::close() {
 bool UdpTransport::send(std::span<const std::uint8_t> datagram) {
   if (fd_ < 0) {
     send_err_.inc();
-    return false;
-  }
-  if (options_.mtu != 0 && datagram.size() > options_.mtu) {
-    // This device's link layer cannot pass the frame; dropped exactly
-    // like the simulators' per-link MTU cut (net/device_profile.h).
-    mtu_drop_.inc();
     return false;
   }
   const ssize_t n =

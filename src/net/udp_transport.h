@@ -50,11 +50,6 @@ struct UdpOptions {
   std::string ifaddr;
   /// Multicast TTL; 1 = link-local, matching the paper's one-hop medium.
   int ttl = 1;
-  /// Device MTU in bytes (net/device_profile.h); 0 = unlimited.  An
-  /// oversized datagram is dropped before the socket and counted as
-  /// net.mtu_drop — the live-path mirror of the simulators' per-link
-  /// MTU accounting.
-  std::size_t mtu = 0;
   /// Most datagrams one drain() call delivers before yielding back to
   /// the event loop; 0 = unlimited.  On a multi-tenant loop one flooded
   /// socket must not starve every other engine's socket and all due
@@ -125,7 +120,6 @@ class UdpTransport {
   obs::Counter& send_err_;
   obs::Counter& rx_err_;
   obs::Counter& rx_trunc_;
-  obs::Counter& mtu_drop_;
   obs::Counter& drain_yield_;
 };
 

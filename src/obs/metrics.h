@@ -30,8 +30,8 @@ static_assert(TOTA_OBS_ENABLED == 0 || TOTA_OBS_ENABLED == 1,
 
 namespace tota::obs {
 
-/// Monotonically increasing tally.  The hot-path replacement for the old
-/// string-keyed Counters::add("radio.tx") pattern.
+/// Monotonically increasing tally, resolved once by name and then
+/// bumped on the hot path without a lookup.
 class Counter {
  public:
   void inc(std::int64_t delta = 1) {
@@ -130,7 +130,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name);
 
   /// Cold read of a counter's value by name; 0 when never registered.
-  /// (Also the drop-in replacement for the old Counters::get.)
   [[nodiscard]] std::int64_t get(const std::string& name) const;
 
   /// Lookup without registering; nullptr when absent.

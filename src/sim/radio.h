@@ -21,8 +21,6 @@ struct RadioParams {
   SimTime jitter = SimTime::from_millis(3);
   /// Probability that an individual receiver misses a broadcast frame.
   double loss_probability = 0.0;
-  /// Bytes/second; adds payload_size / bandwidth to the delay.  0 = infinite.
-  double bandwidth_bps = 0.0;
 };
 
 /// Stateless-per-call helper that samples delivery outcomes.
@@ -38,16 +36,12 @@ class Radio {
     return !rng.chance(params_.loss_probability);
   }
 
-  /// Samples the end-to-end one-hop delay for a payload of `bytes` bytes.
-  SimTime delay(Rng& rng, std::size_t bytes) const {
+  /// Samples the end-to-end one-hop delay.
+  SimTime delay(Rng& rng) const {
     SimTime d = params_.base_delay;
     if (params_.jitter.micros() > 0) {
       d += SimTime(static_cast<std::int64_t>(
           rng.uniform() * static_cast<double>(params_.jitter.micros())));
-    }
-    if (params_.bandwidth_bps > 0.0) {
-      d += SimTime::from_seconds(static_cast<double>(bytes) * 8.0 /
-                                 params_.bandwidth_bps);
     }
     return d;
   }

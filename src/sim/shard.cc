@@ -284,16 +284,17 @@ const net::DeviceProfile& ShardedSim::profile(NodeId id) const {
 void ShardedSim::notify_link(NodeId node, NodeId neighbor, bool up) {
   Shard& s = shard_of_node(node);
   (up ? s.link_up : s.link_down).inc();
-  s.events.schedule_after(params_.link_detect_delay,
-                          [this, node, neighbor, up] {
-                            Host* host = state(node).host;
-                            if (host == nullptr) return;
-                            if (up) {
-                              host->on_neighbor_up(neighbor);
-                            } else {
-                              host->on_neighbor_down(neighbor);
-                            }
-                          });
+  // Deferred, not called inline: topology updates run at quiescent
+  // points, and the host hears of them as ordinary events.
+  s.events.schedule_after(SimTime::zero(), [this, node, neighbor, up] {
+    Host* host = state(node).host;
+    if (host == nullptr) return;
+    if (up) {
+      host->on_neighbor_up(neighbor);
+    } else {
+      host->on_neighbor_down(neighbor);
+    }
+  });
 }
 
 std::optional<SimTime> ShardedSim::link_delay(Shard& s,
@@ -314,7 +315,7 @@ std::optional<SimTime> ShardedSim::link_delay(Shard& s,
     s.radio_lost.inc();
     return std::nullopt;
   }
-  SimTime delay = radio_.delay(s.rng, bytes);
+  SimTime delay = radio_.delay(s.rng);
   if (sender != nullptr) {
     if (sender->tx_delay_scale != 1.0) delay = delay * sender->tx_delay_scale;
     // The receiver's radio must be listening when the frame lands.

@@ -68,9 +68,6 @@ struct ShardedParams {
   /// a node, but rather on its addressability").  Radio latency/loss
   /// parameters still shape per-link delivery.
   bool wired = false;
-  /// Latency between a topology change and the neighbour-up/down upcall,
-  /// modelling beacon-based discovery.  Zero = instantaneous detection.
-  SimTime link_detect_delay = SimTime::zero();
   std::uint64_t seed = 1;
   /// Adversity layer (net::FaultInjector): drop/duplicate/reorder/
   /// truncate/corrupt faults plus scheduled partitions, applied to every
@@ -123,7 +120,7 @@ class ShardedSim {
   // --- topology (quiescent points) --------------------------------------
 
   /// Teleports a node (the emulator's drag-and-drop); link up/down
-  /// upcalls fire after link_detect_delay.  Ownership is static — the
+  /// upcalls fire as zero-delay events.  Ownership is static — the
   /// node keeps its home shard wherever it moves, which preserves
   /// determinism and costs only cross-shard mail.
   void move_node(NodeId id, Vec2 position);
@@ -194,7 +191,7 @@ class ShardedSim {
   [[nodiscard]] std::vector<NodeId> nodes() const { return topology_.nodes(); }
   /// Current maintained neighbour set (sorted); ground truth, identical
   /// to topology().neighbors(id) between quiescent-point updates.  The
-  /// node's host hears of changes link_detect_delay later.
+  /// node's host hears of changes in a zero-delay event.
   [[nodiscard]] const std::vector<NodeId>& neighbors(NodeId id) const;
   [[nodiscard]] const ShardedParams& params() const { return params_; }
 

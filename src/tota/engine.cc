@@ -16,8 +16,8 @@ Engine::Engine(NodeId self, Platform& platform, TupleSpace& space,
       maintenance_(maintenance),
       hub_(hub != nullptr ? *hub : obs::default_hub()),
       metrics_(hub_.metrics),
-      seen_passthrough_(maintenance.passthrough_memory),
-      repair_pending_(maintenance.passthrough_memory) {}
+      seen_passthrough_(kPassthroughMemory),
+      repair_pending_(kPassthroughMemory) {}
 
 Engine::~Engine() {
   // Recurring maintenance timers (hold-down expiries, coalesced

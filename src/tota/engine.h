@@ -143,12 +143,6 @@ class Engine final : public SpaceOps {
   [[nodiscard]] const std::vector<NodeId>& neighbors() const {
     return neighbors_;
   }
-  [[nodiscard]] const MaintenanceStats& maintenance_stats() const {
-    return maintenance_stats_;
-  }
-  [[nodiscard]] const MaintenanceOptions& maintenance_options() const {
-    return maintenance_;
-  }
   /// The observability hub this engine records into — node-level
   /// runtimes built on top of the engine (tuples/aggregator.h) register
   /// their own instruments here so one world shares one registry.
@@ -218,9 +212,9 @@ class Engine final : public SpaceOps {
 
   /// Re-checks justification of the local replica `entry`; retracts it
   /// when support is gone and returns true (`entry` then dangles).
-  /// `cascaded` only labels the statistics: link-loss-initiated removals
-  /// are "started", removals triggered by another node's
-  /// retraction/stretch are "cascaded".
+  /// `cascaded` only labels the counters: link-loss-initiated removals
+  /// are maint.retract_started, removals triggered by another node's
+  /// retraction/stretch maint.retract_cascaded.
   bool recheck(const TupleSpace::Entry& entry, bool cascaded = true);
 
   /// Starts the repair clock for `uid` (called at retraction); stopped
@@ -235,7 +229,6 @@ class Engine final : public SpaceOps {
   TupleSpace& space_;
   EventBus& bus_;
   MaintenanceOptions maintenance_;
-  MaintenanceStats maintenance_stats_;
   obs::Hub& hub_;
   EngineMetrics metrics_;
   /// net.sync.resend, registered by the first on_digest (see there).

@@ -38,7 +38,6 @@ void Engine::on_neighbor_up(NodeId neighbor) {
       } else {
         send_tuple(*entry->tuple);
       }
-      ++maintenance_stats_.link_up_repropagations;
       metrics_.maint_link_up_reprop.inc();
     }
   });
@@ -79,10 +78,8 @@ void Engine::retract_local(const TupleSpace::Entry& entry, bool cascaded) {
 
   auto removed = space_.erase(uid);
   if (cascaded) {
-    ++maintenance_stats_.retractions_cascaded;
     metrics_.maint_retract_cascaded.inc();
   } else {
-    ++maintenance_stats_.retractions_started;
     metrics_.maint_retract_started.inc();
   }
   trace(obs::Stage::kRetract, uid, removed_hop);
@@ -96,7 +93,6 @@ void Engine::retract_local(const TupleSpace::Entry& entry, bool cascaded) {
   schedule_owned(maintenance_.hold_down, [this, uid] {
     if (!hold_down_.expire(uid, platform_.now())) return;
     platform_.broadcast_reliable(wire::Frame::probe(uid));
-    ++maintenance_stats_.probes_sent;
     metrics_.maint_probe_tx.inc();
     trace(obs::Stage::kProbe, uid, /*hop=*/-1);
   });
@@ -112,7 +108,6 @@ void Engine::handle_probe(const TupleUid& uid) {
   if (entry == nullptr || !entry->propagated) return;
   if (!justified(*entry)) return;  // don't feed a drain in progress
   send_tuple(*entry->tuple);
-  ++maintenance_stats_.probe_answers;
   metrics_.maint_probe_answer.inc();
   trace(obs::Stage::kHeal, uid, entry->tuple->hop());
 }
@@ -134,7 +129,6 @@ void Engine::handle_retract(NodeId from, const TupleUid& uid) {
   // which rebuilds correct values in the orphaned region.
   if (entry->propagated) {
     send_tuple(*entry->tuple);
-    ++maintenance_stats_.heal_repropagations;
     metrics_.maint_heal_reprop.inc();
     trace(obs::Stage::kHeal, uid, entry->tuple->hop());
   }

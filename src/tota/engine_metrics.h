@@ -30,12 +30,18 @@ struct EngineMetrics {
   /// Frames that failed to decode (see Engine::decode_failures()).
   obs::Counter& decode_fail;
 
-  // MaintenanceStats, promoted into the registry (same meanings).
+  // Self-maintenance events (engine_maintenance.cc).
+  /// Stored replicas re-broadcast because a neighbour appeared.
   obs::Counter& maint_link_up_reprop;
+  /// Replicas dropped by link loss.
   obs::Counter& maint_retract_started;
+  /// Replicas dropped by a neighbour's RETRACT (or stretch).
   obs::Counter& maint_retract_cascaded;
+  /// Re-announcements answering a RETRACT.
   obs::Counter& maint_heal_reprop;
+  /// PROBEs sent when a hold-down expires.
   obs::Counter& maint_probe_tx;
+  /// Re-announcements answering a PROBE.
   obs::Counter& maint_probe_answer;
 
   /// Milliseconds from a replica's retraction to the same tuple being

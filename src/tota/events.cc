@@ -159,15 +159,15 @@ void EventBus::unsubscribe_query(QueryId id) {
 }
 
 void EventBus::evaluate_query(ContinuousQuery& q, bool erased,
-                              const std::string& type_tag, const Tuple& tuple,
-                              NodeId parent, bool propagated, SimTime now) {
+                              const TupleSpace::Entry& entry, SimTime now) {
   if (metrics_ != nullptr) metrics_->cq_evals.inc();
+  const Tuple& tuple = *entry.tuple;
   const TupleUid uid = tuple.uid();
   const bool member = q.members.contains(uid);
   bool matches = false;
   if (!erased) {
-    matches = q.pattern.matches_record(type_tag, tuple.content()) &&
-              q.pattern.matches_meta(parent, propagated) &&
+    matches = q.pattern.matches_record(entry.type_tag, tuple.content()) &&
+              q.pattern.matches_meta(entry.parent, entry.propagated) &&
               (!q.accept || q.accept(tuple));
   }
   if (matches == member && !matches) return;  // non-member stays out
@@ -199,36 +199,32 @@ void EventBus::evaluate_query(ContinuousQuery& q, bool erased,
   on_delta(delta);
 }
 
-void EventBus::seed_query(QueryId id, const std::string& type_tag,
-                          const Tuple& tuple, NodeId parent, bool propagated,
+void EventBus::seed_query(QueryId id, const TupleSpace::Entry& entry,
                           SimTime now) {
   const auto it = queries_.find(id);
   if (it == queries_.end()) return;
-  evaluate_query(it->second, /*erased=*/false, type_tag, tuple, parent,
-                 propagated, now);
+  evaluate_query(it->second, /*erased=*/false, entry, now);
 }
 
-void EventBus::notify_space(SpaceChange change, const std::string& type_tag,
-                            const Tuple& tuple, NodeId parent, bool propagated,
-                            SimTime now) {
+void EventBus::notify_space(TupleSpace::ChangeKind change,
+                            const TupleSpace::Entry& entry, SimTime now) {
   if (queries_.empty()) return;
   // Only queries bucketed on this tag (or untyped) can change — copied,
   // because a callback may (un)subscribe and reshape the buckets.
   std::vector<QueryId> ids;
-  for (const std::string& bucket : {type_tag, std::string{}}) {
+  for (const std::string& bucket : {entry.type_tag, std::string{}}) {
     const auto it = query_buckets_.find(bucket);
     if (it != query_buckets_.end()) {
       ids.insert(ids.end(), it->second.begin(), it->second.end());
     }
   }
   std::sort(ids.begin(), ids.end());
-  const bool erased = change == SpaceChange::kErased;
+  const bool erased = change == TupleSpace::ChangeKind::kErased;
   for (const QueryId id : ids) {
     if (!live_queries_.contains(id)) continue;
     const auto it = queries_.find(id);
     if (it == queries_.end()) continue;
-    evaluate_query(it->second, erased, type_tag, tuple, parent, propagated,
-                   now);
+    evaluate_query(it->second, erased, entry, now);
   }
 }
 

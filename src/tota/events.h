@@ -31,6 +31,7 @@
 #include "obs/metrics.h"
 #include "tota/pattern.h"
 #include "tota/tuple.h"
+#include "tota/tuple_space.h"
 
 namespace tota {
 
@@ -162,20 +163,13 @@ class EventBus {
   /// Admits one already-stored replica into query `id`'s result set at
   /// registration time (fires kAdded if it matches).  Replays the same
   /// evaluation notify_space would run for an insert.
-  void seed_query(QueryId id, const std::string& type_tag, const Tuple& tuple,
-                  NodeId parent, bool propagated, SimTime now);
+  void seed_query(QueryId id, const TupleSpace::Entry& entry, SimTime now);
 
-  /// The bus's view of a space mutation (mirrors
-  /// TupleSpace::ChangeKind; kept local so the bus stays independent of
-  /// the store's header).
-  enum class SpaceChange { kStored, kReplaced, kErased };
-
-  /// How a space mutation enters the bus (wired from
-  /// TupleSpace::set_listener by Middleware).  O(1) when no continuous
-  /// query could match the tuple's type.
-  void notify_space(SpaceChange change, const std::string& type_tag,
-                    const Tuple& tuple, NodeId parent, bool propagated,
-                    SimTime now);
+  /// How a space mutation enters the bus: the arguments of
+  /// TupleSpace's change listener (Middleware wires one to the other).
+  /// O(1) when no continuous query could match the tuple's type.
+  void notify_space(TupleSpace::ChangeKind change,
+                    const TupleSpace::Entry& entry, SimTime now);
 
   [[nodiscard]] std::size_t query_count() const { return queries_.size(); }
 
@@ -232,8 +226,7 @@ class EventBus {
   /// Evaluates one (query, change) pair and fires the resulting delta,
   /// if any.  `erased` suppresses matching (the tuple is leaving).
   void evaluate_query(ContinuousQuery& q, bool erased,
-                      const std::string& type_tag, const Tuple& tuple,
-                      NodeId parent, bool propagated, SimTime now);
+                      const TupleSpace::Entry& entry, SimTime now);
 
   /// Id-ordered store; delta delivery order == registration order.
   std::map<QueryId, ContinuousQuery> queries_;

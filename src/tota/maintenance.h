@@ -1,4 +1,4 @@
-// Self-maintenance policy knobs and bookkeeping.
+// Self-maintenance policy knobs.
 //
 // The TOTA engine keeps distributed tuple structures coherent as the
 // network changes (Sec. 3: "the middleware automatically re-propagates
@@ -23,7 +23,7 @@
 // Both can be disabled independently for the ablation benchmarks.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "common/clock.h"
 
@@ -41,30 +41,13 @@ struct MaintenanceOptions {
   /// their values upward forever (distance-vector count-to-infinity).
   /// Must comfortably exceed a few radio hops' worth of latency.
   SimTime hold_down = SimTime::from_millis(150);
-  /// How many pass-through tuple uids the dedup filter remembers.  When
-  /// exceeded, the oldest half is evicted — a very late duplicate of an
-  /// evicted message could then be re-relayed once, which is harmless;
-  /// unbounded memory on "really simple devices" is not.
-  std::size_t passthrough_memory = 4096;
-  /// Cadence of the aggregation subsystem's maintenance tick
-  /// (tuples/aggregator.h): per-tuple value decay is pruned and stale
-  /// contributions expire on this timer.  Aggregators inherit this as
-  /// their default tick; zero disables decay maintenance entirely.
-  SimTime agg_decay_tick = SimTime::from_millis(250);
 };
 
-/// Counters the engine increments; experiments read these to cost the
-/// maintenance machinery.  The engine mirrors each field into its
-/// metrics registry under the "maint." prefix (see EngineMetrics in
-/// engine.h and docs/OBSERVABILITY.md), where they aggregate across all
-/// nodes sharing a hub; this struct stays per-engine.
-struct MaintenanceStats {
-  std::uint64_t link_up_repropagations = 0;
-  std::uint64_t retractions_started = 0;   // replicas dropped by link loss
-  std::uint64_t retractions_cascaded = 0;  // replicas dropped by RETRACT
-  std::uint64_t heal_repropagations = 0;   // replies to RETRACT
-  std::uint64_t probes_sent = 0;           // hold-down expiry probes
-  std::uint64_t probe_answers = 0;         // re-announcements to probes
-};
+/// How many pass-through tuple uids the dedup filter (and the repair
+/// tracker) remembers.  When exceeded, the oldest half is evicted — a
+/// very late duplicate of an evicted message could then be re-relayed
+/// once, which is harmless; unbounded memory on "really simple devices"
+/// is not.
+inline constexpr std::size_t kPassthroughMemory = 4096;
 
 }  // namespace tota

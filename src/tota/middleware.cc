@@ -15,20 +15,7 @@ Middleware::Middleware(NodeId self, Platform& platform,
   // none are registered).
   space_.set_listener(
       [this](TupleSpace::ChangeKind kind, const TupleSpace::Entry& entry) {
-        EventBus::SpaceChange change = EventBus::SpaceChange::kStored;
-        switch (kind) {
-          case TupleSpace::ChangeKind::kInserted:
-            change = EventBus::SpaceChange::kStored;
-            break;
-          case TupleSpace::ChangeKind::kReplaced:
-            change = EventBus::SpaceChange::kReplaced;
-            break;
-          case TupleSpace::ChangeKind::kErased:
-            change = EventBus::SpaceChange::kErased;
-            break;
-        }
-        bus_.notify_space(change, entry.type_tag, *entry.tuple, entry.parent,
-                          entry.propagated, platform_.now());
+        bus_.notify_space(kind, entry, platform_.now());
       });
 }
 
@@ -75,8 +62,7 @@ QueryId Middleware::subscribe_query(Pattern pattern,
   // Replay: admit every currently-stored match (uid order), so the
   // caller's view starts complete before incremental deltas take over.
   space_.for_matching(seed, [&](const TupleSpace::Entry& entry) {
-    bus_.seed_query(id, entry.type_tag, *entry.tuple, entry.parent,
-                    entry.propagated, platform_.now());
+    bus_.seed_query(id, entry, platform_.now());
     return true;
   });
   return id;

@@ -101,9 +101,6 @@ class Middleware {
   /// This node's observability hub (shared with the other nodes of the
   /// same world).
   [[nodiscard]] obs::Hub& hub() const { return engine_.hub(); }
-  [[nodiscard]] const MaintenanceOptions& maintenance_options() const {
-    return engine_.maintenance_options();
-  }
   [[nodiscard]] const std::vector<NodeId>& neighbors() const {
     return engine_.neighbors();
   }

@@ -7,9 +7,6 @@ namespace tota::tuples {
 Aggregator::Aggregator(Middleware& mw, AggregatorOptions opts)
     : mw_(mw),
       opts_(opts),
-      tick_period_(opts.tick.micros() > 0
-                       ? opts.tick
-                       : mw.maintenance_options().agg_decay_tick),
       alive_(std::make_shared<bool>(true)),
       folds_(mw.hub().metrics.counter("agg.fold")),
       reports_tx_(mw.hub().metrics.counter("agg.report_tx")),
@@ -385,9 +382,7 @@ bool Aggregator::is_neighbor(NodeId id) const {
 // --- the maintenance tick: decay pruning + optional refresh -----------------
 
 void Aggregator::ensure_tick() {
-  if (tick_scheduled_ || tick_period_.micros() <= 0 || states_.empty()) {
-    return;
-  }
+  if (tick_scheduled_ || states_.empty()) return;
   bool needed = opts_.refresh_on_tick;
   for (const auto& [uid, state] : states_) {
     if (state.half_life.micros() > 0) needed = true;
@@ -395,7 +390,7 @@ void Aggregator::ensure_tick() {
   if (!needed) return;
   tick_scheduled_ = true;
   auto alive = alive_;
-  mw_.platform().schedule(tick_period_, [this, alive] {
+  mw_.platform().schedule(kTick, [this, alive] {
     if (!*alive) return;
     tick_scheduled_ = false;
     tick();
@@ -407,7 +402,7 @@ void Aggregator::tick() {
   const SimTime now = mw_.platform().now();
   for (auto& [uid, state] : states_) {
     if (state.half_life.micros() <= 0) continue;
-    const SimTime expiry = state.half_life * opts_.expiry_half_lives;
+    const SimTime expiry = state.half_life * kExpiryHalfLives;
     for (auto it = state.local.begin(); it != state.local.end();) {
       if (now.micros() - it->second.stamp.micros() > expiry.micros()) {
         it = state.local.erase(it);

@@ -30,11 +30,10 @@
 // O(nodes) (bench/bench_aggregation.cc measures exactly this against
 // the naive gather).
 //
-// Value decay and expiry run on the maintenance tick
-// (MaintenanceOptions::agg_decay_tick): fully-decayed contributions are
-// pruned, and with `refresh_on_tick` the node re-sends its report each
-// tick — the recovery path for duty-cycled receivers that slept through
-// a report (net/device_profile.h).
+// Value decay and expiry run on the maintenance tick (Aggregator::kTick):
+// fully-decayed contributions are pruned, and with `refresh_on_tick` the
+// node re-sends its report each tick — the recovery path for duty-cycled
+// receivers that slept through a report (net/device_profile.h).
 #pragma once
 
 #include <cstdint>
@@ -51,21 +50,21 @@
 namespace tota::tuples {
 
 struct AggregatorOptions {
-  /// Decay/refresh tick period; zero inherits the middleware's
-  /// MaintenanceOptions::agg_decay_tick.
-  SimTime tick = SimTime::zero();
   /// Re-send this node's report every tick even when unchanged —
   /// recovers reports lost to sleeping or lossy receivers at a bounded
   /// one-message-per-node-per-tick cost.
   bool refresh_on_tick = false;
-  /// A contribution older than this many half-lives is pruned (its
-  /// decay factor is below 2^-10 — noise).  Only applies to decaying
-  /// aggregations.
-  double expiry_half_lives = 10.0;
 };
 
 class Aggregator {
  public:
+  /// Decay/refresh tick period.
+  static constexpr SimTime kTick = SimTime::from_millis(250);
+  /// A contribution older than this many half-lives is pruned (its
+  /// decay factor is below 2^-10 — noise).  Only applies to decaying
+  /// aggregations.
+  static constexpr double kExpiryHalfLives = 10.0;
+
   /// `mw` must outlive the Aggregator.  Registers the agg.* instruments
   /// on the middleware's hub (docs/OBSERVABILITY.md).
   explicit Aggregator(Middleware& mw, AggregatorOptions opts = {});
@@ -166,7 +165,6 @@ class Aggregator {
 
   Middleware& mw_;
   AggregatorOptions opts_;
-  SimTime tick_period_;
   QueryId agg_query_ = 0;
   SubscriptionId down_sub_ = 0;
   SubscriptionId up_sub_ = 0;

@@ -229,16 +229,6 @@ TEST(SummaryTest, EmptyIsNaN) {
   EXPECT_EQ(s.str(), "n=0");
 }
 
-TEST(CountersTest, AddAndGet) {
-  Counters c;
-  c.add("x");
-  c.add("x", 4);
-  EXPECT_EQ(c.get("x"), 5);
-  EXPECT_EQ(c.get("missing"), 0);
-  c.reset();
-  EXPECT_EQ(c.get("x"), 0);
-}
-
 TEST(SeriesTest, CollectsPoints) {
   Series s("line");
   s.add(1, 10);

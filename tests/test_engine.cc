@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "fake_platform.h"
 #include "tota/engine.h"
@@ -43,10 +44,18 @@ class EngineTest : public ::testing::Test {
  protected:
   void SetUp() override { tuples::register_standard_tuples(); }
 
+  /// Expects engine_'s maint.<name> counter (its hub is private to the
+  /// test) to read `n`; with TOTA_OBS=OFF every counter reads 0.
+  void expect_maint(const std::string& name, std::int64_t n) const {
+    EXPECT_EQ(hub_.metrics.get("maint." + name), TOTA_OBS_ENABLED ? n : 0)
+        << "maint." << name;
+  }
+
   FakePlatform platform_;
   TupleSpace space_;
   EventBus bus_;
-  Engine engine_{NodeId{1}, platform_, space_, bus_};
+  obs::Hub hub_;
+  Engine engine_{NodeId{1}, platform_, space_, bus_, {}, &hub_};
 };
 
 TEST_F(EngineTest, InjectAssignsUidAndStores) {
@@ -163,7 +172,7 @@ TEST_F(EngineTest, StretchedSupportIsRetractedThenReinstalled) {
     wire::Reader r(platform_.broadcasts[0]);
     EXPECT_EQ(r.u8(), 2);  // the retraction announcement
   }
-  EXPECT_EQ(engine_.maintenance_stats().retractions_cascaded, 1u);
+  expect_maint("retract_cascaded", 1);
   platform_.broadcasts.clear();
 
   // Hold-down expires: the engine probes for surviving holders…
@@ -173,7 +182,7 @@ TEST_F(EngineTest, StretchedSupportIsRetractedThenReinstalled) {
     wire::Reader r(platform_.broadcasts[0]);
     EXPECT_EQ(r.u8(), 3);  // PROBE
   }
-  EXPECT_EQ(engine_.maintenance_stats().probes_sent, 1u);
+  expect_maint("probe_tx", 1);
   platform_.broadcasts.clear();
 
   // …and the supporter's re-announcement now installs the stretched
@@ -192,7 +201,7 @@ TEST_F(EngineTest, NeighborUpTriggersRepropagation) {
   engine_.on_neighbor_up(NodeId{4});
   platform_.run_scheduled();
   EXPECT_EQ(platform_.broadcasts.size(), 1u);
-  EXPECT_EQ(engine_.maintenance_stats().link_up_repropagations, 1u);
+  expect_maint("link_up_reprop", 1);
   EXPECT_EQ(engine_.neighbors(), std::vector<NodeId>{NodeId{4}});
 }
 
@@ -217,7 +226,7 @@ TEST_F(EngineTest, NeighborDownRetractsDependents) {
 
   engine_.on_neighbor_down(NodeId{5});
   EXPECT_EQ(space_.find(remote.uid()), nullptr);
-  EXPECT_EQ(engine_.maintenance_stats().retractions_started, 1u);
+  expect_maint("retract_started", 1);
   // A RETRACT frame went out.
   ASSERT_EQ(platform_.broadcasts.size(), 1u);
   wire::Reader r(platform_.broadcasts[0]);
@@ -247,7 +256,7 @@ TEST_F(EngineTest, RetractFromParentCascades) {
   w.svarint(2);
   engine_.on_datagram(NodeId{5}, w.take());
   EXPECT_EQ(space_.find(remote.uid()), nullptr);
-  EXPECT_EQ(engine_.maintenance_stats().retractions_cascaded, 1u);
+  expect_maint("retract_cascaded", 1);
 }
 
 TEST_F(EngineTest, RetractFromNonParentTriggersHeal) {
@@ -264,7 +273,7 @@ TEST_F(EngineTest, RetractFromNonParentTriggersHeal) {
   w.svarint(4);
   engine_.on_datagram(NodeId{6}, w.take());  // not our parent
   EXPECT_NE(space_.find(remote.uid()), nullptr);
-  EXPECT_EQ(engine_.maintenance_stats().heal_repropagations, 1u);
+  expect_maint("heal_reprop", 1);
   EXPECT_EQ(platform_.broadcasts.size(), 1u);  // replica re-announced
 }
 
@@ -314,7 +323,7 @@ TEST_F(EngineTest, ProbeAnsweredOnlyByJustifiedHolders) {
   probe.uvarint(9);
   probe.uvarint(1);
   engine_.on_datagram(NodeId{6}, probe.bytes());
-  EXPECT_EQ(engine_.maintenance_stats().probe_answers, 1u);
+  expect_maint("probe_answer", 1);
   EXPECT_EQ(platform_.broadcasts.size(), 1u);
 }
 
@@ -325,7 +334,7 @@ TEST_F(EngineTest, ProbeForUnknownTupleIgnored) {
   probe.uvarint(1);
   engine_.on_datagram(NodeId{6}, probe.take());
   EXPECT_TRUE(platform_.broadcasts.empty());
-  EXPECT_EQ(engine_.maintenance_stats().probe_answers, 0u);
+  expect_maint("probe_answer", 0);
 }
 
 TEST_F(EngineTest, SourceAnswersProbesForItsOwnTuple) {
@@ -417,9 +426,7 @@ TEST_F(EngineTest, ModifierTupleDeletesMatchesViaOps) {
 }
 
 TEST_F(EngineTest, PassthroughMemoryIsBounded) {
-  MaintenanceOptions opts;
-  opts.passthrough_memory = 4;
-  Engine engine(NodeId{2}, platform_, space_, bus_, opts);
+  Engine engine(NodeId{2}, platform_, space_, bus_);
 
   auto frame_for = [](std::uint64_t seq) {
     ModifierTuple m("no.such.type", {});
@@ -430,15 +437,16 @@ TEST_F(EngineTest, PassthroughMemoryIsBounded) {
     return w.take();
   };
 
-  // Flood 6 distinct pass-through tuples through a 4-entry filter…
-  for (std::uint64_t seq = 1; seq <= 6; ++seq) {
+  // Flood two more distinct pass-through tuples than the filter holds…
+  const std::uint64_t flood = kPassthroughMemory + 2;
+  for (std::uint64_t seq = 1; seq <= flood; ++seq) {
     engine.on_datagram(NodeId{5}, frame_for(seq));
   }
   const auto relayed = platform_.broadcasts.size();
-  EXPECT_EQ(relayed, 6u);
+  EXPECT_EQ(relayed, flood);
 
   // …the newest is still remembered (its duplicate is absorbed)…
-  engine.on_datagram(NodeId{6}, frame_for(6));
+  engine.on_datagram(NodeId{6}, frame_for(flood));
   EXPECT_EQ(platform_.broadcasts.size(), relayed);
 
   // …while the oldest was evicted, so its late duplicate is re-relayed
@@ -488,7 +496,7 @@ TEST_F(EngineTest, TruncatedControlFramesCountedAndHarmless) {
   // The replica is still stored, still justified by neighbour 5 (a real
   // RETRACT would have cascaded), and nothing was transmitted.
   EXPECT_NE(space_.find(remote.uid()), nullptr);
-  EXPECT_EQ(engine_.maintenance_stats().retractions_cascaded, 0u);
+  expect_maint("retract_cascaded", 0);
   EXPECT_TRUE(platform_.broadcasts.empty());
 }
 
@@ -590,7 +598,7 @@ TEST_F(HeaderFirstTest, StretchedDuplicateFromOnlyJustifierRetracts) {
   // yet what it says about 5 voids our justification.
   engine_.on_datagram(NodeId{5}, tuple_frame_at(7));
   EXPECT_EQ(space_.find(remote_.uid()), nullptr);
-  EXPECT_EQ(engine_.maintenance_stats().retractions_cascaded, 1u);
+  EXPECT_EQ(count("maint.retract_cascaded"), 1);
   ASSERT_EQ(platform_.broadcasts.size(), 1u);
   wire::Reader r(platform_.broadcasts[0]);
   EXPECT_EQ(r.u8(), 2);  // RETRACT

@@ -1,6 +1,7 @@
 // Unit tests for the EVENT INTERFACE (subscriptions, presence tuples).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "tota/events.h"
@@ -172,12 +173,18 @@ TEST(EventBusTest, BoundMetricsCountDispatch) {
 
 // --- continuous queries ------------------------------------------------------
 
-GradientTuple make_member(std::uint64_t seq, const std::string& name,
-                          int hop) {
-  GradientTuple g(name);
-  g.set_uid(TupleUid{NodeId{1}, seq});
-  g.content().set("source", NodeId{1}).set("hopcount", hop);
-  return g;
+using CK = TupleSpace::ChangeKind;
+
+/// A stored replica of gradient `name` (uid (1, seq)) at `hop`, as the
+/// space's change listener would hand it to the bus.
+TupleSpace::Entry make_member(std::uint64_t seq, const std::string& name,
+                              int hop, NodeId parent = NodeId{},
+                              bool propagated = false) {
+  auto g = std::make_shared<GradientTuple>(name);
+  g->set_uid(TupleUid{NodeId{1}, seq});
+  g->content().set("source", NodeId{1}).set("hopcount", hop);
+  return TupleSpace::Entry{std::move(g), GradientTuple::kTag, parent,
+                           propagated, SimTime::zero()};
 }
 
 TEST(ContinuousQueryTest, DeltasTrackMembershipTransitions) {
@@ -191,28 +198,20 @@ TEST(ContinuousQueryTest, DeltasTrackMembershipTransitions) {
 
   const auto near = make_member(1, "a", 2);
   const auto far = make_member(2, "a", 9);
-  using SC = EventBus::SpaceChange;
   // Insert a match → added; insert a non-match → silence.
-  bus.notify_space(SC::kStored, GradientTuple::kTag, near, NodeId{}, false,
-                   SimTime::zero());
-  bus.notify_space(SC::kStored, GradientTuple::kTag, far, NodeId{}, false,
-                   SimTime::zero());
+  bus.notify_space(CK::kInserted, near, SimTime::zero());
+  bus.notify_space(CK::kInserted, far, SimTime::zero());
   // Replace while still matching → updated.
   const auto nearer = make_member(1, "a", 1);
-  bus.notify_space(SC::kReplaced, GradientTuple::kTag, nearer, NodeId{},
-                   false, SimTime::zero());
+  bus.notify_space(CK::kReplaced, nearer, SimTime::zero());
   // Replace out of the predicate → removed (no re-scan anywhere).
   const auto drifted = make_member(1, "a", 7);
-  bus.notify_space(SC::kReplaced, GradientTuple::kTag, drifted, NodeId{},
-                   false, SimTime::zero());
+  bus.notify_space(CK::kReplaced, drifted, SimTime::zero());
   // The far tuple was never a member: its erase is silent.
-  bus.notify_space(SC::kErased, GradientTuple::kTag, far, NodeId{}, false,
-                   SimTime::zero());
+  bus.notify_space(CK::kErased, far, SimTime::zero());
   // Re-enter, then erase → added, removed.
-  bus.notify_space(SC::kReplaced, GradientTuple::kTag, nearer, NodeId{},
-                   false, SimTime::zero());
-  bus.notify_space(SC::kErased, GradientTuple::kTag, nearer, NodeId{}, false,
-                   SimTime::zero());
+  bus.notify_space(CK::kReplaced, nearer, SimTime::zero());
+  bus.notify_space(CK::kErased, nearer, SimTime::zero());
 
   using K = QueryDelta::Kind;
   ASSERT_EQ(log.size(), 5u);
@@ -230,15 +229,15 @@ TEST(ContinuousQueryTest, TypeBucketsSkipForeignTags) {
   bus.subscribe_query(Pattern::of_type(GradientTuple::kTag),
                       [](const QueryDelta&) {});
 
-  const PresenceTuple presence(NodeId{7}, true);
-  bus.notify_space(EventBus::SpaceChange::kStored, PresenceTuple::kTag,
-                   presence, NodeId{}, false, SimTime::zero());
+  const TupleSpace::Entry presence{
+      std::make_shared<PresenceTuple>(NodeId{7}, true), PresenceTuple::kTag,
+      NodeId{}, false, SimTime::zero()};
+  bus.notify_space(CK::kInserted, presence, SimTime::zero());
   // A typed query is never evaluated against a foreign tag.
   EXPECT_EQ(registry.get("bus.cq.evals"), 0);
 
   const auto g = make_member(1, "a", 0);
-  bus.notify_space(EventBus::SpaceChange::kStored, GradientTuple::kTag, g,
-                   NodeId{}, false, SimTime::zero());
+  bus.notify_space(CK::kInserted, g, SimTime::zero());
   EXPECT_EQ(registry.get("bus.cq.evals"), 1);
   EXPECT_EQ(registry.get("bus.cq.added"), 1);
 }
@@ -253,10 +252,8 @@ TEST(ContinuousQueryTest, AcceptFilterGatesMembership) {
       [](const Tuple& t) { return t.uid().sequence() != 2; });
   const auto ok = make_member(1, "a", 0);
   const auto denied = make_member(2, "a", 0);
-  bus.notify_space(EventBus::SpaceChange::kStored, GradientTuple::kTag, ok,
-                   NodeId{}, false, SimTime::zero());
-  bus.notify_space(EventBus::SpaceChange::kStored, GradientTuple::kTag,
-                   denied, NodeId{}, false, SimTime::zero());
+  bus.notify_space(CK::kInserted, ok, SimTime::zero());
+  bus.notify_space(CK::kInserted, denied, SimTime::zero());
   EXPECT_EQ(added, 1);
 }
 
@@ -267,14 +264,14 @@ TEST(ContinuousQueryTest, MetaConstraintsApplyToChanges) {
   p.propagated_only();
   bus.subscribe_query(
       p, [&](const QueryDelta& d) { kinds.push_back(d.kind); });
-  const auto g = make_member(1, "a", 1);
-  using SC = EventBus::SpaceChange;
-  bus.notify_space(SC::kStored, GradientTuple::kTag, g, NodeId{2},
-                   /*propagated=*/false, SimTime::zero());
+  bus.notify_space(CK::kInserted,
+                   make_member(1, "a", 1, NodeId{2}, /*propagated=*/false),
+                   SimTime::zero());
   EXPECT_TRUE(kinds.empty());
   // The same uid arriving as a propagated replica enters the set.
-  bus.notify_space(SC::kReplaced, GradientTuple::kTag, g, NodeId{2},
-                   /*propagated=*/true, SimTime::zero());
+  bus.notify_space(CK::kReplaced,
+                   make_member(1, "a", 1, NodeId{2}, /*propagated=*/true),
+                   SimTime::zero());
   ASSERT_EQ(kinds.size(), 1u);
   EXPECT_EQ(kinds[0], QueryDelta::Kind::kAdded);
 }
@@ -287,12 +284,10 @@ TEST(ContinuousQueryTest, SeedReplaysStoredReplicas) {
         if (d.kind == QueryDelta::Kind::kAdded) ++added;
       });
   const auto g = make_member(1, "a", 0);
-  bus.seed_query(id, GradientTuple::kTag, g, NodeId{}, false,
-                 SimTime::zero());
+  bus.seed_query(id, g, SimTime::zero());
   EXPECT_EQ(added, 1);
   // Seeding an already-member uid is idempotent (kUpdated, not kAdded).
-  bus.seed_query(id, GradientTuple::kTag, g, NodeId{}, false,
-                 SimTime::zero());
+  bus.seed_query(id, g, SimTime::zero());
   EXPECT_EQ(added, 1);
 }
 
@@ -305,10 +300,8 @@ TEST(ContinuousQueryTest, CallbackMayUnsubscribeItself) {
     bus.unsubscribe_query(id);
   });
   const auto g = make_member(1, "a", 0);
-  bus.notify_space(EventBus::SpaceChange::kStored, GradientTuple::kTag, g,
-                   NodeId{}, false, SimTime::zero());
-  bus.notify_space(EventBus::SpaceChange::kErased, GradientTuple::kTag, g,
-                   NodeId{}, false, SimTime::zero());
+  bus.notify_space(CK::kInserted, g, SimTime::zero());
+  bus.notify_space(CK::kErased, g, SimTime::zero());
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(bus.query_count(), 0u);
 }
@@ -319,13 +312,9 @@ TEST(ContinuousQueryTest, BoundMetricsCountDeltasByKind) {
   bus.bind_metrics(registry);
   bus.subscribe_query(Pattern{}, [](const QueryDelta&) {});
   const auto g = make_member(1, "a", 0);
-  using SC = EventBus::SpaceChange;
-  bus.notify_space(SC::kStored, GradientTuple::kTag, g, NodeId{}, false,
-                   SimTime::zero());
-  bus.notify_space(SC::kReplaced, GradientTuple::kTag, g, NodeId{}, false,
-                   SimTime::zero());
-  bus.notify_space(SC::kErased, GradientTuple::kTag, g, NodeId{}, false,
-                   SimTime::zero());
+  bus.notify_space(CK::kInserted, g, SimTime::zero());
+  bus.notify_space(CK::kReplaced, g, SimTime::zero());
+  bus.notify_space(CK::kErased, g, SimTime::zero());
   EXPECT_EQ(registry.get("bus.cq.evals"), 3);
   EXPECT_EQ(registry.get("bus.cq.added"), 1);
   EXPECT_EQ(registry.get("bus.cq.updated"), 1);

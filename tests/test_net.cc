@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "decoded_batch.h"
@@ -63,7 +64,6 @@ class DiscoveryTest : public ::testing::Test {
   DiscoveryTest() {
     DiscoveryOptions opts;
     opts.beacon_period = kPeriod;
-    opts.beacon_jitter = 0.2;
     opts.expiry_missed_beacons = 3;
     discovery_ = std::make_unique<Discovery>(
         NodeId{1}, platform_, opts,
@@ -201,7 +201,6 @@ TEST_F(DiscoveryTest, BeaconScheduleIsDeterministicUnderSeededRng) {
   std::vector<SimTime> times2;
   DiscoveryOptions opts;
   opts.beacon_period = kPeriod;
-  opts.beacon_jitter = 0.2;
   Discovery d2(
       NodeId{1}, platform2, opts,
       [&](std::uint64_t, SimTime) { times2.push_back(platform2.now()); },
@@ -290,7 +289,7 @@ TEST_F(DiscoveryTest, RestartSessionContinuesAtNewSeq) {
 TEST_F(DiscoveryTest, AdvertisedPeriodIsClamped) {
   discovery_->start();
   // A hostile/corrupt HELLO advertising a one-hour beacon period must
-  // not pin the neighbour entry: the default max_peer_period (5s) caps
+  // not pin the neighbour entry: Discovery::kMaxPeerPeriod (5s) caps
   // the armed expiry at 5s * 3 missed * 1.2 jitter = 18s.
   discovery_->on_hello(NodeId{2}, 0, SimTime::from_seconds(3600));
   EXPECT_EQ(metrics_.get("net.hello.clamped"), 1);
@@ -725,6 +724,78 @@ MassLiveOptions mass_options(int count, std::uint16_t port_salt) {
   o.maintenance.hold_down = SimTime::from_millis(400);
   o.seed = 7;
   return o;
+}
+
+// One formula for the mass-live settings: the beacon period grows as
+// N²/300 ms above a 250 ms floor, everything else follows the beacon.
+TEST(MassLive, ForPopulationScalesTheBeaconWithTheSquareOfN) {
+  const std::pair<int, double> cases[] = {
+      {60, 250}, {120, 250}, {300, 300}, {1000, 3333}};
+  for (const auto& [n, beacon_ms] : cases) {
+    SCOPED_TRACE(n);
+    const MassLiveOptions o = MassLiveOptions::for_population(n);
+    EXPECT_EQ(o.count, n);
+    EXPECT_EQ(o.discovery.beacon_period, SimTime::from_millis(beacon_ms));
+    EXPECT_EQ(o.discovery.expiry_missed_beacons, 6);
+    EXPECT_EQ(o.batch.flush_delay, SimTime::from_millis(5));
+    EXPECT_EQ(o.digest_period, o.discovery.beacon_period * 2);
+    EXPECT_TRUE(o.reliable);
+    EXPECT_EQ(o.maintenance.hold_down, o.discovery.beacon_period * 8);
+    EXPECT_EQ(o.transport.rcvbuf, 4 << 20);
+  }
+}
+
+// The live_mass benchmark workload spells its 60-node settings out by
+// hand (perfbench/cpp/live_mass.cc, live_options); this is a copy of
+// them.  for_population(60) must agree with it field for field.
+TEST(MassLive, ForPopulationAtSixtyMatchesTheLiveMassWorkload) {
+  MassLiveOptions hand;
+  hand.count = 60;
+  hand.transport.mode = UdpOptions::Mode::kBroadcast;
+  hand.transport.group = "127.255.255.255";
+  hand.transport.port = 20000;
+  hand.transport.rcvbuf = 4 << 20;
+  hand.discovery.beacon_period = SimTime::from_millis(250);
+  hand.discovery.expiry_missed_beacons = 6;
+  hand.batch.enabled = true;
+  hand.batch.flush_delay = SimTime::from_millis(5);
+  hand.digest_period = SimTime::from_millis(500);
+  hand.reliable = true;
+  hand.maintenance.hold_down = SimTime::from_millis(2000);
+  hand.seed = 11;
+
+  MassLiveOptions o = MassLiveOptions::for_population(60);
+  o.transport.mode = UdpOptions::Mode::kBroadcast;
+  o.transport.group = "127.255.255.255";
+  o.transport.port = 20000;
+  o.seed = 11;
+
+  EXPECT_EQ(o.count, hand.count);
+  EXPECT_EQ(o.base_id, hand.base_id);
+  EXPECT_EQ(o.seed, hand.seed);
+  EXPECT_EQ(o.transport.mode, hand.transport.mode);
+  EXPECT_EQ(o.transport.group, hand.transport.group);
+  EXPECT_EQ(o.transport.port, hand.transport.port);
+  EXPECT_EQ(o.transport.ifaddr, hand.transport.ifaddr);
+  EXPECT_EQ(o.transport.ttl, hand.transport.ttl);
+  EXPECT_EQ(o.transport.drain_budget, hand.transport.drain_budget);
+  EXPECT_EQ(o.transport.rcvbuf, hand.transport.rcvbuf);
+  EXPECT_EQ(o.fault.enabled(), hand.fault.enabled());
+  EXPECT_EQ(o.discovery.beacon_period, hand.discovery.beacon_period);
+  EXPECT_EQ(o.discovery.expiry_missed_beacons,
+            hand.discovery.expiry_missed_beacons);
+  EXPECT_EQ(o.batch.enabled, hand.batch.enabled);
+  EXPECT_EQ(o.batch.mtu, hand.batch.mtu);
+  EXPECT_EQ(o.batch.max_chunks, hand.batch.max_chunks);
+  EXPECT_EQ(o.batch.flush_delay, hand.batch.flush_delay);
+  EXPECT_EQ(o.reliable, hand.reliable);
+  EXPECT_EQ(o.digest_period, hand.digest_period);
+  EXPECT_EQ(o.digest_buckets, hand.digest_buckets);
+  EXPECT_EQ(o.maintenance.repropagate_on_link_up,
+            hand.maintenance.repropagate_on_link_up);
+  EXPECT_EQ(o.maintenance.retract_on_link_down,
+            hand.maintenance.retract_on_link_down);
+  EXPECT_EQ(o.maintenance.hold_down, hand.maintenance.hold_down);
 }
 
 // The smoke_net.sh topology, in-process: three complete nodes on one

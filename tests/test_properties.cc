@@ -500,14 +500,7 @@ TEST_P(ContinuousQueryProperty, IncrementalSetsEqualFullRequery) {
   // Wire the store to the bus exactly as Middleware does.
   space.set_listener([&](TupleSpace::ChangeKind kind,
                          const TupleSpace::Entry& entry) {
-    EventBus::SpaceChange change = EventBus::SpaceChange::kStored;
-    if (kind == TupleSpace::ChangeKind::kReplaced) {
-      change = EventBus::SpaceChange::kReplaced;
-    } else if (kind == TupleSpace::ChangeKind::kErased) {
-      change = EventBus::SpaceChange::kErased;
-    }
-    bus.notify_space(change, entry.type_tag, *entry.tuple, entry.parent,
-                     entry.propagated, SimTime::zero());
+    bus.notify_space(kind, entry, SimTime::zero());
   });
 
   // Standing queries across all access paths; each mirrors its deltas

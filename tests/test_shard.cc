@@ -293,22 +293,6 @@ TEST(NetworkTest, LossDropsFrames) {
   }
 }
 
-TEST(NetworkTest, DetectDelayPostponesLinkEvents) {
-  for (const std::uint32_t shards : {1u, 2u}) {
-    auto p = quiet_params(shards);
-    p.link_detect_delay = SimTime::from_seconds(2);
-    sim::ShardedSim net(p);
-    const NodeId a = net.add_node({0, 0});
-    RecordingHost h1(net, a);
-    net.attach(a, &h1);
-    net.add_node({5, 0});
-    net.run_for(SimTime::from_seconds(1));
-    EXPECT_TRUE(h1.ups.empty());
-    net.run_for(SimTime::from_seconds(2));
-    EXPECT_EQ(h1.ups.size(), 1u);
-  }
-}
-
 TEST(NetworkTest, MobilityTickMovesNodes) {
   for (const std::uint32_t shards : {1u, 2u}) {
     sim::ShardedSim net(quiet_params(shards));

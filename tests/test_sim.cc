@@ -331,24 +331,14 @@ TEST(MobilityTest, VelocityMobilityIntegratesAndClamps) {
   EXPECT_TRUE(arena.contains(pos));
 }
 
-TEST(RadioTest, DelayIncludesSerializationAtFiniteBandwidth) {
-  RadioParams params;
-  params.base_delay = SimTime::from_millis(1);
-  params.jitter = SimTime::zero();
-  params.bandwidth_bps = 8000.0;  // 1 byte per millisecond
-  Radio radio(params);
-  Rng rng(1);
-  EXPECT_EQ(radio.delay(rng, 0).millis(), 1.0);
-  EXPECT_EQ(radio.delay(rng, 100).millis(), 101.0);
-}
-
 TEST(RadioTest, InfiniteBandwidthIgnoresPayloadSize) {
   RadioParams params;
   params.base_delay = SimTime::from_millis(2);
   params.jitter = SimTime::zero();
   Radio radio(params);
   Rng rng(1);
-  EXPECT_EQ(radio.delay(rng, 1 << 20), radio.delay(rng, 0));
+  // No bandwidth model: the payload is not even an input to the delay.
+  EXPECT_EQ(radio.delay(rng), params.base_delay);
 }
 
 TEST(RadioTest, JitterBoundsTheDelay) {
@@ -358,7 +348,7 @@ TEST(RadioTest, JitterBoundsTheDelay) {
   Radio radio(params);
   Rng rng(7);
   for (int i = 0; i < 200; ++i) {
-    const SimTime d = radio.delay(rng, 0);
+    const SimTime d = radio.delay(rng);
     EXPECT_GE(d, SimTime::from_millis(2));
     EXPECT_LT(d, SimTime::from_millis(5));
   }

@@ -441,7 +441,6 @@ class SoakWorld {
   [[nodiscard]] static net::DiscoveryOptions discovery_options() {
     net::DiscoveryOptions o;
     o.beacon_period = SimTime::from_millis(100);
-    o.beacon_jitter = 0.2;
     o.expiry_missed_beacons = 3;
     return o;
   }

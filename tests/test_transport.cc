@@ -423,8 +423,7 @@ TEST(Batcher, NewerAckAndDigestSupersedePendingOnes) {
 // --- 2c. ReliableChannel ---------------------------------------------------
 
 struct RelRig {
-  explicit RelRig(net::ReliableOptions options = {})
-      : channel(platform, options, metrics) {}
+  RelRig() : channel(platform, metrics) {}
 
   FakePlatform platform;
   obs::MetricsRegistry metrics;
@@ -456,8 +455,8 @@ struct RelRig {
 
 /// Builds a wired-up rig (the two-phase dance keeps the callbacks able
 /// to capture the rig's own vectors).
-std::unique_ptr<RelRig> rel_rig(net::ReliableOptions options = {}) {
-  auto rig = std::make_unique<RelRig>(options);
+std::unique_ptr<RelRig> rel_rig() {
+  auto rig = std::make_unique<RelRig>();
   rig->wire_up();
   return rig;
 }
@@ -509,58 +508,70 @@ TEST(ReliableChannel, EmptyTargetEmissionRoundTripsThroughTheCodec) {
 }
 
 TEST(ReliableChannel, RetiredQueueEntryEmitsACodecSafeFloor) {
-  net::ReliableOptions options;
-  options.window = 1;
-  auto rig = rel_rig(options);
-  rig->channel.send(bytes_of({1}), {NodeId{2}});
+  constexpr std::size_t kWindow = net::ReliableChannel::kWindow;
+  auto rig = rel_rig();
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    rig->channel.send(bytes_of({1}), {NodeId{2}});
+  }
   rig->channel.send(bytes_of({2}), {NodeId{3}});  // queued behind the window
   rig->channel.on_peer_down(NodeId{3});  // prunes the queued entry in place
-  rig->channel.on_ack(NodeId{2}, 1);     // retires seq 1 → the queue drains
-  ASSERT_EQ(rig->emitted.size(), 2u);
-  EXPECT_EQ(rig->emitted[1].seq, 2u);
-  EXPECT_EQ(rig->emitted[1].floor, 2u);  // not 3: same encode limit as above
+  rig->channel.on_ack(NodeId{2}, kWindow);  // retires the window → drains
+  ASSERT_EQ(rig->emitted.size(), kWindow + 1);
+  EXPECT_EQ(rig->emitted[kWindow].seq, kWindow + 1);
+  // Not kWindow + 2: the same encode limit as above.
+  EXPECT_EQ(rig->emitted[kWindow].floor, kWindow + 1);
   EXPECT_EQ(rig->channel.in_flight(), 0u);
 }
 
 TEST(ReliableChannel, WindowBackpressureQueuesAndDrainsInOrder) {
-  net::ReliableOptions options;
-  options.window = 2;
-  auto rig = rel_rig(options);
-  rig->channel.send(bytes_of({1}), {NodeId{2}});
-  rig->channel.send(bytes_of({2}), {NodeId{2}});
-  rig->channel.send(bytes_of({3}), {NodeId{2}});
-  EXPECT_EQ(rig->channel.in_flight(), 2u);
+  constexpr std::size_t kWindow = net::ReliableChannel::kWindow;
+  auto rig = rel_rig();
+  for (std::size_t i = 0; i <= kWindow; ++i) {
+    rig->channel.send(bytes_of({static_cast<std::uint8_t>(i + 1)}),
+                      {NodeId{2}});
+  }
+  EXPECT_EQ(rig->channel.in_flight(), kWindow);
   EXPECT_EQ(rig->channel.queued(), 1u);
-  EXPECT_EQ(rig->emitted.size(), 2u);  // the third never hit the wire
+  EXPECT_EQ(rig->emitted.size(), kWindow);  // the last never hit the wire
 
   rig->channel.on_ack(NodeId{2}, 1);  // frees a slot → the queue drains
   EXPECT_EQ(rig->channel.queued(), 0u);
-  EXPECT_EQ(rig->channel.in_flight(), 2u);
-  ASSERT_EQ(rig->emitted.size(), 3u);
-  EXPECT_EQ(rig->emitted[2].seq, 3u);
-  EXPECT_EQ(rig->emitted[2].floor, 2u);  // seq 1 is retired, 2 is not
+  EXPECT_EQ(rig->channel.in_flight(), kWindow);
+  ASSERT_EQ(rig->emitted.size(), kWindow + 1);
+  EXPECT_EQ(rig->emitted[kWindow].seq, kWindow + 1);
+  EXPECT_EQ(rig->emitted[kWindow].frame, bytes_of({kWindow + 1}));
+  EXPECT_EQ(rig->emitted[kWindow].floor, 2u);  // seq 1 is retired, 2 is not
 }
 
 TEST(ReliableChannel, RetransmitsWithBackoffThenExpires) {
-  net::ReliableOptions options;
-  options.max_attempts = 3;
-  options.rtx_jitter = 0.0;  // deterministic spacing for the assertions
-  auto rig = rel_rig(options);
+  using Rel = net::ReliableChannel;
+  auto rig = rel_rig();
   rig->channel.send(bytes_of({1}), {NodeId{2}});
-  const SimTime t0 = rig->platform.scheduled.back().when;
+  const SimTime t0 = rig->platform.now();
 
   rig->platform.run_scheduled();  // attempt 2
   EXPECT_EQ(rig->metrics.get("net.rel.rtx"), 1);
-  const SimTime t1 = rig->platform.scheduled.back().when;
-  EXPECT_GT(t1 - t0, SimTime::zero());  // backoff doubled the spacing
-
-  rig->platform.run_scheduled();  // attempt 3 (the last allowed)
+  const SimTime t1 = rig->platform.now();
+  rig->platform.run_scheduled();  // attempt 3
   EXPECT_EQ(rig->metrics.get("net.rel.rtx"), 2);
-  rig->platform.run_scheduled();  // due again → attempts exhausted
+  const SimTime t2 = rig->platform.now();
+  // Backoff doubles the spacing, which outgrows the jitter: the first gap
+  // is at most 200 ms * 1.25 = 250 ms, the second at least 400 ms * 0.75.
+  EXPECT_LE(t1 - t0, Rel::kRtxInitial * (1.0 + Rel::kRtxJitter));
+  EXPECT_GT(t2 - t1, t1 - t0);
+
+  // The rest of the attempt budget…
+  for (int attempt = 4; attempt <= Rel::kMaxAttempts; ++attempt) {
+    rig->platform.run_scheduled();
+  }
+  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), Rel::kMaxAttempts - 1);
+  EXPECT_EQ(rig->metrics.get("net.rel.expired"), 0);
+  rig->platform.run_scheduled();  // …due again → attempts exhausted
   EXPECT_EQ(rig->metrics.get("net.rel.expired"), 1);
   EXPECT_EQ(rig->channel.in_flight(), 0u);
   EXPECT_EQ(rig->channel.floor(), 2u);  // the gap is public: floor moved on
-  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), 2);  // expiry transmits nothing
+  // Expiry transmits nothing.
+  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), Rel::kMaxAttempts - 1);
 }
 
 TEST(ReliableChannel, PeerDepartureRetiresItsDebts) {
@@ -637,20 +648,27 @@ TEST(ReliableChannel, FloorAdvanceSkipsAbandonedFramesAndFlushesBuffered) {
 }
 
 TEST(ReliableChannel, RxBufferOverflowDropsEarlyFrames) {
-  net::ReliableOptions options;
-  options.rx_buffer = 2;
-  auto rig = rel_rig(options);
+  constexpr std::uint64_t kBuffer = net::ReliableChannel::kRxBuffer;
+  auto rig = rel_rig();
   const NodeId sender{9};
-  rig->channel.on_rel(sender, 3, 1, bytes_of({3}));
-  rig->channel.on_rel(sender, 4, 1, bytes_of({4}));
-  rig->channel.on_rel(sender, 5, 1, bytes_of({5}));  // buffer full
+  auto rel = [&](std::uint64_t seq) {
+    rig->channel.on_rel(sender, seq, 1,
+                        bytes_of({static_cast<std::uint8_t>(seq)}));
+  };
+  // 1 and 2 are missing; 3 .. kBuffer + 2 fill the buffer.
+  for (std::uint64_t seq = 3; seq <= kBuffer + 2; ++seq) rel(seq);
+  EXPECT_EQ(rig->metrics.get("net.rel.rx_overflow"), 0);
+  const std::uint64_t last = kBuffer + 3;
+  rel(last);  // buffer full
   EXPECT_EQ(rig->metrics.get("net.rel.rx_overflow"), 1);
-  // The retransmit covers the loss: 5 arrives again after the gap fills.
-  rig->channel.on_rel(sender, 1, 1, bytes_of({1}));
-  rig->channel.on_rel(sender, 2, 1, bytes_of({2}));
-  rig->channel.on_rel(sender, 5, 1, bytes_of({5}));
-  ASSERT_EQ(rig->delivered.size(), 5u);
-  EXPECT_EQ(rig->delivered.back().second[0], 5);
+  // The retransmit covers the loss: `last` arrives again after the gap
+  // fills.
+  rel(1);
+  rel(2);
+  EXPECT_EQ(rig->delivered.size(), last - 1);
+  rel(last);
+  ASSERT_EQ(rig->delivered.size(), last);
+  EXPECT_EQ(rig->delivered.back().second[0], last);
 }
 
 TEST(ReliableChannel, PeerDownForgetsTheRxStream) {
@@ -1008,7 +1026,6 @@ struct TransportConfig {
 net::DiscoveryOptions fast_discovery() {
   net::DiscoveryOptions o;
   o.beacon_period = SimTime::from_millis(100);
-  o.beacon_jitter = 0.2;
   // Deep enough that drop 0.3 essentially never fakes a death
   // (0.3^12 per beacon): the soaks probe the transport under loss, not
   // discovery's churn response — tests/test_soak.cc owns that.  A real
