@@ -82,7 +82,7 @@ void BM_PatternMatch(benchmark::State& state) {
 BENCHMARK(BM_PatternMatch);
 
 /// Populates `space` with a 1:7 mix of gradient and message tuples spread
-/// over 8 parents — the fixture for the query-plan benchmarks.
+/// over 8 parents — the fixture for the query benchmarks.
 void fill_mixed_space(TupleSpace& space, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     std::unique_ptr<Tuple> t;
@@ -122,9 +122,8 @@ void BM_QueryScanLambda(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryScanLambda)->Arg(128)->Arg(1024);
 
-/// The same query as a typed predicate pattern: the planner routes it
-/// through the type bucket (1/8 of the store) and evaluates the AST
-/// residual only there.
+/// The same query as a typed predicate pattern: the store walks only the
+/// type bucket (1/8 of the store) and evaluates the AST only there.
 void BM_QueryPlanPredicate(benchmark::State& state) {
   tuples::register_standard_tuples();
   TupleSpace space;

@@ -114,7 +114,7 @@ class ShardedWorld {
   void move_node(NodeId id, Vec2 position) { sim_.move_node(id, position); }
 
   /// Per-node hardware heterogeneity (net/device_profile.h); quiescent
-  /// points only, tx_delay_scale >= 1.0 when sharded.
+  /// points only.
   void set_profile(NodeId id, net::DeviceProfile profile) {
     sim_.set_profile(id, profile);
   }

@@ -10,20 +10,15 @@
 //
 // Semantics (applied by sim::ShardedSim per delivery):
 //
-//  * duty_cycle / duty_period — the receiver sleeps its radio: a frame
-//    landing while the node is asleep is dropped (`net.duty_drop`).
-//    Awake/asleep is a pure function of the delivery timestamp (the
-//    first `duty_cycle` fraction of every `duty_period` window), so the
-//    check consumes no randomness and stays deterministic per seed.
+//  * duty_cycle — the receiver sleeps its radio: a frame landing while
+//    the node is asleep is dropped (`net.duty_drop`).  Awake/asleep is a
+//    pure function of the delivery timestamp (the first `duty_cycle`
+//    fraction of every kDutyPeriod window), so the check consumes no
+//    randomness and stays deterministic per seed.
 //  * mtu — the largest frame this device's link layer passes, in bytes;
 //    0 = unlimited.  A link's MTU is the *minimum* of its endpoints'
 //    (either side's radio truncates), and an oversized frame is dropped
 //    at that link with `net.mtu_drop` accounting.
-//  * tx_delay_scale — multiplies the radio model's per-frame latency for
-//    frames this node sends (slow radios clock bits out more slowly).
-//    Sharded runs require >= 1.0: the conservative lookahead is the
-//    radio's base delay, and a faster-than-nominal sender would undercut
-//    it (sim/shard.h).
 //  * gateway — a mains-powered infrastructure node: never sleeps and
 //    imposes no MTU cap regardless of the other fields.
 #pragma once
@@ -36,14 +31,14 @@
 namespace tota::net {
 
 struct DeviceProfile {
-  /// Fraction of each duty_period the receiver is awake; 1.0 = always.
+  /// The duty-cycle window.
+  static constexpr SimTime kDutyPeriod = SimTime::from_millis(100);
+
+  /// Fraction of each kDutyPeriod the receiver is awake; 1.0 = always,
+  /// 0.0 = never.
   double duty_cycle = 1.0;
-  SimTime duty_period = SimTime::from_millis(100);
   /// Largest frame (bytes) this device sends or receives; 0 = unlimited.
   std::size_t mtu = 0;
-  /// Latency multiplier for frames this node transmits (>= 1.0 under
-  /// sharded simulation).
-  double tx_delay_scale = 1.0;
   /// Full-power infrastructure node: always awake, no MTU cap.
   bool gateway = false;
 
@@ -52,12 +47,11 @@ struct DeviceProfile {
   }
 
   /// Is the radio listening at instant `t`?  Deterministic — awake is
-  /// the first duty_cycle fraction of every duty_period window.
+  /// the first duty_cycle fraction of every kDutyPeriod window.
   [[nodiscard]] bool awake_at(SimTime t) const {
     if (always_awake()) return true;
     if (duty_cycle <= 0.0) return false;
-    const std::int64_t period =
-        duty_period.micros() > 0 ? duty_period.micros() : 1;
+    const std::int64_t period = kDutyPeriod.micros();
     const std::int64_t phase = ((t.micros() % period) + period) % period;
     return phase < static_cast<std::int64_t>(duty_cycle *
                                              static_cast<double>(period));
@@ -82,7 +76,7 @@ struct DeviceProfile {
   /// True when this profile changes nothing versus a bare radio — the
   /// simulators skip all profile checks (and extra branches) for it.
   [[nodiscard]] bool is_default() const {
-    return always_awake() && effective_mtu() == 0 && tx_delay_scale == 1.0;
+    return always_awake() && effective_mtu() == 0;
   }
 };
 

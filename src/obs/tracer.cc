@@ -27,7 +27,6 @@ Tracer::Tracer(std::size_t capacity) : ring_(std::max<std::size_t>(1, capacity))
 void Tracer::record(SimTime t, NodeId node, Stage stage, TupleUid cause,
                     int hop) {
 #if TOTA_OBS_ENABLED
-  if (!enabled_) return;
   ring_[recorded_ % ring_.size()] = Span{t, node, stage, cause, hop};
   ++recorded_;
 #else

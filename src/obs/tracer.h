@@ -53,7 +53,7 @@ class Tracer {
   explicit Tracer(std::size_t capacity = 4096);
 
   /// Appends a span, overwriting the oldest when full.  No-op when
-  /// tracing is disabled (set_enabled(false)) or TOTA_OBS_ENABLED is 0.
+  /// TOTA_OBS_ENABLED is 0.
   void record(SimTime t, NodeId node, Stage stage, TupleUid cause, int hop);
 
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
@@ -69,17 +69,11 @@ class Tracer {
   /// Surviving spans, oldest first.
   [[nodiscard]] std::vector<Span> snapshot() const;
 
-  /// Runtime switch (the compile-time one is TOTA_OBS); tracing starts
-  /// enabled.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   void clear();
 
  private:
   std::vector<Span> ring_;
   std::uint64_t recorded_ = 0;
-  bool enabled_ = true;
 };
 
 }  // namespace tota::obs

@@ -56,7 +56,6 @@ class WaypointTo final : public MobilityModel {
   explicit WaypointTo(double speed_mps) : speed_(speed_mps) {}
 
   void set_target(Vec2 target) { target_ = target; }
-  void clear_target() { target_.reset(); }
   [[nodiscard]] bool idle() const { return !target_.has_value(); }
 
   Vec2 step(Vec2 current, SimTime dt, Rng& rng) override;

@@ -262,12 +262,6 @@ void ShardedSim::mobility_step() {
 
 void ShardedSim::set_profile(NodeId id, net::DeviceProfile profile) {
   if (!known(id)) throw std::invalid_argument("unknown node id");
-  if (params_.shards > 1 && profile.tx_delay_scale < 1.0) {
-    // The conservative lookahead is radio.base_delay; a faster-than-
-    // nominal sender could deliver inside it (see docs/SIM.md).
-    throw std::invalid_argument(
-        "sharded simulation needs tx_delay_scale >= 1.0");
-  }
   if (profile.is_default()) {
     profiles_.erase(id);
   } else {
@@ -315,9 +309,8 @@ std::optional<SimTime> ShardedSim::link_delay(Shard& s,
     s.radio_lost.inc();
     return std::nullopt;
   }
-  SimTime delay = radio_.delay(s.rng);
+  const SimTime delay = radio_.delay(s.rng);
   if (sender != nullptr) {
-    if (sender->tx_delay_scale != 1.0) delay = delay * sender->tx_delay_scale;
     // The receiver's radio must be listening when the frame lands.
     if (!profile(to).awake_at(s.events.now() + delay)) {
       s.duty_drop.inc();

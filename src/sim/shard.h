@@ -138,11 +138,9 @@ class ShardedSim {
   [[nodiscard]] MobilityModel* mobility(NodeId id);
 
   /// Attaches a hardware profile (net/device_profile.h): duty-cycled
-  /// radio, per-link MTU, tx latency scaling, gateway flag.  Profiles
-  /// are read concurrently by shard threads during epochs.
-  /// tx_delay_scale must be >= 1.0 when shards > 1 (it would undercut
-  /// the conservative lookahead).  Worlds that never set a profile keep
-  /// the exact pre-profile Rng streams.
+  /// radio, per-link MTU, gateway flag.  Profiles are read concurrently
+  /// by shard threads during epochs.  Worlds that never set a profile
+  /// keep the exact pre-profile Rng streams.
   void set_profile(NodeId id, net::DeviceProfile profile);
   [[nodiscard]] const net::DeviceProfile& profile(NodeId id) const;
 

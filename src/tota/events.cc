@@ -167,7 +167,6 @@ void EventBus::evaluate_query(ContinuousQuery& q, bool erased,
   bool matches = false;
   if (!erased) {
     matches = q.pattern.matches_record(entry.type_tag, tuple.content()) &&
-              q.pattern.matches_meta(entry.parent, entry.propagated) &&
               (!q.accept || q.accept(tuple));
   }
   if (matches == member && !matches) return;  // non-member stays out

@@ -9,8 +9,6 @@ namespace {
 constexpr std::uint64_t kMaxFields = 256;
 
 constexpr std::uint8_t kHasType = 1u << 0;
-constexpr std::uint8_t kHasParent = 1u << 1;
-constexpr std::uint8_t kHasPropagated = 1u << 2;
 }  // namespace
 
 Pattern Pattern::of_type(std::string tag) {
@@ -37,16 +35,6 @@ Pattern& Pattern::where(std::string_view field, Pred pred) {
   return *this;
 }
 
-Pattern& Pattern::from_parent(NodeId parent) {
-  parent_ = parent;
-  return *this;
-}
-
-Pattern& Pattern::propagated_only(bool flag) {
-  propagated_ = flag;
-  return *this;
-}
-
 bool Pattern::matches(const Tuple& tuple) const {
   return matches_record(tuple.type_tag(), tuple.content());
 }
@@ -66,26 +54,13 @@ bool Pattern::matches_fields(const wire::Record& content) const {
   return true;
 }
 
-bool Pattern::matches_meta(NodeId parent, bool propagated) const {
-  if (parent_ && *parent_ != parent) return false;
-  if (propagated_ && *propagated_ != propagated) return false;
-  return true;
-}
-
 bool Pattern::equivalent(const Pattern& other) const {
-  return type_ == other.type_ && parent_ == other.parent_ &&
-         propagated_ == other.propagated_ && fields_ == other.fields_;
+  return type_ == other.type_ && fields_ == other.fields_;
 }
 
 void Pattern::encode(wire::Writer& w) const {
-  std::uint8_t flags = 0;
-  if (type_) flags |= kHasType;
-  if (parent_) flags |= kHasParent;
-  if (propagated_) flags |= kHasPropagated;
-  w.u8(flags);
+  w.u8(type_ ? kHasType : 0);
   if (type_) w.string(*type_);
-  if (parent_) w.uvarint(parent_->value());
-  if (propagated_) w.boolean(*propagated_);
   w.uvarint(fields_.size());
   for (const auto& c : fields_) {
     w.string(c.name.str());
@@ -95,13 +70,11 @@ void Pattern::encode(wire::Writer& w) const {
 
 Pattern Pattern::decode(wire::Reader& r) {
   const auto flags = r.u8();
-  if ((flags & ~(kHasType | kHasParent | kHasPropagated)) != 0) {
+  if ((flags & ~kHasType) != 0) {
     throw wire::DecodeError("unknown pattern flags");
   }
   Pattern p;
   if ((flags & kHasType) != 0) p.type_ = r.string();
-  if ((flags & kHasParent) != 0) p.parent_ = NodeId{r.uvarint()};
-  if ((flags & kHasPropagated) != 0) p.propagated_ = r.boolean();
   const auto n = r.uvarint();
   if (n > kMaxFields) throw wire::DecodeError("pattern too wide");
   p.fields_.reserve(n);
@@ -112,42 +85,15 @@ Pattern Pattern::decode(wire::Reader& r) {
   return p;
 }
 
-wire::Record Pattern::to_record() const {
-  wire::Writer w;
-  encode(w);
-  wire::Record record;
-  if (type_) record.set("type", *type_);
-  record.set("pattern", w.take());
-  return record;
-}
-
-Pattern Pattern::from_record(const wire::Record& record) {
-  wire::Reader r(record.at("pattern").as_blob());
-  Pattern p = decode(r);
-  r.expect_done();
-  return p;
-}
-
 std::string Pattern::str() const {
   std::string out = type_ ? *type_ : "*";
   out += "{";
   bool first = true;
-  const auto sep = [&] {
+  for (const auto& c : fields_) {
     if (!first) out += ", ";
     first = false;
-  };
-  for (const auto& c : fields_) {
-    sep();
     out += c.name.str();
     out += c.pred.str();
-  }
-  if (parent_) {
-    sep();
-    out += "parent=" + to_string(*parent_);
-  }
-  if (propagated_) {
-    sep();
-    out += *propagated_ ? "propagated" : "!propagated";
   }
   out += "}";
   return out;

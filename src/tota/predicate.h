@@ -4,9 +4,9 @@
 // equality, ordered comparisons (numbers and strings, via
 // wire::compare_ordered), ranges, set membership, and conjunction.
 // Because predicates are data rather than closures, they compare
-// structurally (so `unsubscribe(template)` works — docs/QUERY.md), the
-// query planner can reason about them, and they serialize through the
-// wire codec so QueryTuple/PROBE can carry a query to a remote node.
+// structurally (so `unsubscribe(template)` works — docs/QUERY.md) and
+// serialize through the wire codec so a QueryTuple can carry a query to
+// a remote node.
 //
 // Semantics are total and network-safe: a predicate never throws during
 // evaluation.  Ordered comparisons over unordered pairings (string vs

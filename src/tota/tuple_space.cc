@@ -10,10 +10,6 @@ SpaceMetrics::SpaceMetrics(obs::MetricsRegistry& registry)
       candidates(registry.counter("space.query.candidates")),
       matches(registry.counter("space.query.matches")),
       naive_candidates(registry.counter("space.query.naive_candidates")),
-      plan_type_index(registry.counter("space.plan.type_index")),
-      plan_propagated_index(registry.counter("space.plan.propagated_index")),
-      plan_full_scan(registry.counter("space.plan.full_scan")),
-      plan_candidates(registry.counter("space.plan.candidates")),
       plan_residual_evals(registry.counter("space.plan.residual_evals")) {}
 
 void TupleSpace::bind_metrics(obs::MetricsRegistry& registry) {
@@ -140,46 +136,28 @@ TupleHandle TupleSpace::erase(const TupleUid& uid) {
   return tuple;
 }
 
-TupleSpace::TypeBucketRef TupleSpace::type_bucket(
-    const std::string& tag) const {
-  const std::size_t b = bucket_index(tag);
-  return {b, b == by_type_.size() ? 0 : by_type_[b].members.size()};
-}
-
-query::Plan TupleSpace::plan(const Pattern& pattern) const {
-  const query::Plan plan = query::compile(pattern, *this);
+template <typename Fn>
+void TupleSpace::match(const Pattern& pattern, Fn&& fn,
+                       std::size_t* walk_length) const {
+  const std::optional<std::string>& tag = pattern.type_tag();
+  const std::size_t b = tag ? bucket_index(*tag) : 0;
   if (metrics_ != nullptr) {
     metrics_->naive_candidates.inc(
         static_cast<std::int64_t>(entries_.size()));
-    if (plan.path == query::AccessPath::kFullScan) {
-      metrics_->query_scan.inc();
-      metrics_->plan_full_scan.inc();
-    } else {
-      metrics_->query_indexed.inc();
-      if (plan.path == query::AccessPath::kTypeIndex) {
-        metrics_->plan_type_index.inc();
-      } else {
-        metrics_->plan_propagated_index.inc();
-      }
-    }
-    metrics_->plan_candidates.inc(static_cast<std::int64_t>(plan.candidates));
+    (tag ? metrics_->query_indexed : metrics_->query_scan).inc();
   }
-  return plan;
-}
+  // No bucket for the tag: no replica of that type, nothing to walk.
+  if (tag && b == by_type_.size()) return;
+  if (walk_length != nullptr) {
+    *walk_length = tag ? by_type_[b].members.size() : entries_.size();
+  }
 
-template <typename Fn>
-void TupleSpace::match(const Pattern& pattern, const query::Plan& plan,
-                       Fn&& fn) const {
-  // Residual checks run per candidate against the cached tag and entry
-  // metadata — no virtual call anywhere on this path.
+  // The type is implied by the walk, so only fields are checked — against
+  // the stored content, with no virtual call anywhere on this path.
+  const bool check_fields = !pattern.constraints().empty();
   const auto consider = [&](const Entry& entry) -> bool {
     if (metrics_ != nullptr) metrics_->candidates.inc();
-    if (plan.check_type && entry.type_tag != *pattern.type_tag()) return true;
-    if (plan.check_parent && entry.parent != *pattern.parent()) return true;
-    if (plan.check_propagated && entry.propagated != *pattern.propagated()) {
-      return true;
-    }
-    if (plan.check_fields) {
+    if (check_fields) {
       if (metrics_ != nullptr) metrics_->plan_residual_evals.inc();
       if (!pattern.matches_fields(entry.tuple->content())) return true;
     }
@@ -187,48 +165,37 @@ void TupleSpace::match(const Pattern& pattern, const query::Plan& plan,
     return fn(entry);
   };
 
-  switch (plan.path) {
-    case query::AccessPath::kTypeIndex: {
-      const std::size_t b = plan.type_bucket;
-      if (b == by_type_.size()) return;
-      walk([&] { return by_type_[b].members.size(); },
-           [&](std::size_t i) { return by_type_[b].members[i].second; },
-           consider);
-      return;
-    }
-    case query::AccessPath::kPropagatedIndex:
-      walk([&] { return propagated_.size(); },
-           [&](std::size_t i) {
-             return locate(propagated_[i])->entry.get();
-           },
-           consider);
-      return;
-    case query::AccessPath::kFullScan:
-      walk([&] { return entries_.size(); },
-           [&](std::size_t i) { return entries_[i].entry.get(); },
-           consider);
-      return;
+  if (tag) {
+    walk([&] { return by_type_[b].members.size(); },
+         [&](std::size_t i) { return by_type_[b].members[i].second; },
+         consider);
+  } else {
+    walk([&] { return entries_.size(); },
+         [&](std::size_t i) { return entries_[i].entry.get(); }, consider);
   }
 }
 
 std::vector<TupleHandle> TupleSpace::read(const Pattern& pattern,
                                           const Filter& accept) const {
-  const query::Plan p = plan(pattern);
   std::vector<TupleHandle> out;
-  match(pattern, p, [&](const Entry& entry) {
-    if (accept && !accept(*entry.tuple)) return true;
-    // The plan's candidate count bounds the matches: one allocation.
-    if (out.empty()) out.reserve(p.candidates);
-    out.push_back(entry.tuple);
-    return true;
-  });
+  std::size_t walk_length = 0;
+  match(
+      pattern,
+      [&](const Entry& entry) {
+        if (accept && !accept(*entry.tuple)) return true;
+        // The walk's length bounds the matches: one allocation.
+        if (out.empty()) out.reserve(walk_length);
+        out.push_back(entry.tuple);
+        return true;
+      },
+      &walk_length);
   return out;
 }
 
 TupleHandle TupleSpace::read_one(const Pattern& pattern,
                                  const Filter& accept) const {
   TupleHandle out;
-  match(pattern, plan(pattern), [&](const Entry& entry) {
+  match(pattern, [&](const Entry& entry) {
     if (accept && !accept(*entry.tuple)) return true;  // keep looking
     out = entry.tuple;
     return false;  // first (lowest-uid) accepted match wins
@@ -239,7 +206,7 @@ TupleHandle TupleSpace::read_one(const Pattern& pattern,
 std::vector<TupleHandle> TupleSpace::take(const Pattern& pattern,
                                           const Filter& accept) {
   std::vector<TupleUid> uids;
-  match(pattern, plan(pattern), [&](const Entry& entry) {
+  match(pattern, [&](const Entry& entry) {
     if (!accept || accept(*entry.tuple)) uids.push_back(entry.tuple->uid());
     return true;
   });
@@ -260,7 +227,7 @@ void TupleSpace::for_each(const std::function<void(const Entry&)>& fn) const {
 void TupleSpace::for_matching(
     const Pattern& pattern,
     const std::function<bool(const Entry&)>& fn) const {
-  match(pattern, plan(pattern), fn);
+  match(pattern, fn);
 }
 
 }  // namespace tota

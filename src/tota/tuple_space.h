@@ -22,9 +22,11 @@
 // Each Entry lives in its own heap block, so its address survives vector
 // growth and a replacement (which reuses the block): the engine holds a
 // `const Entry*` across process(), whose reactions may inject reentrantly,
-// and by_type_ stores the same pointers.  Parent constraints
-// (Pattern::from_parent) have no index; they are a residual check on
-// each candidate.
+// and by_type_ stores the same pointers.
+//
+// A query walks one of two candidate lists: a typed pattern walks its
+// type bucket, an untyped one the whole store.  Field constraints are
+// checked on each candidate (docs/QUERY.md).
 //
 // Replicas are immutable and shared: reads hand out TupleHandles to the
 // stored objects, which keep their content after the space replaces or
@@ -32,7 +34,7 @@
 //
 // Invariants (asserted by the property tests in tests/test_tuple_space.cc):
 // every entry appears in exactly one by_type_ bucket (under its cached
-// type_tag) and in propagated_ iff its flag is set; indexed queries
+// type_tag) and in propagated_ iff its flag is set; typed queries
 // therefore return bit-for-bit the same tuples, in the same uid order, as
 // a naive full scan.
 #pragma once
@@ -48,7 +50,6 @@
 #include "common/ids.h"
 #include "obs/metrics.h"
 #include "tota/pattern.h"
-#include "tota/query.h"
 #include "tota/tuple.h"
 
 namespace tota {
@@ -58,10 +59,9 @@ namespace tota {
 struct SpaceMetrics {
   explicit SpaceMetrics(obs::MetricsRegistry& registry);
 
-  /// Queries answered from any secondary index (plan chose a non-scan
-  /// access path; historically "pattern had a type").
+  /// Typed queries, answered from their type bucket.
   obs::Counter& query_indexed;
-  /// Queries that fell back to scanning the whole store.
+  /// Untyped queries, which scan the whole store.
   obs::Counter& query_scan;
   /// Entries actually examined (pattern-match attempts) across queries.
   obs::Counter& candidates;
@@ -70,16 +70,8 @@ struct SpaceMetrics {
   /// Entries a naive full scan would have examined (store size at query
   /// time); candidates/naive_candidates is the index's candidate ratio.
   obs::Counter& naive_candidates;
-
-  // Query-planner counters (space.plan.*, docs/QUERY.md): which access
-  // path each compiled plan chose, and how much residual work ran.
-  obs::Counter& plan_type_index;
-  obs::Counter& plan_propagated_index;
-  obs::Counter& plan_full_scan;
-  /// Candidates the chosen paths promised to touch (per plan, at compile
-  /// time; equals space.query.candidates unless a query early-exits).
-  obs::Counter& plan_candidates;
-  /// Candidates that reached field-predicate evaluation (the residual).
+  /// Candidates that reached field-predicate evaluation
+  /// (`space.plan.residual_evals`).
   obs::Counter& plan_residual_evals;
 };
 
@@ -160,26 +152,11 @@ class TupleSpace {
   /// entries; the same holds for every query callback below.
   void for_each(const std::function<void(const Entry&)>& fn) const;
 
-  /// Runs `fn` over every entry matching `pattern` — fields *and* replica
-  /// metadata — in uid order, until `fn` returns false.  Plan-assisted;
-  /// what Middleware uses to seed a continuous query's result set.
+  /// Runs `fn` over every entry matching `pattern` in uid order, until
+  /// `fn` returns false — what Middleware uses to seed a continuous
+  /// query's result set.
   void for_matching(const Pattern& pattern,
                     const std::function<bool(const Entry&)>& fn) const;
-
-  // --- planner surface (tota/query.cc) -------------------------------------
-  // Secondary-index sizes, so `query::compile` can price access paths.
-
-  /// `tag`'s type bucket (an index valid for the life of the space) and
-  /// its replica count, 0 when the tag has no bucket.
-  struct TypeBucketRef {
-    std::size_t index = 0;
-    std::size_t size = 0;
-  };
-  [[nodiscard]] TypeBucketRef type_bucket(const std::string& tag) const;
-  /// Replicas flagged for re-propagation.
-  [[nodiscard]] std::size_t propagated_count() const {
-    return propagated_.size();
-  }
 
  private:
   /// One type tag's replicas, uid-sorted.
@@ -206,14 +183,14 @@ class TupleSpace {
   /// Adds/removes `uid` to/from propagated_.
   void set_propagated(const TupleUid& uid, bool propagated);
 
-  /// Compiles `pattern` into an access plan (tota/query.h) and counts
-  /// the plan under space.*.
-  [[nodiscard]] query::Plan plan(const Pattern& pattern) const;
-  /// Runs `fn(entry)` over `plan`'s candidates in uid order, applying
-  /// residual constraints per candidate, until `fn` returns false.  Only
-  /// matching entries reach `fn`.
+  /// Counts the query under space.*, then runs `fn(entry)` over the
+  /// entries matching `pattern` in uid order until `fn` returns false.
+  /// The candidates are the pattern's type bucket when it is typed, else
+  /// the whole store; `walk_length`, when given, receives their count
+  /// before the first call.
   template <typename Fn>
-  void match(const Pattern& pattern, const query::Plan& plan, Fn&& fn) const;
+  void match(const Pattern& pattern, Fn&& fn,
+             std::size_t* walk_length = nullptr) const;
 
   std::vector<Slot> entries_;
   /// Buckets are never removed (a node sees a handful of tags), so a

@@ -36,9 +36,7 @@ Frame Frame::decode(std::span<const std::uint8_t> payload) {
       return frame;
     case FrameKind::kProbe:
       frame.uid = read_uid(r);
-      // Anything after the uid is an encoded pattern body, handed to the
-      // engine undecoded (the wire layer cannot name tota::Pattern).
-      frame.probe_pattern = payload.subspan(payload.size() - r.remaining());
+      r.expect_done();
       return frame;
   }
   throw DecodeError("unknown frame kind");
@@ -62,13 +60,11 @@ Bytes Frame::retract(const TupleUid& uid, int removed_hop) {
   return w.take();
 }
 
-Bytes Frame::probe(const TupleUid& uid,
-                   std::span<const std::uint8_t> pattern_body) {
+Bytes Frame::probe(const TupleUid& uid) {
   Writer w;
-  w.reserve(kControlFrameReserve + pattern_body.size());
+  w.reserve(kControlFrameReserve);
   w.u8(static_cast<std::uint8_t>(FrameKind::kProbe));
   write_uid(w, uid);
-  w.raw(pattern_body);
   return w.take();
 }
 

@@ -5,9 +5,7 @@
 //
 //   0x01 TUPLE   <tuple encoding>            — a propagating tuple copy
 //   0x02 RETRACT <origin, seq, removed_hop>  — replica removal announcement
-//   0x03 PROBE   <origin, seq, [pattern]>    — request re-announcement;
-//                                              may carry an encoded
-//                                              tota::Pattern as the body
+//   0x03 PROBE   <origin, seq>               — request re-announcement
 //
 // Frame owns all envelope encoding and decoding; nothing outside this
 // file writes or interprets a FrameKind byte.  The tuple *body* stays
@@ -38,10 +36,6 @@ struct Frame {
   int removed_hop = 0;
   /// kTuple: the undecoded tuple encoding (envelope stripped).
   std::span<const std::uint8_t> tuple_body;
-  /// kProbe: optional encoded query pattern (tota::Pattern::decode) —
-  /// empty for uid-only probes.  Like tuple_body, a view into the source
-  /// buffer; the wire layer leaves it opaque (it cannot name tota).
-  std::span<const std::uint8_t> probe_pattern;
 
   /// Parses an envelope.  Control frames are validated to the last byte;
   /// a TUPLE frame's body is left for the tuple decoder.  Throws
@@ -54,11 +48,7 @@ struct Frame {
   static Bytes tuple(const std::function<void(Writer&)>& encode_body,
                      std::size_t size_hint = 128);
   static Bytes retract(const TupleUid& uid, int removed_hop);
-  /// Uid-only probe, or one carrying an encoded pattern body (a remote
-  /// predicate query).  Old receivers that predate pattern bodies reject
-  /// the longer frame; uid-only probes are byte-identical to before.
-  static Bytes probe(const TupleUid& uid,
-                     std::span<const std::uint8_t> pattern_body = {});
+  static Bytes probe(const TupleUid& uid);
 };
 
 }  // namespace tota::wire

@@ -442,7 +442,6 @@ TEST(SensorFusionTest, AverageTemperatureWithinThreeHops) {
 TEST(DeviceProfileTest, AwakeWindowFollowsDutyCycle) {
   net::DeviceProfile p;
   p.duty_cycle = 0.25;
-  p.duty_period = SimTime::from_millis(100);
   EXPECT_FALSE(p.always_awake());
   EXPECT_TRUE(p.awake_at(SimTime::zero()));
   EXPECT_TRUE(p.awake_at(SimTime::from_millis(24)));
@@ -496,14 +495,14 @@ TEST(DeviceProfileSimTest, SleepingReceiverMissesFramesAndCounts) {
   emu::ShardedWorld world(world_options());
   const auto ids = world.spawn_grid(1, 2, 50.0);
   net::DeviceProfile sleepy;
-  sleepy.duty_cycle = 0.01;
-  sleepy.duty_period = SimTime::from_seconds(10);  // asleep ~forever
+  sleepy.duty_cycle = 0.0;  // never awake
   world.set_profile(ids[1], sleepy);
-  world.run_for(SimTime::from_millis(200));  // within the awake sliver
   world.run_for(SimTime::from_seconds(1));
   world.mw(ids[0]).inject(std::make_unique<GradientTuple>("field"));
   world.run_for(SimTime::from_seconds(2));
   EXPECT_GT(world.metrics().get("net.duty_drop"), 0);
+  EXPECT_TRUE(world.mw(ids[1]).read(Pattern::of_type(GradientTuple::kTag))
+                  .empty());
 }
 
 TEST(DeviceProfileSimTest, ProfilesOffKeepsCountersAtZero) {
@@ -549,20 +548,6 @@ TEST(ShardedAggregationTest, CensusIsExactAndShardCountInvariant) {
   EXPECT_EQ(sharded_census(1), 16.0);
   EXPECT_EQ(sharded_census(2), 16.0);
   EXPECT_EQ(sharded_census(4), 16.0);
-}
-
-TEST(ShardedAggregationTest, SubUnityTxDelayScaleIsRejectedWhenSharded) {
-  emu::ShardedWorld::Options o;
-  o.net.shards = 2;
-  emu::ShardedWorld world(o);
-  const auto ids = world.spawn_grid(1, 4, 50.0);
-  world.seal();
-  net::DeviceProfile fast;
-  fast.tx_delay_scale = 0.5;  // would break conservative lookahead
-  EXPECT_THROW(world.set_profile(ids[0], fast), std::invalid_argument);
-  net::DeviceProfile slow;
-  slow.tx_delay_scale = 2.0;
-  EXPECT_NO_THROW(world.set_profile(ids[0], slow));
 }
 
 }  // namespace

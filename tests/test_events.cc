@@ -257,25 +257,6 @@ TEST(ContinuousQueryTest, AcceptFilterGatesMembership) {
   EXPECT_EQ(added, 1);
 }
 
-TEST(ContinuousQueryTest, MetaConstraintsApplyToChanges) {
-  EventBus bus;
-  std::vector<QueryDelta::Kind> kinds;
-  Pattern p;
-  p.propagated_only();
-  bus.subscribe_query(
-      p, [&](const QueryDelta& d) { kinds.push_back(d.kind); });
-  bus.notify_space(CK::kInserted,
-                   make_member(1, "a", 1, NodeId{2}, /*propagated=*/false),
-                   SimTime::zero());
-  EXPECT_TRUE(kinds.empty());
-  // The same uid arriving as a propagated replica enters the set.
-  bus.notify_space(CK::kReplaced,
-                   make_member(1, "a", 1, NodeId{2}, /*propagated=*/true),
-                   SimTime::zero());
-  ASSERT_EQ(kinds.size(), 1u);
-  EXPECT_EQ(kinds[0], QueryDelta::Kind::kAdded);
-}
-
 TEST(ContinuousQueryTest, SeedReplaysStoredReplicas) {
   EventBus bus;
   int added = 0;

@@ -2,7 +2,6 @@
 // driving two engines off one broadcast buffer.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <span>
 
 #include "fake_platform.h"
@@ -83,23 +82,10 @@ TEST(FrameTest, TrailingBytesOnRetractRejected) {
   EXPECT_THROW(Frame::decode(frame), DecodeError);
 }
 
-TEST(FrameTest, ProbeCarriesOptionalPatternBody) {
-  // Uid-only probes stay byte-identical to the pre-pattern grammar and
-  // decode with an empty body.
-  const Bytes plain = Frame::probe(uid(3, 4));
-  const Frame decoded_plain = Frame::decode(plain);
-  EXPECT_EQ(decoded_plain.uid, uid(3, 4));
-  EXPECT_TRUE(decoded_plain.probe_pattern.empty());
-
-  // A probe with a body hands the trailing bytes back verbatim; the wire
-  // layer leaves them opaque (the engine decodes the tota::Pattern).
-  const Bytes body{0xAB, 0xCD, 0xEF};
-  const Bytes with_pattern = Frame::probe(uid(3, 4), body);
-  const Frame decoded = Frame::decode(with_pattern);
-  EXPECT_EQ(decoded.uid, uid(3, 4));
-  ASSERT_EQ(decoded.probe_pattern.size(), body.size());
-  EXPECT_TRUE(std::equal(body.begin(), body.end(),
-                         decoded.probe_pattern.begin()));
+TEST(FrameTest, TrailingBytesOnProbeRejected) {
+  Bytes frame = Frame::probe(uid(3, 4));
+  frame.push_back(0x00);
+  EXPECT_THROW(Frame::decode(frame), DecodeError);
 }
 
 // --- one decode per receiver ----------------------------------------------

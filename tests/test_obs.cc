@@ -222,21 +222,6 @@ TEST(Tracer, FillsThenWrapsOldestFirst) {
   }
 }
 
-TEST(Tracer, DisableStopsRecording) {
-  Tracer tr(4);
-  tr.set_enabled(false);
-  const Span s = make_span(0);
-  tr.record(s.t, s.node, s.stage, s.cause, s.hop);
-  EXPECT_EQ(tr.size(), 0u);
-  tr.set_enabled(true);
-  tr.record(s.t, s.node, s.stage, s.cause, s.hop);
-#if TOTA_OBS_ENABLED
-  EXPECT_EQ(tr.size(), 1u);
-#else
-  EXPECT_EQ(tr.size(), 0u);
-#endif
-}
-
 TEST(Tracer, ClearResetsEverything) {
   Tracer tr(2);
   for (std::uint64_t i = 0; i < 5; ++i) {

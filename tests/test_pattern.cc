@@ -190,28 +190,9 @@ TEST(PatternTest, PredicatePatternsCompareStructurally) {
   EXPECT_FALSE(a.equivalent(d));
 }
 
-TEST(PatternTest, MetaConstraintsMatchEntryMetadata) {
-  Pattern p;
-  p.from_parent(NodeId{7}).propagated_only();
-  EXPECT_TRUE(p.matches_meta(NodeId{7}, true));
-  EXPECT_FALSE(p.matches_meta(NodeId{7}, false));
-  EXPECT_FALSE(p.matches_meta(NodeId{8}, true));
-  // matches() ignores metadata — a bare tuple has none.
-  EXPECT_TRUE(p.matches(make_gradient("x", NodeId{1}, 0)));
-  // Metadata participates in equivalence.
-  Pattern q;
-  q.from_parent(NodeId{7});
-  EXPECT_FALSE(p.equivalent(q));
-  q.propagated_only();
-  EXPECT_TRUE(p.equivalent(q));
-}
-
 TEST(PatternTest, CodecRoundTrip) {
   Pattern p = Pattern::of_type(GradientTuple::kTag);
-  p.eq("name", "route")
-      .where("hopcount", Pred::le(3))
-      .from_parent(NodeId{9})
-      .propagated_only(false);
+  p.eq("name", "route").where("hopcount", Pred::le(3));
   wire::Writer w;
   p.encode(w);
   wire::Reader r(w.bytes());
@@ -222,22 +203,18 @@ TEST(PatternTest, CodecRoundTrip) {
   EXPECT_FALSE(decoded.matches(make_gradient("route", NodeId{1}, 4)));
 }
 
-TEST(PatternTest, RecordRoundTrip) {
-  Pattern p = Pattern::of_type(GradientTuple::kTag);
-  p.where("hopcount", Pred::between(0, 4));
-  const wire::Record rec = p.to_record();
-  // The type tag rides alongside the blob so remote nodes can route on
-  // it without decoding the predicate body.
-  EXPECT_EQ(rec.at("type").as_string(), GradientTuple::kTag);
-  const Pattern back = Pattern::from_record(rec);
-  EXPECT_TRUE(back.equivalent(p));
-}
-
 TEST(PatternTest, DecodeRejectsUnknownFlags) {
-  wire::Writer w;
-  w.u8(0x80);
-  wire::Reader r(w.bytes());
-  EXPECT_THROW((void)Pattern::decode(r), wire::DecodeError);
+  // Only the type bit is a flag.  Each input below is otherwise well
+  // formed — 0x02 and 0x04 followed by the value they once announced
+  // (a parent id, a propagated flag) — so the flags byte alone is what
+  // decode rejects.
+  const std::vector<std::vector<std::uint8_t>> inputs{
+      {0x80, 0x00}, {0x02, 0x09, 0x00}, {0x04, 0x01, 0x00}};
+  for (const auto& bytes : inputs) {
+    wire::Reader r(bytes);
+    EXPECT_THROW((void)Pattern::decode(r), wire::DecodeError)
+        << "flags " << int{bytes[0]};
+  }
 }
 
 TEST(PatternTest, StrIsReadable) {

@@ -10,9 +10,10 @@
 //  P4  Broadcast economy: a single flood costs exactly one transmission
 //      per reached node (the multicast-socket property the paper relies
 //      on for "really simple devices").
-//  P9  Planner soundness: every compiled query plan returns exactly what
-//      a naive full scan with the direct matcher returns, across random
-//      store churn and patterns exercising every access path.
+//  P9  Query soundness: every read — a typed one walking its type bucket,
+//      an untyped one scanning the store — returns exactly what a naive
+//      full scan with the direct matcher returns, across random store
+//      churn and typed, untyped and field-predicate patterns.
 //  P10 Continuous-query soundness: the incrementally maintained result
 //      set of a standing query always equals re-running the query from
 //      scratch.
@@ -378,7 +379,7 @@ TEST_P(HealthProperty, NoDecodeFailuresUnderChurnAndMobility) {
 INSTANTIATE_TEST_SUITE_P(Seeds, HealthProperty,
                          ::testing::Values(301, 302, 303, 304));
 
-// --- P9: compiled plans ≡ naive full scan -------------------------------------
+// --- P9: reads ≡ naive full scan ---------------------------------------------
 
 /// Random store mutation shared by P9/P10: puts (inserts & replaces,
 /// including parent moves and tag changes), and erases.
@@ -405,9 +406,8 @@ void random_space_op(Rng& rng, TupleSpace& space) {
             SimTime::zero());
 }
 
-/// Patterns covering every access path: full scan, type bucket,
-/// propagated set, and residual predicates (fields, parent) on top of
-/// each.
+/// Patterns covering both walks — full scan and type bucket — with and
+/// without field predicates on top.
 std::vector<Pattern> probe_patterns(Rng& rng) {
   std::vector<Pattern> out;
   out.emplace_back();  // match-all full scan
@@ -426,40 +426,25 @@ std::vector<Pattern> probe_patterns(Rng& rng) {
     out.push_back(std::move(p));
   }
   {
-    Pattern p;
-    p.from_parent(NodeId{rng.below(4)});
+    Pattern p = Pattern::of_type(GradientTuple::kTag);
+    p.where("hopcount", Pred::le(static_cast<std::int64_t>(rng.below(8))));
     out.push_back(std::move(p));
   }
   {
     Pattern p = Pattern::of_type(GradientTuple::kTag);
-    p.from_parent(NodeId{rng.below(4)})
-        .where("hopcount", Pred::le(static_cast<std::int64_t>(rng.below(8))));
-    out.push_back(std::move(p));
-  }
-  {
-    Pattern p;
-    p.propagated_only(rng.chance(0.5));
-    out.push_back(std::move(p));
-  }
-  {
-    Pattern p = Pattern::of_type(GradientTuple::kTag);
-    p.propagated_only().where(
-        "name", Pred::any_of({wire::Value{"f0"}, wire::Value{"f1"}}));
+    p.where("name", Pred::any_of({wire::Value{"f0"}, wire::Value{"f1"}}));
     out.push_back(std::move(p));
   }
   return out;
 }
 
 /// The oracle: a naive full scan applying the direct matcher, bypassing
-/// planner and indexes entirely.
+/// the type buckets entirely.
 std::vector<TupleUid> naive_matches(const TupleSpace& space,
                                     const Pattern& pattern) {
   std::vector<TupleUid> uids;
   space.for_each([&](const TupleSpace::Entry& e) {
-    if (pattern.matches(*e.tuple) &&
-        pattern.matches_meta(e.parent, e.propagated)) {
-      uids.push_back(e.tuple->uid());
-    }
+    if (pattern.matches(*e.tuple)) uids.push_back(e.tuple->uid());
   });
   return uids;
 }
@@ -503,7 +488,7 @@ TEST_P(ContinuousQueryProperty, IncrementalSetsEqualFullRequery) {
     bus.notify_space(kind, entry, SimTime::zero());
   });
 
-  // Standing queries across all access paths; each mirrors its deltas
+  // Standing queries over both walks; each mirrors its deltas
   // into a shadow set the oracle is compared against.
   Rng pattern_rng(GetParam() * 7 + 1);
   std::vector<Pattern> patterns = probe_patterns(pattern_rng);

@@ -1,10 +1,9 @@
-// Unit tests for the local tuple space and its query planner.
+// Unit tests for the local tuple space and its queries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.h"
-#include "tota/query.h"
 #include "tota/tuple_space.h"
 #include "tuples/all.h"
 
@@ -143,29 +142,6 @@ std::vector<TupleUid> matching_uids(const TupleSpace& space,
   return uids;
 }
 
-Pattern parent_is(NodeId parent) {
-  Pattern p;
-  p.from_parent(parent);
-  return p;
-}
-
-TEST_F(TupleSpaceTest, FromParentReadTracksParents) {
-  space_.put(make_tuple(NodeId{1}, 1, "a", 1), NodeId{9}, true,
-             SimTime::zero());
-  space_.put(make_tuple(NodeId{2}, 1, "b", 1), NodeId{9}, true,
-             SimTime::zero());
-  space_.put(make_tuple(NodeId{3}, 1, "c", 1), NodeId{8}, true,
-             SimTime::zero());
-  EXPECT_EQ(matching_uids(space_, parent_is(NodeId{9})),
-            (std::vector<TupleUid>{TupleUid{NodeId{1}, 1},
-                                   TupleUid{NodeId{2}, 1}}));
-  EXPECT_TRUE(matching_uids(space_, parent_is(NodeId{7})).empty());
-  // The parent is never an access path: it is checked per candidate.
-  const auto plan = query::compile(parent_is(NodeId{9}), space_);
-  EXPECT_EQ(plan.path, query::AccessPath::kFullScan);
-  EXPECT_TRUE(plan.check_parent);
-}
-
 TEST_F(TupleSpaceTest, PropagatedUidsFiltersFlag) {
   space_.put(make_tuple(NodeId{1}, 1, "a", 0), NodeId{}, true,
              SimTime::zero());
@@ -204,9 +180,7 @@ TEST_F(TupleSpaceTest, ReplaceMovesEntryBetweenIndexes) {
   EXPECT_TRUE(space_.read(Pattern::of_type(GradientTuple::kTag)).empty());
   ASSERT_EQ(space_.read(Pattern::of_type(tuples::MessageTuple::kTag)).size(),
             1u);
-  EXPECT_TRUE(matching_uids(space_, parent_is(NodeId{2})).empty());
-  EXPECT_EQ(matching_uids(space_, parent_is(NodeId{3})),
-            (std::vector<TupleUid>{TupleUid{NodeId{1}, 1}}));
+  EXPECT_EQ(space_.find(TupleUid{NodeId{1}, 1})->parent, NodeId{3});
   EXPECT_TRUE(space_.propagated_uids().empty());
 }
 
@@ -251,130 +225,41 @@ TEST_F(TupleSpaceTest, BoundMetricsCountIndexedAndScanQueries) {
   EXPECT_EQ(registry.get("space.query.candidates"), 4);
 }
 
-TEST_F(TupleSpaceTest, PlannerPicksMostSelectivePath) {
-  // Ten gradients under parent 9, two under parent 8; one propagated.
-  for (std::uint64_t i = 1; i <= 10; ++i) {
-    space_.put(make_tuple(NodeId{i}, 1, "a", 1), NodeId{9}, false,
-               SimTime::zero());
-  }
-  space_.put(make_tuple(NodeId{11}, 1, "b", 1), NodeId{8}, true,
-             SimTime::zero());
-  space_.put(make_tuple(NodeId{12}, 1, "b", 1), NodeId{8}, false,
-             SimTime::zero());
-
-  // Typed, no metadata: the type bucket (all 12 entries).
-  {
-    const auto plan =
-        query::compile(Pattern::of_type(GradientTuple::kTag), space_);
-    EXPECT_EQ(plan.path, query::AccessPath::kTypeIndex);
-    EXPECT_EQ(plan.candidates, 12u);
-    EXPECT_FALSE(plan.residual());
-  }
-  // Typed + parent: the parent has no index, so the type bucket is
-  // walked and the parent is checked per candidate.
-  {
-    Pattern p = Pattern::of_type(GradientTuple::kTag);
-    p.from_parent(NodeId{8});
-    const auto plan = query::compile(p, space_);
-    EXPECT_EQ(plan.path, query::AccessPath::kTypeIndex);
-    EXPECT_EQ(plan.candidates, 12u);
-    EXPECT_FALSE(plan.check_type);
-    EXPECT_TRUE(plan.check_parent);
-    EXPECT_EQ(matching_uids(space_, p),
-              (std::vector<TupleUid>{TupleUid{NodeId{11}, 1},
-                                     TupleUid{NodeId{12}, 1}}));
-  }
-  // Propagated-only: the 1-entry propagated set wins outright.
-  {
-    Pattern p;
-    p.propagated_only();
-    const auto plan = query::compile(p, space_);
-    EXPECT_EQ(plan.path, query::AccessPath::kPropagatedIndex);
-    EXPECT_EQ(plan.candidates, 1u);
-    EXPECT_FALSE(plan.check_propagated);
-  }
-  // propagated==false has no index: full scan with a residual check.
-  {
-    Pattern p;
-    p.propagated_only(false);
-    const auto plan = query::compile(p, space_);
-    EXPECT_EQ(plan.path, query::AccessPath::kFullScan);
-    EXPECT_TRUE(plan.check_propagated);
-  }
-  // Untyped field-only pattern: full scan, fields residual.
-  {
-    Pattern p;
-    p.eq("name", "a");
-    const auto plan = query::compile(p, space_);
-    EXPECT_EQ(plan.path, query::AccessPath::kFullScan);
-    EXPECT_TRUE(plan.check_fields);
-  }
-}
-
-TEST_F(TupleSpaceTest, MetaConstrainedQueriesUseIndexes) {
-  space_.put(make_tuple(NodeId{1}, 1, "a", 1), NodeId{9}, true,
-             SimTime::zero());
-  space_.put(make_tuple(NodeId{2}, 1, "b", 1), NodeId{9}, false,
-             SimTime::zero());
-  space_.put(make_tuple(NodeId{3}, 1, "c", 1), NodeId{8}, true,
-             SimTime::zero());
-
-  Pattern from9;
-  from9.from_parent(NodeId{9});
-  auto results = space_.read(from9);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0]->uid().origin(), NodeId{1});
-  EXPECT_EQ(results[1]->uid().origin(), NodeId{2});
-
-  Pattern prop;
-  prop.propagated_only();
-  results = space_.read(prop);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0]->uid().origin(), NodeId{1});
-  EXPECT_EQ(results[1]->uid().origin(), NodeId{3});
-
-  Pattern both;
-  both.from_parent(NodeId{9}).propagated_only().eq("name", "a");
-  results = space_.read(both);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0]->uid().origin(), NodeId{1});
-}
-
 TEST_F(TupleSpaceTest, PlanCountersRecordPathAndResidual) {
   obs::MetricsRegistry registry;
   space_.bind_metrics(registry);
   for (std::uint64_t i = 1; i <= 4; ++i) {
-    space_.put(make_tuple(NodeId{i}, 1, i <= 2 ? "a" : "b", 1),
-               i <= 2 ? NodeId{9} : NodeId{8}, i == 1, SimTime::zero());
+    space_.put(make_tuple(NodeId{i}, 1, i <= 2 ? "a" : "b", 1), NodeId{9},
+               i == 1, SimTime::zero());
   }
+  auto msg = std::make_unique<tuples::MessageTuple>();
+  msg->set_uid(TupleUid{NodeId{5}, 1});
+  space_.put(std::move(msg), NodeId{9}, false, SimTime::zero());
 
+  // Typed: the gradient bucket is walked, and each of its four members
+  // reaches field evaluation; the message is never a candidate.
   Pattern typed = Pattern::of_type(GradientTuple::kTag);
   typed.eq("name", "a");
-  (void)space_.read(typed);
-  EXPECT_EQ(registry.get("space.plan.type_index"), 1);
-  EXPECT_EQ(registry.get("space.plan.candidates"), 4);
+  EXPECT_EQ(space_.read(typed).size(), 2u);
+  EXPECT_EQ(registry.get("space.query.indexed"), 1);
+  EXPECT_EQ(registry.get("space.query.candidates"), 4);
   EXPECT_EQ(registry.get("space.plan.residual_evals"), 4);
 
-  // A parent constraint is residual: the whole store is scanned.
-  EXPECT_EQ(matching_uids(space_, parent_is(NodeId{9})),
-            (std::vector<TupleUid>{TupleUid{NodeId{1}, 1},
-                                   TupleUid{NodeId{2}, 1}}));
-  EXPECT_EQ(registry.get("space.plan.full_scan"), 1);
-  EXPECT_EQ(registry.get("space.plan.candidates"), 8);
-  // No field constraints: nothing reached residual evaluation.
+  // Untyped without fields: the whole store is scanned and every
+  // candidate matches without field evaluation.
+  EXPECT_EQ(space_.read(Pattern{}).size(), 5u);
+  EXPECT_EQ(registry.get("space.query.scan"), 1);
+  EXPECT_EQ(registry.get("space.query.candidates"), 9);
   EXPECT_EQ(registry.get("space.plan.residual_evals"), 4);
 
-  Pattern prop;
-  prop.propagated_only();
-  (void)space_.read(prop);
-  EXPECT_EQ(registry.get("space.plan.propagated_index"), 1);
-  EXPECT_EQ(registry.get("space.plan.candidates"), 9);
-
-  (void)space_.read(Pattern{});
-  EXPECT_EQ(registry.get("space.plan.full_scan"), 2);
-  // Legacy counters keep their historical meaning alongside.
-  EXPECT_EQ(registry.get("space.query.indexed"), 2);
+  // Untyped with fields: the scan evaluates fields on every entry.
+  Pattern untyped;
+  untyped.eq("name", "b");
+  EXPECT_EQ(space_.read(untyped).size(), 2u);
   EXPECT_EQ(registry.get("space.query.scan"), 2);
+  EXPECT_EQ(registry.get("space.query.candidates"), 14);
+  EXPECT_EQ(registry.get("space.plan.residual_evals"), 9);
+  EXPECT_EQ(registry.get("space.query.naive_candidates"), 15);
 }
 
 TEST_F(TupleSpaceTest, FilteredReadNeverMaterializesDeniedAndKeepsCounters) {
@@ -487,7 +372,7 @@ TEST_F(TupleSpaceTest, EntryAddressSurvivesGrowthAndReplacement) {
   EXPECT_TRUE(space_.propagated_uids().empty());
 }
 
-// Property: every indexed query returns bit-for-bit what a naive
+// Property: every query, typed or not, returns bit-for-bit what a naive
 // full-scan over a reference model returns, across a random churn of
 // puts, replaces (including ones that change the type tag), and erases.
 // Seeded, so failures reproduce.  `origins` x 4 sequence numbers is the
@@ -522,7 +407,6 @@ void check_against_model(std::uint64_t seed, std::uint64_t origins,
   const std::vector<std::string> names{"a", "b", "c", "d"};
   std::size_t peak = 0;
   int tag_changes = 0;
-  int meta_queries = 0;
   for (int step = 0; step < steps; ++step) {
     const TupleUid uid{NodeId{rng.below(origins) + 1}, rng.below(4) + 1};
     const auto op = rng.below(10);
@@ -559,9 +443,6 @@ void check_against_model(std::uint64_t seed, std::uint64_t origins,
       if (rng.below(2) == 0) {
         p.eq("name", names[rng.below(names.size())]);
       }
-      if (rng.below(3) == 0) p.from_parent(NodeId{rng.below(5)});
-      if (rng.below(3) == 0) p.propagated_only(rng.below(2) == 0);
-      if (p.parent() || p.propagated()) ++meta_queries;
       const auto got = space.read(p);
       std::vector<TupleUid> got_uids;
       got_uids.reserve(got.size());
@@ -571,12 +452,9 @@ void check_against_model(std::uint64_t seed, std::uint64_t origins,
       std::vector<TupleUid> want_uids;
       for (const Replica& r : sorted_model()) {
         const bool type_ok = !p.type_tag() || *p.type_tag() == r.tag;
-        const bool parent_ok = !p.parent() || *p.parent() == r.parent;
-        const bool propagated_ok =
-            !p.propagated() || *p.propagated() == r.propagated;
         const auto* entry = space.find(r.uid);
         ASSERT_NE(entry, nullptr);
-        if (type_ok && parent_ok && propagated_ok && p.matches(*entry->tuple)) {
+        if (type_ok && p.matches(*entry->tuple)) {
           want_uids.push_back(r.uid);
         }
       }
@@ -593,16 +471,14 @@ void check_against_model(std::uint64_t seed, std::uint64_t origins,
   }
   EXPECT_GE(peak, min_peak);
   EXPECT_GT(tag_changes, 0);
-  EXPECT_GT(meta_queries, 0);
   ASSERT_EQ(space.size(), model.size());
 
-  // The indexes agree with the model at the end of the churn.
-  for (std::uint64_t parent = 0; parent < 5; ++parent) {
-    std::vector<TupleUid> want;
-    for (const Replica& r : sorted_model()) {
-      if (r.parent == NodeId{parent}) want.push_back(r.uid);
-    }
-    EXPECT_EQ(matching_uids(space, parent_is(NodeId{parent})), want);
+  // The entries and indexes agree with the model at the end of the churn.
+  for (const Replica& r : model) {
+    const auto* entry = space.find(r.uid);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->parent, r.parent);
+    EXPECT_EQ(entry->propagated, r.propagated);
   }
   std::vector<TupleUid> want_propagated;
   for (const Replica& r : sorted_model()) {
