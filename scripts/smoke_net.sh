@@ -82,9 +82,17 @@ for n in 2 3; do
   [[ "$final" == FINAL* ]] || fail "node $n has no FINAL line"
   grep -q "hops=absent" <<<"$final" \
     || fail "node $n still holds the orphaned replica: $final"
+  # The injector left the neighbour table (only the other reader stays),
+  # and, where metrics record (up >= 1; TOTA_OBS=OFF reads 0), the
+  # departure was counted as a neighbour-down event.
+  neighbors=$(sed -n 's/.* neighbors=\([0-9]*\).*/\1/p' <<<"$final")
+  [[ "${neighbors:-0}" -eq 1 ]] \
+    || fail "node $n never dropped the injector from its table: $final"
+  up=$(sed -n 's/.* up=\([0-9]*\).*/\1/p' <<<"$final")
   down=$(sed -n 's/.* down=\([0-9]*\).*/\1/p' <<<"$final")
-  [[ "${down:-0}" -ge 1 ]] \
-    || fail "node $n never observed the injector's departure: $final"
+  if [[ "${up:-0}" -ge 1 && "${down:-0}" -lt 1 ]]; then
+    fail "node $n never observed the injector's departure: $final"
+  fi
 done
 
 echo "smoke_net: OK (gradient converged at hop 1; source death expired + retracted)"

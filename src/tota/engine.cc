@@ -108,14 +108,7 @@ void Engine::process(std::unique_ptr<Tuple> tuple, NodeId from,
     return;
   }
 
-  // Access control (paper §6): a node without host rights relays the
-  // tuple (when the rule propagates) but keeps no replica; a node without
-  // observe rights hosts/relays silently — its applications never hear
-  // about the tuple.
-  const bool may_host = tuple->permits(AccessOp::kHost, self_);
-  const bool may_observe = tuple->permits(AccessOp::kObserve, self_);
-
-  const bool store = tuple->decide_store(ctx) && may_host;  // step 4
+  const bool store = tuple->decide_store(ctx);  // step 4
   const bool propagate = tuple->decide_propagate(ctx);
 
   if (!store && existing == nullptr) {
@@ -155,9 +148,8 @@ void Engine::process(std::unique_ptr<Tuple> tuple, NodeId from,
   }
 
   const Tuple& copy = replica != nullptr ? *replica : *tuple;
-  if (may_observe) {  // step 6
-    bus_.publish(Event{EventKind::kTupleArrived, &copy, platform_.now()});
-  }
+  // Step 6: publish.
+  bus_.publish(Event{EventKind::kTupleArrived, &copy, platform_.now()});
 
   if (propagate) send_tuple(copy);  // step 7
 }

@@ -133,13 +133,11 @@ void EventBus::publish(const Event& event) {
   }
 }
 
-QueryId EventBus::subscribe_query(Pattern pattern, QueryCallback on_delta,
-                                  QueryAccept accept) {
+QueryId EventBus::subscribe_query(Pattern pattern, QueryCallback on_delta) {
   const QueryId id = next_query_id_++;
   const std::string bucket = pattern.type_tag().value_or("");
-  queries_.emplace(id, ContinuousQuery{id, std::move(pattern),
-                                       std::move(on_delta), std::move(accept),
-                                       {}});
+  queries_.emplace(
+      id, ContinuousQuery{id, std::move(pattern), std::move(on_delta), {}});
   query_buckets_[bucket].push_back(id);
   live_queries_.insert(id);
   return id;
@@ -164,11 +162,8 @@ void EventBus::evaluate_query(ContinuousQuery& q, bool erased,
   const Tuple& tuple = *entry.tuple;
   const TupleUid uid = tuple.uid();
   const bool member = q.members.contains(uid);
-  bool matches = false;
-  if (!erased) {
-    matches = q.pattern.matches_record(entry.type_tag, tuple.content()) &&
-              (!q.accept || q.accept(tuple));
-  }
+  const bool matches =
+      !erased && q.pattern.matches_record(entry.type_tag, tuple.content());
   if (matches == member && !matches) return;  // non-member stays out
 
   // Membership mutates before the callback and `q` is never touched

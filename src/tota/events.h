@@ -118,9 +118,6 @@ class EventBus {
  public:
   using Reaction = std::function<void(const Event&)>;
   using QueryCallback = std::function<void(const QueryDelta&)>;
-  /// Per-tuple visibility filter a continuous query applies on top of its
-  /// pattern (Middleware passes the observe-access check).
-  using QueryAccept = std::function<bool(const Tuple&)>;
 
   /// Registers the bus.* instruments on `registry` and records into them
   /// from then on.  Optional: an unbound bus counts nothing.
@@ -155,8 +152,7 @@ class EventBus {
 
   /// Registers a standing query.  The caller seeds the initial result set
   /// (see seed_query); from then on deltas flow from notify_space.
-  QueryId subscribe_query(Pattern pattern, QueryCallback on_delta,
-                          QueryAccept accept = nullptr);
+  QueryId subscribe_query(Pattern pattern, QueryCallback on_delta);
 
   void unsubscribe_query(QueryId id);
 
@@ -218,7 +214,6 @@ class EventBus {
     QueryId id;
     Pattern pattern;
     QueryCallback on_delta;
-    QueryAccept accept;
     /// Current result-set membership, by uid.
     std::set<TupleUid> members;
   };

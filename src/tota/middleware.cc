@@ -24,26 +24,15 @@ TupleUid Middleware::inject(std::unique_ptr<Tuple> tuple) {
 }
 
 std::vector<TupleHandle> Middleware::read(const Pattern& pattern) const {
-  // The access filter runs inside the space's match loop, so denied
-  // tuples never reach the result.
-  return space_.read(pattern, [this](const Tuple& t) {
-    return t.permits(AccessOp::kObserve, self());
-  });
+  return space_.read(pattern);
 }
 
 TupleHandle Middleware::read_one(const Pattern& pattern) const {
-  // Early-exits at the first observable match instead of materializing
-  // the full match set.
-  return space_.read_one(pattern, [this](const Tuple& t) {
-    return t.permits(AccessOp::kObserve, self());
-  });
+  return space_.read_one(pattern);
 }
 
 std::vector<TupleHandle> Middleware::take(const Pattern& pattern) {
-  // Only extractable tuples leave the space; protected matches stay put.
-  return space_.take(pattern, [this](const Tuple& t) {
-    return t.permits(AccessOp::kExtract, self());
-  });
+  return space_.take(pattern);
 }
 
 SubscriptionId Middleware::subscribe(Pattern pattern,
@@ -55,10 +44,8 @@ SubscriptionId Middleware::subscribe(Pattern pattern,
 QueryId Middleware::subscribe_query(Pattern pattern,
                                     EventBus::QueryCallback on_delta) {
   const Pattern seed = pattern;  // replay needs it after the bus takes it
-  const QueryId id = bus_.subscribe_query(
-      std::move(pattern), std::move(on_delta), [this](const Tuple& t) {
-        return t.permits(AccessOp::kObserve, self());
-      });
+  const QueryId id =
+      bus_.subscribe_query(std::move(pattern), std::move(on_delta));
   // Replay: admit every currently-stored match (uid order), so the
   // caller's view starts complete before incremental deltas take over.
   space_.for_matching(seed, [&](const TupleSpace::Entry& entry) {

@@ -70,7 +70,7 @@ class Middleware {
   /// Registers a continuous query (docs/QUERY.md): `on_delta` first
   /// replays the current matches as kAdded deltas (uid order), then the
   /// result set is maintained incrementally on every local store change —
-  /// no re-scan.  Tuples this node may not observe never enter the set.
+  /// no re-scan.
   QueryId subscribe_query(Pattern pattern, EventBus::QueryCallback on_delta);
 
   void unsubscribe_query(QueryId id);

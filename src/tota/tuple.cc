@@ -37,7 +37,6 @@ TupleHeader TupleHeader::read(wire::Reader& r) {
 
 void Tuple::encode(wire::Writer& w) const {
   TupleHeader{type_tag(), uid_, hop_}.write(w);
-  access_.encode(w);
   content_.encode(w);
   encode_extra(w);
 }
@@ -52,7 +51,6 @@ std::unique_ptr<Tuple> Tuple::decode_body(const TupleHeader& header,
   auto tuple = tuple_registry().create(header.tag);
   tuple->uid_ = header.uid;
   tuple->hop_ = header.hop;
-  tuple->access_ = AccessPolicy::decode(r);
   tuple->content_ = wire::Record::decode(r);
   tuple->decode_extra(r);
   return tuple;

@@ -27,7 +27,6 @@
 #include <string_view>
 
 #include "common/ids.h"
-#include "tota/access.h"
 #include "tota/context.h"
 #include "wire/buffer.h"
 #include "wire/record.h"
@@ -79,18 +78,6 @@ class Tuple {
   /// reached only through a TupleHandle and never changes.
   [[nodiscard]] const wire::Record& content() const { return content_; }
   [[nodiscard]] wire::Record& content() { return content_; }
-
-  // --- access control (paper §6 future work; see access.h) -------------------
-
-  /// The policy governing who observes/extracts/hosts this tuple.  The
-  /// owner is the tuple's injecting node (uid().origin()).  Default: open.
-  [[nodiscard]] const AccessPolicy& access() const { return access_; }
-  void set_access(AccessPolicy policy) { access_ = std::move(policy); }
-
-  /// Convenience: does `node` hold `op` rights on this tuple?
-  [[nodiscard]] bool permits(AccessOp op, NodeId node) const {
-    return access_.permits(op, uid_.origin(), node);
-  }
 
   // --- propagation rule P (hooks) -------------------------------------------
 
@@ -144,7 +131,7 @@ class Tuple {
   static std::unique_ptr<Tuple> decode(wire::Reader& r);
 
   /// The second half of decode: builds the tuple `header` names and reads
-  /// the rest of its encoding (access policy, content, extras) from `r`,
+  /// the rest of its encoding (content, extras) from `r`,
   /// which must sit just past the header.
   static std::unique_ptr<Tuple> decode_body(const TupleHeader& header,
                                             wire::Reader& r);
@@ -171,7 +158,6 @@ class Tuple {
   TupleUid uid_;
   int hop_ = 0;
   wire::Record content_;
-  AccessPolicy access_;
 };
 
 /// A shared immutable tuple, as the tuple space stores and reads return.

@@ -175,14 +175,12 @@ void TupleSpace::match(const Pattern& pattern, Fn&& fn,
   }
 }
 
-std::vector<TupleHandle> TupleSpace::read(const Pattern& pattern,
-                                          const Filter& accept) const {
+std::vector<TupleHandle> TupleSpace::read(const Pattern& pattern) const {
   std::vector<TupleHandle> out;
   std::size_t walk_length = 0;
   match(
       pattern,
       [&](const Entry& entry) {
-        if (accept && !accept(*entry.tuple)) return true;
         // The walk's length bounds the matches: one allocation.
         if (out.empty()) out.reserve(walk_length);
         out.push_back(entry.tuple);
@@ -192,22 +190,19 @@ std::vector<TupleHandle> TupleSpace::read(const Pattern& pattern,
   return out;
 }
 
-TupleHandle TupleSpace::read_one(const Pattern& pattern,
-                                 const Filter& accept) const {
+TupleHandle TupleSpace::read_one(const Pattern& pattern) const {
   TupleHandle out;
   match(pattern, [&](const Entry& entry) {
-    if (accept && !accept(*entry.tuple)) return true;  // keep looking
     out = entry.tuple;
-    return false;  // first (lowest-uid) accepted match wins
+    return false;  // first (lowest-uid) match wins
   });
   return out;
 }
 
-std::vector<TupleHandle> TupleSpace::take(const Pattern& pattern,
-                                          const Filter& accept) {
+std::vector<TupleHandle> TupleSpace::take(const Pattern& pattern) {
   std::vector<TupleUid> uids;
   match(pattern, [&](const Entry& entry) {
-    if (!accept || accept(*entry.tuple)) uids.push_back(entry.tuple->uid());
+    uids.push_back(entry.tuple->uid());
     return true;
   });
   std::vector<TupleHandle> out;

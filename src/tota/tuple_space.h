@@ -122,24 +122,16 @@ class TupleSpace {
   /// Removes the replica for `uid`; returns it (empty if absent).
   TupleHandle erase(const TupleUid& uid);
 
-  /// Passes every match when empty; otherwise the matches it rejects
-  /// (e.g. an access-control check) are left out.  Pattern-level counters
-  /// (space.query.*) do not depend on it.
-  using Filter = std::function<bool(const Tuple&)>;
-
   /// Handles to the stored tuples matching `pattern` (the paper's
   /// `read`).  One allocation at most: the result vector.
-  [[nodiscard]] std::vector<TupleHandle> read(const Pattern& pattern,
-                                              const Filter& accept = {}) const;
+  [[nodiscard]] std::vector<TupleHandle> read(const Pattern& pattern) const;
 
   /// First match, if any — the common single-tuple lookup.  Early-exits
-  /// on the first (lowest-uid) accepted match and allocates nothing.
-  [[nodiscard]] TupleHandle read_one(const Pattern& pattern,
-                                     const Filter& accept = {}) const;
+  /// on the first (lowest-uid) match and allocates nothing.
+  [[nodiscard]] TupleHandle read_one(const Pattern& pattern) const;
 
   /// Removes and returns the matches (the paper's `delete`).
-  std::vector<TupleHandle> take(const Pattern& pattern,
-                                const Filter& accept = {});
+  std::vector<TupleHandle> take(const Pattern& pattern);
 
   /// Uids of replicas flagged for re-propagation.  O(flagged).
   [[nodiscard]] std::vector<TupleUid> propagated_uids() const;

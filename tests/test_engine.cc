@@ -8,6 +8,7 @@
 #include <string>
 
 #include "fake_platform.h"
+#include "obs_expect.h"
 #include "tota/engine.h"
 #include "wire/atom.h"
 #include "tuples/all.h"
@@ -39,15 +40,16 @@ namespace {
 using testing::FakePlatform;
 using tuples::GradientTuple;
 using tuples::ModifierTuple;
+using tota::testing::recorded;
 
 class EngineTest : public ::testing::Test {
  protected:
   void SetUp() override { tuples::register_standard_tuples(); }
 
   /// Expects engine_'s maint.<name> counter (its hub is private to the
-  /// test) to read `n`; with TOTA_OBS=OFF every counter reads 0.
+  /// test) to have recorded `n`.
   void expect_maint(const std::string& name, std::int64_t n) const {
-    EXPECT_EQ(hub_.metrics.get("maint." + name), TOTA_OBS_ENABLED ? n : 0)
+    EXPECT_EQ(hub_.metrics.get("maint." + name), recorded(n))
         << "maint." << name;
   }
 
@@ -482,7 +484,6 @@ TEST_F(EngineTest, TruncatedControlFramesCountedAndHarmless) {
     w.uvarint(hostile_uid.origin().value());
     w.uvarint(hostile_uid.sequence());
     w.svarint(0);
-    AccessPolicy().encode(w);
     w.uvarint(4096);
     w.string("a");
     wire::Value(7).encode(w);
@@ -560,7 +561,7 @@ TEST_F(HeaderFirstTest, DuplicateWithCutBodyDroppedOnItsHeader) {
   }
   const auto dups = count("engine.drop.duplicate");
   engine_.on_datagram(NodeId{6}, frame);
-  EXPECT_EQ(count("engine.drop.duplicate"), dups + 1);
+  EXPECT_EQ(count("engine.drop.duplicate"), recorded(dups + 1));
   EXPECT_EQ(engine_.decode_failures(), 0u);
   EXPECT_EQ(stored_hop(), 3);
   EXPECT_EQ(space_.size(), 1u);
@@ -575,7 +576,7 @@ TEST_F(HeaderFirstTest, SupersedingCopyWithMalformedBodyFailsAndKeepsReplica) {
   const auto dups = count("engine.drop.duplicate");
   engine_.on_datagram(NodeId{6}, cut);
   EXPECT_EQ(engine_.decode_failures(), 1u);
-  EXPECT_EQ(count("engine.decode_fail"), 1);
+  EXPECT_EQ(count("engine.decode_fail"), recorded(1));
   EXPECT_EQ(count("engine.drop.duplicate"), dups);
   EXPECT_EQ(stored_hop(), 3);
   EXPECT_EQ(space_.find(remote_.uid())->parent, NodeId{5});
@@ -598,13 +599,13 @@ TEST_F(HeaderFirstTest, StretchedDuplicateFromOnlyJustifierRetracts) {
   // yet what it says about 5 voids our justification.
   engine_.on_datagram(NodeId{5}, tuple_frame_at(7));
   EXPECT_EQ(space_.find(remote_.uid()), nullptr);
-  EXPECT_EQ(count("maint.retract_cascaded"), 1);
+  EXPECT_EQ(count("maint.retract_cascaded"), recorded(1));
   ASSERT_EQ(platform_.broadcasts.size(), 1u);
   wire::Reader r(platform_.broadcasts[0]);
   EXPECT_EQ(r.u8(), 2);  // RETRACT
   // With the replica gone the copy could enter, so its body was read;
   // the hold-down then refuses the stretched value.
-  EXPECT_EQ(count("engine.drop.holddown"), 1);
+  EXPECT_EQ(count("engine.drop.holddown"), recorded(1));
   EXPECT_EQ(engine_.decode_failures(), 0u);
 }
 
@@ -636,7 +637,7 @@ TEST_F(HeaderFirstTest, DuplicateFromNotedNeighbourAllocatesNothing) {
   g_count_allocs = false;
 
   EXPECT_EQ(g_allocs, 0u);
-  EXPECT_EQ(count("engine.drop.duplicate"), dups + 2);
+  EXPECT_EQ(count("engine.drop.duplicate"), recorded(dups + 2));
   EXPECT_EQ(stored_hop(), 3);
   EXPECT_TRUE(platform_.broadcasts.empty());
 }
@@ -645,7 +646,7 @@ TEST_F(EngineTest, DecodeFailureMetricRecorded) {
   obs::Hub hub;
   Engine engine(NodeId{3}, platform_, space_, bus_, {}, &hub);
   engine.on_datagram(NodeId{5}, wire::Bytes{99});
-  EXPECT_EQ(hub.metrics.get("engine.decode_fail"), 1);
+  EXPECT_EQ(hub.metrics.get("engine.decode_fail"), recorded(1));
 }
 
 // --- shared replicas ----------------------------------------------------------
@@ -730,7 +731,6 @@ int flood_name_table() {
     const TupleUid uid{NodeId{9}, ++seq};
     return wire::Frame::tuple([&](wire::Writer& w) {
       TupleHeader{GradientTuple::kTag, uid, 0}.write(w);
-      AccessPolicy().encode(w);
       w.uvarint(kPerFrame);
       for (std::size_t i = 0; i < kPerFrame; ++i) {
         w.string("hostile." + std::to_string(next_name++));

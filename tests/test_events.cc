@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs_expect.h"
 #include "tota/events.h"
 #include "tuples/gradient_tuple.h"
 
@@ -11,6 +12,7 @@ namespace tota {
 namespace {
 
 using tuples::GradientTuple;
+using tota::testing::recorded;
 
 GradientTuple make_gradient(const std::string& name) {
   GradientTuple g(name);
@@ -165,9 +167,9 @@ TEST(EventBusTest, BoundMetricsCountDispatch) {
 
   const auto tuple = make_gradient("a");
   bus.publish({EventKind::kTupleArrived, &tuple, SimTime::zero()});
-  EXPECT_EQ(registry.get("bus.publish"), 1);
-  EXPECT_EQ(registry.get("bus.dispatch.candidates"), 1);
-  EXPECT_EQ(registry.get("bus.dispatch.fired"), 1);
+  EXPECT_EQ(registry.get("bus.publish"), recorded(1));
+  EXPECT_EQ(registry.get("bus.dispatch.candidates"), recorded(1));
+  EXPECT_EQ(registry.get("bus.dispatch.fired"), recorded(1));
   EXPECT_EQ(registry.get("bus.dispatch.skipped_dead"), 0);
 }
 
@@ -238,23 +240,8 @@ TEST(ContinuousQueryTest, TypeBucketsSkipForeignTags) {
 
   const auto g = make_member(1, "a", 0);
   bus.notify_space(CK::kInserted, g, SimTime::zero());
-  EXPECT_EQ(registry.get("bus.cq.evals"), 1);
-  EXPECT_EQ(registry.get("bus.cq.added"), 1);
-}
-
-TEST(ContinuousQueryTest, AcceptFilterGatesMembership) {
-  EventBus bus;
-  int added = 0;
-  bus.subscribe_query(
-      Pattern{}, [&](const QueryDelta& d) {
-        if (d.kind == QueryDelta::Kind::kAdded) ++added;
-      },
-      [](const Tuple& t) { return t.uid().sequence() != 2; });
-  const auto ok = make_member(1, "a", 0);
-  const auto denied = make_member(2, "a", 0);
-  bus.notify_space(CK::kInserted, ok, SimTime::zero());
-  bus.notify_space(CK::kInserted, denied, SimTime::zero());
-  EXPECT_EQ(added, 1);
+  EXPECT_EQ(registry.get("bus.cq.evals"), recorded(1));
+  EXPECT_EQ(registry.get("bus.cq.added"), recorded(1));
 }
 
 TEST(ContinuousQueryTest, SeedReplaysStoredReplicas) {
@@ -296,10 +283,10 @@ TEST(ContinuousQueryTest, BoundMetricsCountDeltasByKind) {
   bus.notify_space(CK::kInserted, g, SimTime::zero());
   bus.notify_space(CK::kReplaced, g, SimTime::zero());
   bus.notify_space(CK::kErased, g, SimTime::zero());
-  EXPECT_EQ(registry.get("bus.cq.evals"), 3);
-  EXPECT_EQ(registry.get("bus.cq.added"), 1);
-  EXPECT_EQ(registry.get("bus.cq.updated"), 1);
-  EXPECT_EQ(registry.get("bus.cq.removed"), 1);
+  EXPECT_EQ(registry.get("bus.cq.evals"), recorded(3));
+  EXPECT_EQ(registry.get("bus.cq.added"), recorded(1));
+  EXPECT_EQ(registry.get("bus.cq.updated"), recorded(1));
+  EXPECT_EQ(registry.get("bus.cq.removed"), recorded(1));
 }
 
 TEST(ContinuousQueryTest, UnsubscribeByEquivalentPredicatePattern) {

@@ -6,12 +6,15 @@
 
 #include "fake_platform.h"
 #include "obs/metrics.h"
+#include "obs_expect.h"
 #include "tota/engine.h"
 #include "tuples/all.h"
 #include "wire/frame.h"
 
 namespace tota::wire {
 namespace {
+
+using tota::testing::recorded;
 
 TupleUid uid(std::uint64_t origin, std::uint64_t seq) {
   return TupleUid{NodeId{origin}, seq};
@@ -139,7 +142,7 @@ TEST(DecodeOnceTest, MalformedTupleBodyCountsOneFailurePerReceiver) {
 
   EXPECT_EQ(e1.decode_failures(), 1u);
   EXPECT_EQ(e2.decode_failures(), 1u);
-  EXPECT_EQ(hub.metrics.get("engine.decode_fail"), 2);
+  EXPECT_EQ(hub.metrics.get("engine.decode_fail"), recorded(2));
   EXPECT_EQ(s1.size(), 0u);
   EXPECT_EQ(s2.size(), 0u);
   EXPECT_TRUE(p1.broadcasts.empty());

@@ -209,49 +209,6 @@ TEST_F(MiddlewareTest, PredicateQueriesTrackFieldChanges) {
   EXPECT_EQ(kinds[1], QueryDelta::Kind::kRemoved);
 }
 
-// --- access filtering (read + continuous queries) ----------------------------
-
-TEST_F(MiddlewareTest, ReadFiltersTuplesThisNodeMayNotObserve) {
-  // A private marker from node 7: hosted here, invisible to read().
-  GradientTuple secret("s");
-  secret.set_uid(TupleUid{NodeId{7}, 1});
-  secret.set_hop(1);
-  secret.set_access(AccessPolicy::private_to_owner());
-  wire::Writer w;
-  w.u8(1);
-  secret.encode(w);
-  mw_.on_datagram(NodeId{7}, w.bytes());
-  ASSERT_EQ(mw_.space().size(), 1u);  // hosted…
-  EXPECT_TRUE(mw_.read(Pattern{}).empty());  // …but not observable
-  EXPECT_EQ(mw_.read_one(Pattern{}), nullptr);
-}
-
-TEST_F(MiddlewareTest, ContinuousQueriesNeverAdmitUnobservableTuples) {
-  int fired = 0;
-  mw_.subscribe_query(Pattern{}, [&](const QueryDelta&) { ++fired; });
-
-  GradientTuple secret("s");
-  secret.set_uid(TupleUid{NodeId{7}, 1});
-  secret.set_hop(1);
-  secret.set_access(AccessPolicy::private_to_owner());
-  wire::Writer w;
-  w.u8(1);
-  secret.encode(w);
-  mw_.on_datagram(NodeId{7}, w.bytes());
-  EXPECT_EQ(mw_.space().size(), 1u);
-  EXPECT_EQ(fired, 0);
-
-  // An open tuple from the same node flows through normally.
-  GradientTuple open("o");
-  open.set_uid(TupleUid{NodeId{7}, 2});
-  open.set_hop(1);
-  wire::Writer w2;
-  w2.u8(1);
-  open.encode(w2);
-  mw_.on_datagram(NodeId{7}, w2.bytes());
-  EXPECT_EQ(fired, 1);
-}
-
 TEST_F(MiddlewareTest, SelfAndPlatformAccessors) {
   EXPECT_EQ(mw_.self(), NodeId{1});
   EXPECT_EQ(&mw_.platform(), &platform_);

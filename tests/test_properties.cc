@@ -23,6 +23,7 @@
 #include <set>
 
 #include "emu/sharded_world.h"
+#include "obs_expect.h"
 #include "tota/tuple_space.h"
 #include "tuples/aggregator.h"
 #include "tuples/all.h"
@@ -31,6 +32,7 @@ namespace tota {
 namespace {
 
 using namespace tota::tuples;
+using tota::testing::recorded;
 
 emu::ShardedWorld::Options options(std::uint64_t seed) {
   emu::ShardedWorld::Options o;
@@ -260,7 +262,7 @@ TEST_P(BroadcastProperty, OneTransmissionPerNodePerFlood) {
   const auto cost = world.metrics().get("radio.tx") - before;
   // Breadth-first flooding over a broadcast medium: each node announces
   // the tuple exactly once (supersede storms would show up here).
-  EXPECT_EQ(cost, static_cast<std::int64_t>(nodes.size()));
+  EXPECT_EQ(cost, recorded(static_cast<std::int64_t>(nodes.size())));
 }
 
 INSTANTIATE_TEST_SUITE_P(GridSides, BroadcastProperty,
@@ -449,9 +451,9 @@ std::vector<TupleUid> naive_matches(const TupleSpace& space,
   return uids;
 }
 
-class PlannerProperty : public ::testing::TestWithParam<std::uint64_t> {};
+class ReadProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(PlannerProperty, CompiledPlansEqualNaiveFullScan) {
+TEST_P(ReadProperty, ReadsEqualNaiveFullScan) {
   tuples::register_standard_tuples();
   Rng rng(GetParam());
   TupleSpace space;
@@ -469,7 +471,7 @@ TEST_P(PlannerProperty, CompiledPlansEqualNaiveFullScan) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PlannerProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, ReadProperty,
                          ::testing::Values(401, 402, 403));
 
 // --- P10: continuous queries ≡ re-running the query ---------------------------

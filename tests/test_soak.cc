@@ -36,6 +36,7 @@
 #include "net/discovery.h"
 #include "net/fault.h"
 #include "obs/hub.h"
+#include "obs_expect.h"
 #include "sim/event_queue.h"
 #include "tota/middleware.h"
 #include "tuples/all.h"
@@ -48,6 +49,7 @@ namespace {
 using tota::testing::decode_batch;
 using tota::testing::DecodedBatch;
 using tota::testing::FakePlatform;
+using tota::testing::recorded;
 
 // --- FaultInjector unit tests ----------------------------------------------
 
@@ -112,8 +114,8 @@ TEST(FaultInjector, DropOneDropsEverything) {
     inj.process(tagged(0), [&](const wire::Bytes&) { ++delivered; });
   }
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(metrics.get("net.fault.processed"), 20);
-  EXPECT_EQ(metrics.get("net.fault.drop"), 20);
+  EXPECT_EQ(metrics.get("net.fault.processed"), recorded(20));
+  EXPECT_EQ(metrics.get("net.fault.drop"), recorded(20));
   EXPECT_EQ(metrics.get("net.fault.delivered"), 0);
 }
 
@@ -130,8 +132,8 @@ TEST(FaultInjector, DuplicateOneDeliversEverythingTwice) {
   // Duplicates are *extra* deliveries: delivered counts datagrams, dup
   // counts the extras, the sink sees both.
   EXPECT_EQ(calls, 20);
-  EXPECT_EQ(metrics.get("net.fault.delivered"), 10);
-  EXPECT_EQ(metrics.get("net.fault.dup"), 10);
+  EXPECT_EQ(metrics.get("net.fault.delivered"), recorded(10));
+  EXPECT_EQ(metrics.get("net.fault.dup"), recorded(10));
 }
 
 TEST(FaultInjector, TruncateAndCorruptDamageButStillDeliver) {
@@ -147,8 +149,8 @@ TEST(FaultInjector, TruncateAndCorruptDamageButStillDeliver) {
                 [&](const wire::Bytes& b) { delivered_size = b.size(); });
     EXPECT_LT(delivered_size, original.size());
   }
-  EXPECT_EQ(metrics.get("net.fault.truncate"), 1);
-  EXPECT_EQ(metrics.get("net.fault.delivered"), 1);
+  EXPECT_EQ(metrics.get("net.fault.truncate"), recorded(1));
+  EXPECT_EQ(metrics.get("net.fault.delivered"), recorded(1));
 
   net::FaultPlan flip;
   flip.corrupt = 1.0;
@@ -161,7 +163,7 @@ TEST(FaultInjector, TruncateAndCorruptDamageButStillDeliver) {
     differing_bits += __builtin_popcount(got[i] ^ original[i]);
   }
   EXPECT_EQ(differing_bits, 1);  // exactly one flipped bit
-  EXPECT_EQ(metrics.get("net.fault.corrupt"), 1);
+  EXPECT_EQ(metrics.get("net.fault.corrupt"), recorded(1));
 }
 
 TEST(FaultInjector, ReorderReleasesAfterOvertakesAndPreservesContent) {
@@ -190,14 +192,14 @@ TEST(FaultInjector, ReorderReleasesAfterOvertakesAndPreservesContent) {
     EXPECT_EQ(sorted[static_cast<std::size_t>(i)], i);
   }
   // ...and some genuinely out of order.
-  EXPECT_GT(metrics.get("net.fault.reorder"), 0);
+  EXPECT_GE(metrics.get("net.fault.reorder"), recorded(1));
   bool disordered = false;
   for (std::size_t i = 1; i < order.size(); ++i) {
     if (order[i] < order[i - 1]) disordered = true;
   }
   EXPECT_TRUE(disordered);
   // Conservation with nothing dropped: everything was delivered.
-  EXPECT_EQ(metrics.get("net.fault.delivered"), kCount);
+  EXPECT_EQ(metrics.get("net.fault.delivered"), recorded(kCount));
 }
 
 TEST(FaultInjector, TrafficLullDrainsHeldDatagramsViaTimer) {
@@ -238,7 +240,7 @@ TEST(FaultInjector, PartitionWindowSeversThenHeals) {
   platform.time = SimTime::from_seconds(2);
   inj.process(tagged(2), sink);  // healed
   EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(metrics.get("net.fault.partition_drop"), 1);
+  EXPECT_EQ(metrics.get("net.fault.partition_drop"), recorded(1));
   EXPECT_EQ(metrics.get("net.fault.processed"),
             metrics.get("net.fault.delivered") +
                 metrics.get("net.fault.partition_drop"));
@@ -263,19 +265,19 @@ TEST(FaultInjector, ChaosObeysTheConservationLaw) {
                 [&](const wire::Bytes&) { ++sink_calls; });
   }
   inj.flush();
-  EXPECT_EQ(metrics.get("net.fault.processed"), kCount);
+  EXPECT_EQ(metrics.get("net.fault.processed"), recorded(kCount));
   EXPECT_EQ(metrics.get("net.fault.processed"),
             metrics.get("net.fault.delivered") +
                 metrics.get("net.fault.drop") +
                 metrics.get("net.fault.partition_drop"));
-  EXPECT_EQ(sink_calls, metrics.get("net.fault.delivered") +
-                            metrics.get("net.fault.dup"));
+  EXPECT_EQ(metrics.get("net.fault.delivered") + metrics.get("net.fault.dup"),
+            recorded(sink_calls));
   // With 500 datagrams at these rates every fault mode actually fired.
-  EXPECT_GT(metrics.get("net.fault.drop"), 0);
-  EXPECT_GT(metrics.get("net.fault.dup"), 0);
-  EXPECT_GT(metrics.get("net.fault.reorder"), 0);
-  EXPECT_GT(metrics.get("net.fault.truncate"), 0);
-  EXPECT_GT(metrics.get("net.fault.corrupt"), 0);
+  EXPECT_GE(metrics.get("net.fault.drop"), recorded(1));
+  EXPECT_GE(metrics.get("net.fault.dup"), recorded(1));
+  EXPECT_GE(metrics.get("net.fault.reorder"), recorded(1));
+  EXPECT_GE(metrics.get("net.fault.truncate"), recorded(1));
+  EXPECT_GE(metrics.get("net.fault.corrupt"), recorded(1));
 }
 
 // --- the soak harness ------------------------------------------------------
@@ -591,15 +593,15 @@ void run_soak_and_assert(std::uint64_t seed, bool chaos = true,
   EXPECT_EQ(world.total_held(), 0u);
   if (chaos) {
     // The chaos was real, not vacuously converged...
-    EXPECT_GT(snap.dropped, 0);
-    EXPECT_GT(m.get("net.fault.reorder"), 0);
-    EXPECT_GT(m.get("net.fault.partition_drop"), 0);
-    EXPECT_GT(m.get("net.fault.dup"), 0);
+    EXPECT_GE(snap.dropped, recorded(1));
+    EXPECT_GE(m.get("net.fault.reorder"), recorded(1));
+    EXPECT_GE(m.get("net.fault.partition_drop"), recorded(1));
+    EXPECT_GE(m.get("net.fault.dup"), recorded(1));
     // ...and the discovery hardening earned its keep: reordered beacons
     // were recognised as stale, and the post-outage restart storm went
     // through the seq-regression path.
-    EXPECT_GT(m.get("net.hello.stale"), 0);
-    EXPECT_GT(m.get("net.hello.restart"), 0);
+    EXPECT_GE(m.get("net.hello.stale"), recorded(1));
+    EXPECT_GE(m.get("net.hello.restart"), recorded(1));
   }
   if (out != nullptr) *out = snap;
 }

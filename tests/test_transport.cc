@@ -49,6 +49,7 @@
 #include "net/reliable.h"
 #include "net/session.h"
 #include "obs/hub.h"
+#include "obs_expect.h"
 #include "sim/event_queue.h"
 #include "tota/bounded_uid_fifo.h"
 #include "tota/digest.h"
@@ -86,6 +87,7 @@ namespace {
 using tota::testing::decode_batch;
 using tota::testing::DecodedBatch;
 using tota::testing::FakePlatform;
+using tota::testing::recorded;
 
 NodeId id_of(int i) { return NodeId{static_cast<std::uint64_t>(i) + 1}; }
 
@@ -357,7 +359,7 @@ TEST(PackBatches, OversizeChunkGoesAloneAndIsCounted) {
   const auto out =
       pack_batches(NodeId{1}, std::move(chunks), options, &oversize);
   ASSERT_EQ(out.size(), 3u);  // small / big-alone / small
-  EXPECT_EQ(metrics.get("net.batch.oversize"), 1);
+  EXPECT_EQ(metrics.get("net.batch.oversize"), recorded(1));
   EXPECT_GT(out[1].size(), options.mtu);  // the link decides its fate
 }
 
@@ -390,9 +392,9 @@ TEST(Batcher, CoalescesOneEventInstantIntoOneDatagram) {
   EXPECT_EQ(d.chunks[0].kind, net::ChunkKind::kHello);
   EXPECT_EQ(d.chunks[1].payload[0], 1);
   EXPECT_EQ(d.chunks[2].payload[0], 2);
-  EXPECT_EQ(rig.metrics.get("net.batch.tx"), 1);
-  EXPECT_EQ(rig.metrics.get("net.batch.chunks"), 3);
-  EXPECT_EQ(rig.metrics.get("net.batch.flush"), 1);
+  EXPECT_EQ(rig.metrics.get("net.batch.tx"), recorded(1));
+  EXPECT_EQ(rig.metrics.get("net.batch.chunks"), recorded(3));
+  EXPECT_EQ(rig.metrics.get("net.batch.flush"), recorded(1));
 }
 
 TEST(Batcher, NewerAckAndDigestSupersedePendingOnes) {
@@ -474,9 +476,9 @@ TEST(ReliableChannel, SendEmitsOnceAndRetiresOnFullAck) {
   rig->channel.on_ack(NodeId{3}, 1);
   EXPECT_EQ(rig->channel.in_flight(), 0u);
   EXPECT_EQ(rig->channel.floor(), 2u);  // nothing below 2 retransmits
-  EXPECT_EQ(rig->metrics.get("net.rel.tx"), 1);
-  EXPECT_EQ(rig->metrics.get("net.rel.acked"), 1);
-  EXPECT_EQ(rig->metrics.get("net.rel.ack_rx"), 2);
+  EXPECT_EQ(rig->metrics.get("net.rel.tx"), recorded(1));
+  EXPECT_EQ(rig->metrics.get("net.rel.acked"), recorded(1));
+  EXPECT_EQ(rig->metrics.get("net.rel.ack_rx"), recorded(2));
 }
 
 TEST(ReliableChannel, EmptyTargetSetIsBestEffort) {
@@ -550,10 +552,10 @@ TEST(ReliableChannel, RetransmitsWithBackoffThenExpires) {
   const SimTime t0 = rig->platform.now();
 
   rig->platform.run_scheduled();  // attempt 2
-  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), 1);
+  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), recorded(1));
   const SimTime t1 = rig->platform.now();
   rig->platform.run_scheduled();  // attempt 3
-  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), 2);
+  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), recorded(2));
   const SimTime t2 = rig->platform.now();
   // Backoff doubles the spacing, which outgrows the jitter: the first gap
   // is at most 200 ms * 1.25 = 250 ms, the second at least 400 ms * 0.75.
@@ -564,14 +566,14 @@ TEST(ReliableChannel, RetransmitsWithBackoffThenExpires) {
   for (int attempt = 4; attempt <= Rel::kMaxAttempts; ++attempt) {
     rig->platform.run_scheduled();
   }
-  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), Rel::kMaxAttempts - 1);
+  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), recorded(Rel::kMaxAttempts - 1));
   EXPECT_EQ(rig->metrics.get("net.rel.expired"), 0);
   rig->platform.run_scheduled();  // …due again → attempts exhausted
-  EXPECT_EQ(rig->metrics.get("net.rel.expired"), 1);
+  EXPECT_EQ(rig->metrics.get("net.rel.expired"), recorded(1));
   EXPECT_EQ(rig->channel.in_flight(), 0u);
   EXPECT_EQ(rig->channel.floor(), 2u);  // the gap is public: floor moved on
   // Expiry transmits nothing.
-  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), Rel::kMaxAttempts - 1);
+  EXPECT_EQ(rig->metrics.get("net.rel.rtx"), recorded(Rel::kMaxAttempts - 1));
 }
 
 TEST(ReliableChannel, PeerDepartureRetiresItsDebts) {
@@ -597,7 +599,7 @@ TEST(ReliableChannel, InOrderDeliveryDupDropAndReack) {
   // finally retire it (our earlier ack may have been lost).
   rig->channel.on_rel(sender, 1, 1, bytes_of({1}));
   EXPECT_EQ(rig->delivered.size(), 2u);
-  EXPECT_EQ(rig->metrics.get("net.rel.dup"), 1);
+  EXPECT_EQ(rig->metrics.get("net.rel.dup"), recorded(1));
   ASSERT_EQ(rig->acked.size(), 3u);
   EXPECT_EQ(rig->acked.back(), (std::pair<NodeId, std::uint64_t>{sender, 2}));
 }
@@ -609,7 +611,7 @@ TEST(ReliableChannel, BuffersOutOfOrderAndDrainsOnTheGapFill) {
   rig->channel.on_rel(sender, 3, 1, bytes_of({3}));
   rig->channel.on_rel(sender, 4, 1, bytes_of({4}));
   EXPECT_EQ(rig->delivered.size(), 1u);  // 3 and 4 wait for 2
-  EXPECT_EQ(rig->metrics.get("net.rel.ooo"), 2);
+  EXPECT_EQ(rig->metrics.get("net.rel.ooo"), recorded(2));
   rig->channel.on_rel(sender, 2, 1, bytes_of({2}));
   ASSERT_EQ(rig->delivered.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -643,7 +645,8 @@ TEST(ReliableChannel, FloorAdvanceSkipsAbandonedFramesAndFlushesBuffered) {
   ASSERT_EQ(rig->delivered.size(), 3u);
   EXPECT_EQ(rig->delivered[1].second[0], 4);
   EXPECT_EQ(rig->delivered[2].second[0], 5);
-  EXPECT_EQ(rig->metrics.get("net.rel.skipped"), 2);  // 2 and 3, never 4
+  // Skipped: 2 and 3, never 4.
+  EXPECT_EQ(rig->metrics.get("net.rel.skipped"), recorded(2));
   EXPECT_EQ(rig->channel.expected(sender), 6u);
 }
 
@@ -660,7 +663,7 @@ TEST(ReliableChannel, RxBufferOverflowDropsEarlyFrames) {
   EXPECT_EQ(rig->metrics.get("net.rel.rx_overflow"), 0);
   const std::uint64_t last = kBuffer + 3;
   rel(last);  // buffer full
-  EXPECT_EQ(rig->metrics.get("net.rel.rx_overflow"), 1);
+  EXPECT_EQ(rig->metrics.get("net.rel.rx_overflow"), recorded(1));
   // The retransmit covers the loss: `last` arrives again after the gap
   // fills.
   rel(1);
@@ -939,7 +942,7 @@ TEST(EngineSync, DigestResyncRepairsASilentHoleInODiffFrames) {
   const int resent = pair.a.on_digest(id_of(1), pair.b.digest(64));
   EXPECT_GE(resent, 1);
   EXPECT_LE(resent, 3);  // O(diff): nowhere near the 12-tuple store
-  EXPECT_EQ(pair.hub_a.metrics.get("net.sync.resend"), resent);
+  EXPECT_EQ(pair.hub_a.metrics.get("net.sync.resend"), recorded(resent));
   pair.ship_a_to_b();
   EXPECT_EQ(pair.b.read(Pattern::of_type(tuples::GradientTuple::kTag)).size(),
             12u);
@@ -1256,9 +1259,9 @@ TEST(TransportSoak, ReliableChannelDrainsEveryRetraction) {
     EXPECT_EQ(r.leaked, 0) << "seed " << seed;
     // The channel did real work: control frames flowed, the 0.3-loss
     // links forced retransmissions, and the acks retired them.
-    EXPECT_GT(r.rel_tx, 0) << "seed " << seed;
-    EXPECT_GT(r.rel_rtx, 0) << "seed " << seed;
-    EXPECT_GT(r.rel_acked, 0) << "seed " << seed;
+    EXPECT_GE(r.rel_tx, recorded(1)) << "seed " << seed;
+    EXPECT_GE(r.rel_rtx, recorded(1)) << "seed " << seed;
+    EXPECT_GE(r.rel_acked, recorded(1)) << "seed " << seed;
     // The main gradient stayed intact end to end.
     ASSERT_EQ(r.main_hops.size(), static_cast<std::size_t>(kSoakNodes - 1))
         << "seed " << seed;
@@ -1310,8 +1313,9 @@ TEST(TransportBatch, BatchingCutsDatagramsPerDeliveredTupleTwofold) {
     cost[batching ? 1 : 0] = world.datagrams_tx();
     if (batching) {
       auto& m = world.hub().metrics;
-      EXPECT_GT(m.get("net.batch.tx"), 0);
-      EXPECT_GT(m.get("net.batch.chunks"), m.get("net.batch.tx"));
+      EXPECT_GE(m.get("net.batch.tx"), recorded(1));
+      EXPECT_GE(m.get("net.batch.chunks"),
+                m.get("net.batch.tx") + recorded(1));
     }
   }
   // Same tuples delivered everywhere, at least 2x fewer datagrams —
@@ -1367,13 +1371,13 @@ TEST(TransportSync, DigestsHealASilentHoleInODiffFrames) {
         << "node " << i;
   }
   auto& m = world.hub().metrics;
-  EXPECT_GT(m.get("net.sync.digest_tx"), 0);
-  EXPECT_GT(m.get("net.sync.digest_rx"), 0);
+  EXPECT_GE(m.get("net.sync.digest_tx"), recorded(1));
+  EXPECT_GE(m.get("net.sync.digest_rx"), recorded(1));
   // The repair was O(diff), not O(store): across every digest round of
   // the run, fewer frames were re-sent than ONE full-store resync
   // round would ship (the hole itself, re-offered over a few rounds,
   // plus the odd same-bucket neighbour).
-  EXPECT_GE(m.get("net.sync.resend"), kHoles);
+  EXPECT_GE(m.get("net.sync.resend"), recorded(kHoles));
   EXPECT_LT(m.get("net.sync.resend"), kSeeded);
 }
 
@@ -1396,16 +1400,16 @@ TEST(NetSession, CorruptAndForeignDatagramsCountFrameBad) {
   wire::Bytes truncated = sample_batch(NodeId{2});
   truncated.resize(truncated.size() / 2);
   session.on_raw(truncated);
-  EXPECT_EQ(metrics.get("net.frame.bad"), 3);
+  EXPECT_EQ(metrics.get("net.frame.bad"), recorded(3));
 
   // A BATCH with an unknown future chunk kind is *skipped*, not bad.
   session.on_raw(raw_batch(NodeId{2}, {{0x77, bytes_of({1, 2})}}));
-  EXPECT_EQ(metrics.get("net.frame.bad"), 3);
-  EXPECT_EQ(metrics.get("net.frame.skip"), 1);
+  EXPECT_EQ(metrics.get("net.frame.bad"), recorded(3));
+  EXPECT_EQ(metrics.get("net.frame.skip"), recorded(1));
 
   // Our own echoes are counted once per datagram and never routed.
   session.on_raw(sample_batch(NodeId{1}));
-  EXPECT_EQ(metrics.get("net.data.echo"), 1);
+  EXPECT_EQ(metrics.get("net.data.echo"), recorded(1));
   EXPECT_EQ(metrics.get("net.data.rx"), 0);
 }
 
@@ -1445,14 +1449,14 @@ TEST(NetSession, RetiredHelloAndDataDatagramsAreDroppedAsBad) {
   hello.uvarint(5);    // beacon seq
   hello.uvarint(100);  // period, ms
   session.on_raw(hello.take());
-  EXPECT_EQ(hub.metrics.get("net.frame.bad"), 1);
+  EXPECT_EQ(hub.metrics.get("net.frame.bad"), recorded(1));
   EXPECT_EQ(hub.metrics.get("net.hello.rx"), 0);
   EXPECT_FALSE(session.discovery().knows(NodeId{2}));
 
   wire::Writer data = retired(2);
   data.raw(frame);
   session.on_raw(data.take());
-  EXPECT_EQ(hub.metrics.get("net.frame.bad"), 2);
+  EXPECT_EQ(hub.metrics.get("net.frame.bad"), recorded(2));
   EXPECT_EQ(hub.metrics.get("net.data.rx"), 0);
   EXPECT_EQ(mw.space().size(), 0u);
 
@@ -1460,9 +1464,9 @@ TEST(NetSession, RetiredHelloAndDataDatagramsAreDroppedAsBad) {
   session.on_raw(hello_batch(NodeId{2}, 5, SimTime::from_millis(100)));
   const net::EncodedChunk chunk = net::Datagram::chunk_data(frame);
   session.on_raw(net::Datagram::batch(NodeId{2}, {&chunk, 1}));
-  EXPECT_EQ(hub.metrics.get("net.frame.bad"), 2);
+  EXPECT_EQ(hub.metrics.get("net.frame.bad"), recorded(2));
   EXPECT_TRUE(session.discovery().knows(NodeId{2}));
-  EXPECT_EQ(hub.metrics.get("net.data.rx"), 1);
+  EXPECT_EQ(hub.metrics.get("net.data.rx"), recorded(1));
   EXPECT_EQ(mw.space().size(), 1u);
 }
 
@@ -1587,8 +1591,8 @@ TEST(NetSession, SteadyStateBeaconBatchIsReceivedWithoutAllocating) {
   g_count_allocs = false;
 
   EXPECT_EQ(g_allocs, 0u);
-  EXPECT_EQ(metrics.get("net.hello.rx"), 2);
-  EXPECT_EQ(metrics.get("net.rel.ack_rx"), 1);
+  EXPECT_EQ(metrics.get("net.hello.rx"), recorded(2));
+  EXPECT_EQ(metrics.get("net.rel.ack_rx"), recorded(1));
   EXPECT_EQ(metrics.get("net.frame.bad"), 0);
   EXPECT_EQ(platform.scheduled.size(), timers);  // no expiry re-arm
 }

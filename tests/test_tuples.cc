@@ -73,6 +73,25 @@ TEST_F(TuplesTest, FieldTupleScopeSurvivesWire) {
   EXPECT_EQ(field.scope(), 7);
 }
 
+TEST_F(TuplesTest, EncodingIsHeaderThenContentThenExtras) {
+  // The tuple encoding, byte for byte: header, content record, subclass
+  // extras, and nothing in between.
+  GradientTuple g("f", 7);
+  const TupleUid uid{NodeId{3}, 42};
+  g.set_uid(uid);
+  g.set_hop(5);
+  wire::Writer actual;
+  g.encode(actual);
+
+  wire::Writer expected;
+  TupleHeader{GradientTuple::kTag, uid, 5}.write(expected);
+  wire::Record content;
+  content.set("name", "f");
+  content.encode(expected);
+  expected.svarint(7);  // FieldTuple's extras: its scope
+  EXPECT_EQ(actual.bytes(), expected.bytes());
+}
+
 TEST_F(TuplesTest, FieldTupleScopeBoundaryValuesRoundTrip) {
   // The full legal range survives the wire: unbounded (-1), the local
   // degenerate (0), and the decoder's upper bound (2^24).
